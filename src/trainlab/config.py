@@ -2,22 +2,31 @@
 
 Config files (and CLI overrides) are lines of ``dotted.key=value`` mirroring
 the RunConfig field paths, e.g. ``optimizer.eta=1e-3`` or ``stream.tasks=6``.
-Unknown keys are configuration errors.  A relative MNIST path is resolved
-against the TRAINLAB_DATA_DIR environment variable when set.
+The keys, their types and their defaults all come from the dataclass fields
+of RunConfig and the configs nested in it; the few keys not spelled as a
+field path are listed in ``_SPECIAL``.  Unknown keys are configuration
+errors.  A relative MNIST path is resolved against the TRAINLAB_DATA_DIR
+environment variable when set.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
+import typing
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ConfigError
-from .metrics import BoundConfig
 from .nn import Activation
-from .runner import ModelConfig, OptimConfig, RunConfig
+from .runner import RunConfig
 from .scheduler import ControllerConfig
-from .tasks import MnistSource, StreamConfig, SyntheticSource
+from .tasks import MnistSource, SyntheticSource
 
 DATA_DIR_ENV = "TRAINLAB_DATA_DIR"
+LEAKY_SLOPE = 0.3  # model.leaky_slope when model.activation=leaky_relu leaves it out
+
+_MISSING = dataclasses.MISSING
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -34,81 +43,21 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _to_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+def _seeds(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
-def _to_seeds(key: str, value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in value.split(",") if v.strip() != "")
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from None
-
-
-_INT_KEYS = {
-    "log_interval",
-    "power_iters",
-    "window",
-    "stream.subsample_n",
-    "stream.tasks",
-    "stream.epochs_per_task",
-    "stream.batch_size",
-    "stream.base_seed",
-    "stream.synthetic.n",
-    "stream.synthetic.d",
-    "stream.synthetic.classes",
-    "stream.synthetic.seed",
-    "model.hidden_width",
-    "controller.window",
-    "controller.interval_k",
+# field type -> (parser, what a malformed value was expected to be)
+_PARSERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "a string"),
+    tuple[int, ...]: (_seeds, "comma-separated integers"),
 }
-_FLOAT_KEYS = {
-    "power_tol",
-    "ema_decay",
-    "eps_vol",
-    "stream.randomize_frac",
-    "stream.synthetic.separation",
-    "stream.synthetic.spectrum",
-    "model.leaky_slope",
-    "model.reg_lambda",
-    "optimizer.eta",
-    "optimizer.beta1",
-    "optimizer.beta2",
-    "optimizer.eps",
-    "bounds.kappa",
-    "bounds.beta",
-    "bounds.delta",
-    "bounds.c_contraction",
-    "bounds.cap",
-    "controller.gamma",
-    "controller.cool",
-    "controller.warm",
-    "controller.abs_floor",
-    "controller.warm_phase_frac",
-    "controller.timid_frac",
-    "controller.eta_min",
-    "controller.eta_max",
-}
-_STR_KEYS = {
-    "mode",
-    "seeds",
-    "stream.source",
-    "stream.mnist.images",
-    "stream.mnist.labels",
-    "model.activation",
-    "model.regularizer",
-}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+
+
+def _format(value) -> str:
+    return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
 
 
 def _resolve_data_path(path: str) -> str:
@@ -118,162 +67,160 @@ def _resolve_data_path(path: str) -> str:
     return path
 
 
+# ---------------------------------------------------------------------------
+# the walk over the dataclass fields
+
+
+@functools.cache
+def _fields(cls) -> list[tuple[str, type]]:
+    """(name, type) of a config dataclass's fields, annotations resolved."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+
+
+def _keys(cls, prefix: str = "") -> Iterable[tuple[str, type]]:
+    """(key, type) of every setting under a config dataclass."""
+    for name, hint in _fields(cls):
+        path = prefix + name
+        if path in _SPECIAL:
+            yield from _SPECIAL[path].keys.items()
+        elif dataclasses.is_dataclass(hint):
+            yield from _keys(hint, path + ".")
+        else:
+            yield path, hint
+
+
+def _build(cls, typed: dict, prefix: str = ""):
+    """An instance of ``cls`` from typed settings; absent keys keep its defaults."""
+    kwargs = {}
+    for name, hint in _fields(cls):
+        path = prefix + name
+        if path in _SPECIAL:
+            value = _SPECIAL[path].build(typed)
+        elif dataclasses.is_dataclass(hint):
+            value = _build(hint, typed, path + ".")
+        else:
+            value = typed.get(path, _MISSING)
+        if value is not _MISSING:
+            kwargs[name] = value
+    return cls(**kwargs)
+
+
+def _dump(obj, prefix: str = "") -> Iterable[str]:
+    for f in dataclasses.fields(obj):
+        path = prefix + f.name
+        value = getattr(obj, f.name)
+        if path in _SPECIAL:
+            yield from _SPECIAL[path].dump(value)
+        elif dataclasses.is_dataclass(value):
+            yield from _dump(value, path + ".")
+        else:
+            yield f"{path}={_format(value)}"
+
+
+# ---------------------------------------------------------------------------
+# fields whose keys are not their field paths
+
+
+class _Special(NamedTuple):
+    keys: dict[str, type]
+    build: Callable[[dict], object]  # the field's value, or _MISSING for its default
+    dump: Callable[[object], Iterable[str]]
+
+
+# field path -> its keys, filled in below once the walk can list nested keys
+_SPECIAL: dict[str, _Special] = {}
+
+
+def _build_source(typed: dict):
+    kind = typed.get("stream.source", "synthetic")
+    if kind == "synthetic":
+        return _build(SyntheticSource, typed, "stream.synthetic.")
+    if kind != "mnist_idx":
+        raise ConfigError(f"unknown stream source {kind!r}")
+    try:
+        images, labels = typed["stream.mnist.images"], typed["stream.mnist.labels"]
+    except KeyError as missing:
+        raise ConfigError(f"mnist_idx source requires {missing.args[0]}") from None
+    return MnistSource(_resolve_data_path(images), _resolve_data_path(labels))
+
+
+def _dump_source(src) -> list[str]:
+    if isinstance(src, SyntheticSource):
+        return ["stream.source=synthetic", *_dump(src, "stream.synthetic.")]
+    return [
+        "stream.source=mnist_idx",
+        f"stream.mnist.images={src.images_path}",
+        f"stream.mnist.labels={src.labels_path}",
+    ]
+
+
+def _build_activation(typed: dict):
+    if "model.activation" not in typed:
+        return _MISSING
+    kind = typed["model.activation"]
+    slope = typed.get("model.leaky_slope", LEAKY_SLOPE) if kind == "leaky_relu" else 0.0
+    return Activation(kind, slope)
+
+
+_SPECIAL.update(
+    {
+        # the source's kind picks its class and the keys that fill it
+        "stream.source": _Special(
+            {
+                "stream.source": str,
+                **dict(_keys(SyntheticSource, "stream.synthetic.")),
+                "stream.mnist.images": str,
+                "stream.mnist.labels": str,
+            },
+            _build_source,
+            _dump_source,
+        ),
+        "model.activation": _Special(
+            {"model.activation": str, "model.leaky_slope": float},
+            _build_activation,
+            lambda act: [f"model.activation={act.kind}", f"model.leaky_slope={act.slope!r}"],
+        ),
+        # the controller exists in scheduled mode only
+        "controller": _Special(
+            dict(_keys(ControllerConfig, "controller.")),
+            lambda typed: (
+                _build(ControllerConfig, typed, "controller.")
+                if typed.get("mode") == "scheduled"
+                else None
+            ),
+            lambda ctl: () if ctl is None else _dump(ctl, "controller."),
+        ),
+        # the stats window behind the controller's bound, read in every mode
+        "window": _Special(
+            {"controller.window": int},
+            lambda typed: typed.get("controller.window", _MISSING),
+            lambda window: [f"controller.window={window}"],
+        ),
+    }
+)
+
+KEYS: dict[str, type] = dict(_keys(RunConfig))
+
+
+# ---------------------------------------------------------------------------
+# entry points
+
+
 def build_run_config(values: dict[str, str]) -> RunConfig:
     """Assemble a RunConfig from flat key=value settings over the defaults."""
-    for key in values:
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-
     typed: dict[str, object] = {}
     for key, value in values.items():
-        if key in _INT_KEYS:
-            typed[key] = _to_int(key, value)
-        elif key in _FLOAT_KEYS:
-            typed[key] = _to_float(key, value)
-        else:
-            typed[key] = value
-
-    def take(prefix: str, names: tuple[str, ...]) -> dict:
-        return {n: typed[f"{prefix}.{n}"] for n in names if f"{prefix}.{n}" in typed}
-
-    source_kind = typed.get("stream.source", "synthetic")
-    if source_kind == "synthetic":
-        syn = take("stream.synthetic", ("n", "d", "classes", "seed", "separation", "spectrum"))
-        syn.setdefault("n", 2000)
-        syn.setdefault("d", 64)
-        source = SyntheticSource(**syn)
-    elif source_kind == "mnist_idx":
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        parse, expected = _PARSERS[KEYS[key]]
         try:
-            images = typed["stream.mnist.images"]
-            labels = typed["stream.mnist.labels"]
-        except KeyError as missing:
-            raise ConfigError(f"mnist_idx source requires {missing.args[0]}") from None
-        source = MnistSource(_resolve_data_path(images), _resolve_data_path(labels))
-    else:
-        raise ConfigError(f"unknown stream source {source_kind!r}")
-
-    stream_kwargs = take(
-        "stream",
-        ("subsample_n", "tasks", "epochs_per_task", "batch_size", "randomize_frac", "base_seed"),
-    )
-    stream = StreamConfig(source=source, **stream_kwargs)
-
-    act_kind = typed.get("model.activation", "relu")
-    slope = typed.get("model.leaky_slope", 0.3)
-    activation = Activation(act_kind, slope if act_kind == "leaky_relu" else 0.0)
-    model = ModelConfig(
-        hidden_width=typed.get("model.hidden_width", 256),
-        activation=activation,
-        regularizer=typed.get("model.regularizer", "none"),
-        reg_lambda=typed.get("model.reg_lambda", 0.0),
-    )
-
-    optimizer = OptimConfig(**take("optimizer", ("eta", "beta1", "beta2", "eps")))
-    bounds = BoundConfig(**take("bounds", ("kappa", "beta", "delta", "c_contraction", "cap")))
-
-    mode = typed.get("mode", "vanilla")
-    controller = None
-    if mode == "scheduled":
-        controller = ControllerConfig(
-            **take(
-                "controller",
-                (
-                    "gamma",
-                    "cool",
-                    "warm",
-                    "window",
-                    "interval_k",
-                    "abs_floor",
-                    "warm_phase_frac",
-                    "timid_frac",
-                    "eta_min",
-                    "eta_max",
-                ),
-            )
-        )
-
-    window = typed.get("window", controller.window if controller is not None else 30)
-
-    return RunConfig(
-        stream=stream,
-        model=model,
-        optimizer=optimizer,
-        bounds=bounds,
-        controller=controller,
-        mode=mode,
-        log_interval=typed.get("log_interval", 40),
-        power_iters=typed.get("power_iters", 100),
-        power_tol=typed.get("power_tol", 1e-6),
-        window=window,
-        ema_decay=typed.get("ema_decay", 0.1),
-        eps_vol=typed.get("eps_vol", 1e-8),
-        seeds=_to_seeds("seeds", typed["seeds"]) if "seeds" in typed else (0,),
-    )
+            typed[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
+    return _build(RunConfig, typed)
 
 
 def config_lines(cfg: RunConfig) -> list[str]:
     """Resolved settings as key=value lines (for run metadata dumps)."""
-    lines = [
-        f"mode={cfg.mode}",
-        "seeds=" + ",".join(str(s) for s in cfg.seeds),
-        f"log_interval={cfg.log_interval}",
-        f"power_iters={cfg.power_iters}",
-        f"power_tol={cfg.power_tol!r}",
-        f"window={cfg.window}",
-        f"ema_decay={cfg.ema_decay!r}",
-        f"eps_vol={cfg.eps_vol!r}",
-    ]
-    src = cfg.stream.source
-    if isinstance(src, SyntheticSource):
-        lines.append("stream.source=synthetic")
-        lines.append(f"stream.synthetic.n={src.n}")
-        lines.append(f"stream.synthetic.d={src.d}")
-        lines.append(f"stream.synthetic.classes={src.classes}")
-        lines.append(f"stream.synthetic.seed={src.seed}")
-        lines.append(f"stream.synthetic.separation={src.separation!r}")
-        lines.append(f"stream.synthetic.spectrum={src.spectrum!r}")
-    else:
-        lines.append("stream.source=mnist_idx")
-        lines.append(f"stream.mnist.images={src.images_path}")
-        lines.append(f"stream.mnist.labels={src.labels_path}")
-    lines.extend(
-        [
-            f"stream.subsample_n={cfg.stream.subsample_n}",
-            f"stream.tasks={cfg.stream.tasks}",
-            f"stream.epochs_per_task={cfg.stream.epochs_per_task}",
-            f"stream.batch_size={cfg.stream.batch_size}",
-            f"stream.randomize_frac={cfg.stream.randomize_frac!r}",
-            f"stream.base_seed={cfg.stream.base_seed}",
-            f"model.hidden_width={cfg.model.hidden_width}",
-            f"model.activation={cfg.model.activation.kind}",
-            f"model.leaky_slope={cfg.model.activation.slope!r}",
-            f"model.regularizer={cfg.model.regularizer}",
-            f"model.reg_lambda={cfg.model.reg_lambda!r}",
-            f"optimizer.eta={cfg.optimizer.eta!r}",
-            f"optimizer.beta1={cfg.optimizer.beta1!r}",
-            f"optimizer.beta2={cfg.optimizer.beta2!r}",
-            f"optimizer.eps={cfg.optimizer.eps!r}",
-            f"bounds.kappa={cfg.bounds.kappa!r}",
-            f"bounds.beta={cfg.bounds.beta!r}",
-            f"bounds.delta={cfg.bounds.delta!r}",
-            f"bounds.c_contraction={cfg.bounds.c_contraction!r}",
-            f"bounds.cap={cfg.bounds.cap!r}",
-        ]
-    )
-    if cfg.controller is not None:
-        c = cfg.controller
-        lines.extend(
-            [
-                f"controller.gamma={c.gamma!r}",
-                f"controller.cool={c.cool!r}",
-                f"controller.warm={c.warm!r}",
-                f"controller.window={c.window}",
-                f"controller.interval_k={c.interval_k}",
-                f"controller.abs_floor={c.abs_floor!r}",
-                f"controller.warm_phase_frac={c.warm_phase_frac!r}",
-                f"controller.timid_frac={c.timid_frac!r}",
-                f"controller.eta_min={c.eta_min!r}",
-                f"controller.eta_max={c.eta_max!r}",
-            ]
-        )
-    return lines
+    return list(_dump(cfg))

@@ -49,11 +49,9 @@ def hvp(
     g_plus = loss_grad(add_scaled(params, v, h), act, batch, reg).grads
     g_minus = loss_grad(add_scaled(params, v, -h), act, batch, reg).grads
     result = add_scaled(g_plus, g_minus, -1.0)
-    inv = 1.0 / (2.0 * h)
-    for a in result.arrays():
-        a *= inv
-        if not np.all(np.isfinite(a)):
-            raise NumericError("non-finite Hessian-vector product")
+    result.vector *= 1.0 / (2.0 * h)
+    if not np.all(np.isfinite(result.vector)):
+        raise NumericError("non-finite Hessian-vector product")
     return result
 
 
@@ -78,7 +76,7 @@ def top_eigenvalue(
     lam_prev = None
     lam = 0.0
     for i in range(1, probe.power_iters + 1):
-        w = hvp(params, act, batch, reg, params.from_vector(v)).to_vector()
+        w = hvp(params, act, batch, reg, params.from_vector(v)).vector
         wnorm = np.linalg.norm(w)
         if wnorm == 0.0:
             return TopEigen(0.0, True, i)
@@ -112,7 +110,7 @@ def exact_hessian(
     e = np.zeros(n)
     for j in range(n):
         e[j] = 1.0
-        H[:, j] = hvp(params, act, batch, reg, params.from_vector(e)).to_vector()
+        H[:, j] = hvp(params, act, batch, reg, params.from_vector(e)).vector
         e[j] = 0.0
     if symmetrize:
         H = 0.5 * (H + H.T)

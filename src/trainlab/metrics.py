@@ -24,9 +24,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .nn import ParamSet
+from .nn import GLOBAL_SCOPE, ParamSet, param_norm
 
-GLOBAL_SCOPE = "global"
 DEFAULT_CAP = 1e6
 
 
@@ -35,7 +34,6 @@ class BoundConfig:
     kappa: float = 1.0
     beta: float = 0.5
     delta: float = 0.1
-    c_contraction: float = 0.5
     cap: float = DEFAULT_CAP
 
     def __post_init__(self):
@@ -45,8 +43,6 @@ class BoundConfig:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if not 0.0 < self.c_contraction < 1.0:
-            raise ConfigError(f"c_contraction must be in (0, 1), got {self.c_contraction}")
         if not self.cap > 0.0:
             raise ConfigError(f"cap must be > 0, got {self.cap}")
 
@@ -71,14 +67,7 @@ def minibatch_grad_variance(
     """
     if len(per_sample) == 0:
         raise ValueError("empty per-sample gradient list")
-
-    def flat(ps: ParamSet) -> np.ndarray:
-        if scope == GLOBAL_SCOPE:
-            return ps.to_vector()
-        lay = ps.layer(scope)
-        return np.concatenate([lay.weights.ravel(), lay.bias.ravel()])
-
-    G = np.stack([flat(g) for g in per_sample])
+    G = np.stack([g.segment(scope) for g in per_sample])
     gbar = G.mean(axis=0)
     return float(np.mean(np.sum((G - gbar) ** 2, axis=1)))
 
@@ -316,7 +305,6 @@ def build_report(
 class LotPrediction(NamedTuple):
     per_task: list[float]
     rho_hat: float
-    skipped: tuple[int, ...]
 
 
 def _step_crossed(entry) -> bool:
@@ -339,16 +327,10 @@ def predict_lot(crossing_flags: Sequence, window: int) -> LotPrediction:
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     crossed = [_step_crossed(e) for e in crossing_flags]
-    per_task: list[float] = []
-    skipped: list[int] = []
-    for t, start in enumerate(range(0, len(crossed), window)):
-        chunk = crossed[start : start + window]
-        if not chunk:
-            skipped.append(t)
-            continue
-        per_task.append(sum(chunk) / len(chunk))
+    chunks = [crossed[start : start + window] for start in range(0, len(crossed), window)]
+    per_task = [sum(chunk) / len(chunk) for chunk in chunks]
     rho_hat = sum(crossed) / len(crossed) if crossed else 0.0
-    return LotPrediction(per_task, rho_hat, tuple(skipped))
+    return LotPrediction(per_task, rho_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +363,8 @@ def diagnostics(
     fraction of probe samples with positive pre-activation, averaged over all
     hidden units.  Always-on or always-dead units contribute zero.
     """
-    wn = float(np.sqrt(sum(np.vdot(a, a) for a in params.arrays())))
-    gn = float(np.sqrt(sum(np.vdot(a, a) for a in grads.arrays())))
+    wn = param_norm(params)
+    gn = param_norm(grads)
     if wn > 0.0:
         ratio, defined = gn / wn, True
     else:

@@ -15,7 +15,9 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +30,8 @@ REGULARIZER_KINDS = ("none", "l2", "wasserstein")
 # ---------------------------------------------------------------------------
 # parameter containers
 
+GLOBAL_SCOPE = "global"  # the scope of all parameters, as opposed to one layer's id
+
 
 @dataclass
 class Layer:
@@ -36,29 +40,69 @@ class Layer:
     bias: np.ndarray  # (out,)
 
 
-@dataclass
 class ParamSet:
-    """Ordered per-layer weight/bias arrays with stable layer ids.
+    """Per-layer weights and biases stored in one flat float64 vector.
 
-    Also used as the container for anything parameter-shaped: gradients,
+    Each layer owns one contiguous segment of ``vector``: its weights
+    row-major, then its bias.  ``layers[i].weights`` and ``.bias`` are views
+    into that segment, so an in-place write through either shows in the
+    other (rebinding the attribute to a new array breaks the link).  Also
+    used as the container for anything parameter-shaped: gradients,
     optimizer moments, probe directions.
     """
 
-    layers: list[Layer]
-
-    def __post_init__(self):
-        ids = [lay.layer_id for lay in self.layers]
+    def __init__(self, layers: Sequence[Layer], vector: np.ndarray | None = None):
+        ids = [lay.layer_id for lay in layers]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate layer ids: {ids}")
+        self._shapes = [(lay.layer_id, lay.weights.shape, lay.bias.shape) for lay in layers]
+        self._segments: dict[str, slice] = {}
+        k = 0
+        for lay in layers:
+            size = lay.weights.size + lay.bias.size
+            self._segments[lay.layer_id] = slice(k, k + size)
+            k += size
+        if vector is None:
+            vector = np.zeros(k)
+            for lay, dst in zip(layers, self.layer_views(vector)):
+                dst.weights[...] = lay.weights
+                dst.bias[...] = lay.bias
+        elif vector.shape != (k,):
+            raise ConfigError(f"vector shape {vector.shape} != ({k},)")
+        self.vector = vector
+        self.layers = self.layer_views(vector)
+
+    def layer_views(self, buf: np.ndarray) -> list[Layer]:
+        """Layers viewing ``buf``, whose last axis holds this set's flat layout.
+
+        Leading axes of ``buf`` lead every weight and bias view, so a
+        ``(B, n_params)`` buffer gives ``(B, out, in)`` weights.
+        """
+        lead = buf.shape[:-1]
+        out = []
+        for lid, w_shape, b_shape in self._shapes:
+            seg = self._segments[lid]
+            w_end = seg.start + math.prod(w_shape)
+            weights = buf[..., seg.start : w_end].reshape(lead + w_shape)
+            out.append(Layer(lid, weights, buf[..., w_end : seg.stop].reshape(lead + b_shape)))
+        return out
 
     def layer_ids(self) -> list[str]:
-        return [lay.layer_id for lay in self.layers]
+        return list(self._segments)
 
-    def layer(self, layer_id: str) -> Layer:
-        for lay in self.layers:
-            if lay.layer_id == layer_id:
-                return lay
-        raise ConfigError(f"unknown layer id {layer_id!r}")
+    def segment(self, scope: str = GLOBAL_SCOPE) -> np.ndarray:
+        """The whole vector, or one layer's segment of it (a view either way)."""
+        if scope == GLOBAL_SCOPE:
+            return self.vector
+        if scope not in self._segments:
+            raise ConfigError(f"unknown layer id {scope!r}")
+        return self.vector[self._segments[scope]]
+
+    def per_entry(self, values: Mapping[str, float], scope: str = GLOBAL_SCOPE) -> np.ndarray:
+        """Each layer's entry of ``values`` repeated over its scoped parameters."""
+        ids = self.layer_ids() if scope == GLOBAL_SCOPE else [scope]
+        sizes = [self.segment(lid).size for lid in ids]
+        return np.repeat([float(values[lid]) for lid in ids], sizes)
 
     def arrays(self):
         for lay in self.layers:
@@ -67,66 +111,50 @@ class ParamSet:
 
     @property
     def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
+        return self.vector.size
+
+    def like(self, vector: np.ndarray) -> "ParamSet":
+        """A ParamSet with this one's layout over ``vector`` (not copied)."""
+        return ParamSet(self.layers, vector)
 
     def copy(self) -> "ParamSet":
-        return ParamSet(
-            [Layer(l.layer_id, l.weights.copy(), l.bias.copy()) for l in self.layers]
-        )
+        return self.like(self.vector.copy())
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
+        return self.vector.copy()
 
     def from_vector(self, vec: np.ndarray) -> "ParamSet":
-        """A new ParamSet with this one's shapes filled from a flat vector."""
+        """A new ParamSet with this one's layout filled from a copy of ``vec``."""
         if vec.size != self.n_params:
             raise ConfigError(f"vector size {vec.size} != parameter count {self.n_params}")
-        out = []
-        k = 0
-        for lay in self.layers:
-            w = vec[k : k + lay.weights.size].reshape(lay.weights.shape).copy()
-            k += lay.weights.size
-            b = vec[k : k + lay.bias.size].copy()
-            k += lay.bias.size
-            out.append(Layer(lay.layer_id, w, b))
-        return ParamSet(out)
+        return self.like(np.array(vec, dtype=np.float64).reshape(-1))
 
 
 def zeros_like(ps: ParamSet) -> ParamSet:
-    return ParamSet(
-        [Layer(l.layer_id, np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in ps.layers]
-    )
+    return ps.like(np.zeros_like(ps.vector))
 
 
 def add_scaled(a: ParamSet, b: ParamSet, scale: float) -> ParamSet:
-    """a + scale * b, as a new ParamSet (ids taken from ``a``)."""
-    return ParamSet(
-        [
-            Layer(la.layer_id, la.weights + scale * lb.weights, la.bias + scale * lb.bias)
-            for la, lb in zip(a.layers, b.layers)
-        ]
-    )
+    """a + scale * b, as a new ParamSet (layout taken from ``a``)."""
+    return a.like(a.vector + scale * b.vector)
 
 
 def param_dot(a: ParamSet, b: ParamSet) -> float:
-    return float(sum(np.vdot(x, y) for x, y in zip(a.arrays(), b.arrays())))
+    return float(np.vdot(a.vector, b.vector))
 
 
 def param_norm(ps: ParamSet) -> float:
-    return float(np.sqrt(sum(np.vdot(a, a) for a in ps.arrays())))
+    return float(np.linalg.norm(ps.vector))
 
 
-def mean_params(grads: list[ParamSet]) -> ParamSet:
+def mean_params(grads: Sequence[ParamSet]) -> ParamSet:
     """Arithmetic mean of a list of ParamSet-shaped values."""
     if not grads:
         raise ValueError("empty gradient list")
     out = zeros_like(grads[0])
     for g in grads:
-        for acc, a in zip(out.arrays(), g.arrays()):
-            acc += a
-    inv = 1.0 / len(grads)
-    for acc in out.arrays():
-        acc *= inv
+        out.vector += g.vector
+    out.vector *= 1.0 / len(grads)
     return out
 
 
@@ -196,8 +224,15 @@ class Regularizer:
             raise ConfigError(f"unknown regularizer {self.kind!r}")
         if self.lam < 0.0:
             raise ConfigError(f"regularizer coefficient must be >= 0, got {self.lam}")
-        if self.kind == "wasserstein" and self.init_snapshot is None:
-            raise ConfigError("wasserstein regularizer requires an init snapshot")
+        if self.kind == "wasserstein":
+            if self.init_snapshot is None:
+                raise ConfigError("wasserstein regularizer requires an init snapshot")
+            # each layer's snapshot weights sorted once: the snapshot is fixed
+            self._sorted_init = [_sorted_entries(lay.weights) for lay in self.init_snapshot.layers]
+
+
+def _sorted_entries(a: np.ndarray) -> np.ndarray:
+    return np.sort(a.ravel(), kind="stable")
 
 
 def wasserstein_penalty(current: np.ndarray, init: np.ndarray) -> tuple[float, np.ndarray]:
@@ -209,10 +244,14 @@ def wasserstein_penalty(current: np.ndarray, init: np.ndarray) -> tuple[float, n
     """
     if current.shape != init.shape:
         raise ConfigError(f"shape mismatch {current.shape} vs {init.shape}")
+    return _wasserstein_to_sorted(current, _sorted_entries(init))
+
+
+def _wasserstein_to_sorted(current: np.ndarray, init_sorted: np.ndarray):
     flat = current.ravel()
     n = flat.size
     order = np.argsort(flat, kind="stable")
-    diffs = flat[order] - np.sort(init.ravel(), kind="stable")
+    diffs = flat[order] - init_sorted
     value = float(np.mean(diffs**2))
     grad_flat = np.zeros_like(flat)
     grad_flat[order] = (2.0 / n) * diffs
@@ -234,8 +273,10 @@ def regularizer_penalty(params: ParamSet, reg: Regularizer) -> tuple[float, Para
     snap = reg.init_snapshot
     if snap.layer_ids() != params.layer_ids():
         raise ConfigError("wasserstein snapshot layers do not match current parameters")
-    for lay, ref, g in zip(params.layers, snap.layers, grads.layers):
-        v, gw = wasserstein_penalty(lay.weights, ref.weights)
+    for lay, ref, ref_sorted, g in zip(params.layers, snap.layers, reg._sorted_init, grads.layers):
+        if lay.weights.shape != ref.weights.shape:
+            raise ConfigError(f"shape mismatch {lay.weights.shape} vs {ref.weights.shape}")
+        v, gw = _wasserstein_to_sorted(lay.weights, ref_sorted)
         value += reg.lam * v
         g.weights += reg.lam * gw
     return value, grads
@@ -394,8 +435,7 @@ def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer)
     dlogits[np.arange(B), batch.labels] -= 1.0
     dlogits /= B
     grads = _backward(params, act, preacts, layer_inputs, dlogits)
-    for g, r in zip(grads.arrays(), reg_grads.arrays()):
-        g += r
+    grads.vector += reg_grads.vector
     return LossGrad(loss, grads, logits)
 
 
@@ -420,23 +460,13 @@ def per_sample_grads(
     d = probs.copy()
     d[np.arange(B), batch.labels] -= 1.0  # per-sample dlogits, no 1/B
 
-    n_layers = len(params.layers)
-    w_grads: list[np.ndarray] = [None] * n_layers  # (B, out, in) each
-    b_grads: list[np.ndarray] = [None] * n_layers  # (B, out) each
-    for i in range(n_layers - 1, -1, -1):
-        w_grads[i] = np.einsum("bo,bi->boi", d, layer_inputs[i])
-        b_grads[i] = d
+    flat = np.empty((B, params.n_params))  # row s: sample s's gradient
+    rows = params.layer_views(flat)
+    for i in range(len(params.layers) - 1, -1, -1):
+        np.einsum("bo,bi->boi", d, layer_inputs[i], out=rows[i].weights)
+        rows[i].bias[...] = d
         if i > 0:
             dx = d @ params.layers[i].weights
             d = _act_backward(act, preacts[i - 1], dx)
-
-    out: list[ParamSet] = []
-    for s in range(B):
-        layers = []
-        for i, lay in enumerate(params.layers):
-            rg = reg_grads.layers[i]
-            layers.append(
-                Layer(lay.layer_id, w_grads[i][s] + rg.weights, b_grads[i][s] + rg.bias)
-            )
-        out.append(ParamSet(layers))
-    return out
+    flat += reg_grads.vector
+    return [params.like(row) for row in flat]

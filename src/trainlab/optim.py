@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError, StateError
-from .nn import ParamSet, zeros_like
-
-GLOBAL_SCOPE = "global"
+from .nn import GLOBAL_SCOPE, ParamSet, zeros_like
 
 
 @dataclass
@@ -63,35 +61,22 @@ def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
     L2 decay is not applied here; weight decay enters through the loss
     gradient.  Mutates ``state`` and ``params`` in place and returns them.
     """
-    for g in grads.layers:
-        if not (np.all(np.isfinite(g.weights)) and np.all(np.isfinite(g.bias))):
-            raise NumericError("non-finite gradient", layer_id=g.layer_id)
+    g = grads.vector
+    if not np.all(np.isfinite(g)):
+        bad = next(lid for lid in grads.layer_ids() if not np.all(np.isfinite(grads.segment(lid))))
+        raise NumericError("non-finite gradient", layer_id=bad)
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for lay, m, v, g in zip(params.layers, state.m.layers, state.v.layers, grads.layers):
-        eta = state.eta[lay.layer_id]
-        for p_a, m_a, v_a, g_a in (
-            (lay.weights, m.weights, v.weights, g.weights),
-            (lay.bias, m.bias, v.bias, g.bias),
-        ):
-            m_a *= state.beta1
-            m_a += (1.0 - state.beta1) * g_a
-            v_a *= state.beta2
-            v_a += (1.0 - state.beta2) * g_a**2
-            m_hat = m_a / bc1
-            v_hat = v_a / bc2
-            p_a -= eta * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m.vector, state.v.vector
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g**2
+    m_hat = m / bc1
+    v_hat = v / bc2
+    params.vector -= params.per_entry(state.eta) * m_hat / (np.sqrt(v_hat) + state.eps)
     return state, params
-
-
-def _scoped_layers(state: AdamState, scope: str):
-    if scope == GLOBAL_SCOPE:
-        return state.v.layers
-    for lay in state.v.layers:
-        if lay.layer_id == scope:
-            return [lay]
-    raise ConfigError(f"unknown layer id {scope!r}")
 
 
 def effective_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
@@ -103,15 +88,9 @@ def effective_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
         raise StateError("effective_step requires at least one optimizer step")
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    total = 0.0
-    count = 0
-    for lay in _scoped_layers(state, scope):
-        eta = state.eta[lay.layer_id]
-        for v_a in (lay.weights, lay.bias):
-            v_hat = v_a / bc2
-            total += float(np.sum(eta / (bc1 * (np.sqrt(v_hat) + state.eps))))
-            count += v_a.size
-    return total / count
+    v_hat = state.v.segment(scope) / bc2
+    eta = state.v.per_entry(state.eta, scope)
+    return float(np.mean(eta / (bc1 * (np.sqrt(v_hat) + state.eps))))
 
 
 def agg_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
@@ -123,17 +102,9 @@ def agg_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
     if state.t < 1:
         raise StateError("agg_step requires at least one optimizer step")
     bc2 = 1.0 - state.beta2**state.t
-    v_sum = 0.0
-    eta_sum = 0.0
-    count = 0
-    for lay in _scoped_layers(state, scope):
-        eta = state.eta[lay.layer_id]
-        for v_a in (lay.weights, lay.bias):
-            v_sum += float(np.sum(v_a / bc2))
-            eta_sum += eta * v_a.size
-            count += v_a.size
-    rms = float(np.sqrt(v_sum / count))
-    return (eta_sum / count) / (rms + state.eps)
+    rms = float(np.sqrt(np.mean(state.v.segment(scope) / bc2)))
+    eta = float(np.mean(state.v.per_entry(state.eta, scope)))
+    return eta / (rms + state.eps)
 
 
 def reset(state: AdamState) -> AdamState:

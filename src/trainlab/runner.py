@@ -35,6 +35,8 @@ from .metrics import (
     push_and_stats,
 )
 from .nn import (
+    GLOBAL_SCOPE,
+    REGULARIZER_KINDS,
     Activation,
     ParamSet,
     Regularizer,
@@ -83,7 +85,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden_width < 1:
             raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if self.regularizer not in ("none", "l2", "wasserstein"):
+        if self.regularizer not in REGULARIZER_KINDS:
             raise ConfigError(f"unknown regularizer {self.regularizer!r}")
         if self.reg_lambda < 0.0:
             raise ConfigError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
@@ -120,6 +122,8 @@ class RunConfig:
             raise ConfigError("scheduled mode requires a controller config")
         if self.log_interval < 1:
             raise ConfigError(f"log_interval must be >= 1, got {self.log_interval}")
+        if self.window < 1:
+            raise ConfigError(f"window must be >= 1, got {self.window}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
 
@@ -204,26 +208,23 @@ def _probe(cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state,
     gbar = mean_params(ps)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
     lam = top_eigenvalue(params, act, batch, reg, probe).lambda_max
-    lam_bar = normalized_sharpness(lam, agg_step(state, "global"))
+    lam_bar = normalized_sharpness(lam, agg_step(state, GLOBAL_SCOPE))
     reports = []
-    for lay in params.layers:
-        lid = lay.layer_id
-        glay = gbar.layer(lid)
-        g_sq = float(np.vdot(glay.weights, glay.weights) + np.vdot(glay.bias, glay.bias))
-        sigma_sq = minibatch_grad_variance(ps, lid)
+    for lid in params.layer_ids():
+        g = gbar.segment(lid)
         snapshot = push_and_stats(windows[lid], normalized_sharpness(lam, agg_step(state, lid)))
         reports.append(
             build_report(
                 lid,
                 effective_step(state, lid),
-                g_sq,
-                sigma_sq,
+                float(np.vdot(g, g)),
+                minibatch_grad_variance(ps, lid),
                 snapshot,
                 batch.size,
                 cfg.bounds,
             )
         )
-    sigma_global = minibatch_grad_variance(ps, "global")
+    sigma_global = minibatch_grad_variance(ps, GLOBAL_SCOPE)
     diag = diagnostics(params, gbar, forward(params, act, batch).hidden_preacts)
     crossed = crossing_flags(reports).crossed
     return ProbeResult(reports, lam, lam_bar, sigma_global, diag, crossed)
@@ -288,35 +289,20 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
         for epoch in range(cfg.stream.epochs_per_task):
             ep_sum, ep_n = 0.0, 0
             for batch in batches(view, epoch, cfg.stream):
-                try:
-                    lg = loss_grad(params, act, batch, reg)
-                    adam_step(state, params, lg.grads)
-                except NumericError as err:
-                    result.aborted = True
-                    result.abort_message = str(err)
-                    result.records.append(
-                        _error_record(seed, task_i, epoch, global_step + 1, err)
-                    )
-                    result.final_params, result.final_state = params, state
-                    return result
                 global_step += 1
-                acc = float(np.mean(np.argmax(lg.logits, axis=1) == batch.labels))
-                acc_sum += acc
-                acc_n += 1
-                ep_sum += acc
-                ep_n += 1
-
                 is_log = global_step % cfg.log_interval == 0
                 is_decide = (
                     cfg.mode == "scheduled"
                     and global_step % cfg.controller.interval_k == 0
                 )
-                if not (is_log or is_decide):
-                    continue
+                probe = None
                 try:
-                    probe = _probe(
-                        cfg, seed, global_step, params, act, batch, reg, state, windows
-                    )
+                    lg = loss_grad(params, act, batch, reg)
+                    adam_step(state, params, lg.grads)
+                    if is_log or is_decide:
+                        probe = _probe(
+                            cfg, seed, global_step, params, act, batch, reg, state, windows
+                        )
                 except NumericError as err:
                     result.aborted = True
                     result.abort_message = str(err)
@@ -325,6 +311,13 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
                     )
                     result.final_params, result.final_state = params, state
                     return result
+                acc = float(np.mean(np.argmax(lg.logits, axis=1) == batch.labels))
+                acc_sum += acc
+                acc_n += 1
+                ep_sum += acc
+                ep_n += 1
+                if probe is None:
+                    continue
                 decision_labels: dict[str, str] = {}
                 clamped: frozenset[str] = frozenset()
                 if is_decide:
@@ -425,6 +418,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(value) -> str:
+    """One per-layer log cell: a label as is, a flag as 1/0, a number at 17 digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    return _fmt(value)
+
+
+# the cells of a layer that a record does not cover (an abort record)
+_ABSENT_LAYER = LayerMetrics(*[math.nan] * 6, decision=ABSENT, crossed=False)
+
+
 def log_columns(layer_ids: Sequence[str]) -> list[str]:
     cols = ["seed", "task", "epoch", "step", "train_accuracy"]
     cols.extend(GLOBAL_FIELDS)
@@ -440,22 +446,8 @@ def format_log(records: Sequence[MetricRecord], layer_ids: Sequence[str]) -> str
         row = [str(rec.seed), str(rec.task), str(rec.epoch), str(rec.step), _fmt(rec.train_accuracy)]
         row.extend(_fmt(getattr(rec, f)) for f in GLOBAL_FIELDS)
         for lid in layer_ids:
-            lm = rec.layers.get(lid)
-            if lm is None:
-                row.extend([_fmt(math.nan)] * 5 + [_fmt(math.nan), ABSENT, "0"])
-            else:
-                row.extend(
-                    [
-                        _fmt(lm.alpha),
-                        _fmt(lm.alpha_g_star),
-                        _fmt(lm.alpha_vol_star),
-                        _fmt(lm.alpha_tilde_star),
-                        _fmt(lm.vol),
-                        _fmt(lm.eta),
-                        lm.decision,
-                        "1" if lm.crossed else "0",
-                    ]
-                )
+            lm = rec.layers.get(lid, _ABSENT_LAYER)
+            row.extend(_cell(getattr(lm, f)) for f in LAYER_FIELDS)
         row.append(";".join(rec.flags) if rec.flags else ABSENT)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

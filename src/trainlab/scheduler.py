@@ -25,7 +25,6 @@ class ControllerConfig:
     gamma: float = 0.8  # safety factor on the combined bound
     cool: float = 0.99
     warm: float = 1.01
-    window: int = 30  # stats window behind the bound
     interval_k: int = 40  # steps between decisions
     abs_floor: float = 0.12  # never cool below this effective step
     warm_phase_frac: float = 0.3  # warm only while t < frac * T
@@ -40,8 +39,8 @@ class ControllerConfig:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.eta_min > self.eta_max:
             raise ConfigError(f"eta_min {self.eta_min} > eta_max {self.eta_max}")
-        if self.window < 1 or self.interval_k < 1:
-            raise ConfigError("window and interval_k must be >= 1")
+        if self.interval_k < 1:
+            raise ConfigError(f"interval_k must be >= 1, got {self.interval_k}")
         if not 0.0 <= self.warm_phase_frac <= 1.0:
             raise ConfigError(f"warm_phase_frac must be in [0, 1], got {self.warm_phase_frac}")
         if not 0.0 < self.timid_frac < 1.0:

@@ -34,8 +34,8 @@ class MnistSource:
 
 @dataclass(frozen=True)
 class SyntheticSource:
-    n: int
-    d: int
+    n: int = 2000
+    d: int = 64
     classes: int = 10
     seed: int = 0
     separation: float = 3.0

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,18 @@ ACTIVATIONS = [
     Activation("crelu"),
     Activation("linear"),
 ]
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_bench_module(name):
+    """Import ``bench/<name>.py`` (read only) without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_net(in_dim, hidden, n_classes, act, seed=0):

@@ -2,10 +2,14 @@ import pytest
 
 import trainlab.cli as cli_mod
 from trainlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from trainlab.config import build_run_config, config_lines, parse_config_text
+from trainlab.config import KEYS, build_run_config, config_lines, parse_config_text
 from trainlab.errors import ConfigError
 from trainlab.runner import RunResult, SeedResult, read_log
 from trainlab.tasks import MnistSource, SyntheticSource
+
+from conftest import REPO, load_bench_module
+
+CONFIGS = REPO / "configs"
 
 TINY_CONFIG = """
 # desk-scale smoke config
@@ -83,10 +87,64 @@ def test_build_run_config_seeds_list():
     assert cfg.seeds == (3, 1, 2)
 
 
-def test_config_lines_roundtrip():
-    cfg = build_run_config(parse_config_text(TINY_CONFIG))
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "",
+        "mode=scheduled\ncontroller.cool=0.95\ncontroller.window=12",
+        "stream.source=mnist_idx\nstream.mnist.images=/data/images.idx\n"
+        "stream.mnist.labels=/data/labels.idx",
+        "model.activation=leaky_relu\nmodel.leaky_slope=0.05",
+        "model.activation=crelu\nmodel.regularizer=wasserstein\nmodel.reg_lambda=1e-3",
+    ],
+    ids=["vanilla_synthetic", "scheduled", "mnist_idx", "leaky_relu", "crelu_wasserstein"],
+)
+def test_config_lines_roundtrip(extra, monkeypatch):
+    monkeypatch.delenv("TRAINLAB_DATA_DIR", raising=False)
+    cfg = build_run_config(parse_config_text(TINY_CONFIG + extra))
     again = build_run_config(parse_config_text("\n".join(config_lines(cfg))))
     assert again == cfg
+
+
+def test_config_accepts_exactly_the_derived_keys():
+    assert len(KEYS) == 45
+    assert "controller.window" in KEYS and "stream.synthetic.n" in KEYS
+    for gone in ("window", "bounds.c_contraction"):
+        with pytest.raises(ConfigError):
+            build_run_config({gone: "1"})
+
+
+def test_leaky_slope_default_and_unused_elsewhere():
+    leaky = build_run_config({"model.activation": "leaky_relu"})
+    assert leaky.model.activation.slope == 0.3
+    relu = build_run_config({"model.activation": "relu", "model.leaky_slope": "0.2"})
+    assert relu.model.activation.slope == 0.0
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "reset", "scheduled"])
+def test_controller_window_sets_window_in_every_mode(mode):
+    values = parse_config_text((CONFIGS / "desk_l2.txt").read_text())
+    values["mode"] = mode
+    values["controller.window"] = "10"
+    assert build_run_config(values).window == 10
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.txt")), ids=lambda p: p.name)
+@pytest.mark.parametrize("mode", ["vanilla", "reset", "scheduled"])
+def test_shipped_configs_build(path, mode):
+    values = parse_config_text(path.read_text())
+    values["mode"] = mode
+    cfg = build_run_config(values)
+    assert cfg.mode == mode
+    assert build_run_config(parse_config_text("\n".join(config_lines(cfg)))) == cfg
+
+
+@pytest.mark.parametrize("name", ["desk_l2_scheduled", "desk_crelu_w2_train", "idx_wide_scheduled"])
+def test_benchmark_workloads_build(name, tmp_path):
+    workloads = load_bench_module("workloads")
+    text = workloads.WORKLOADS[name].config_text(3, tmp_path)
+    cfg = build_run_config(parse_config_text(text))
+    assert cfg.stream.base_seed == 3
 
 
 def test_mnist_paths_resolved_from_env(monkeypatch, tmp_path):

@@ -13,6 +13,7 @@ from trainlab.nn import (
     loss_grad,
     mean_params,
     per_sample_grads,
+    regularizer_penalty,
     wasserstein_penalty,
     zeros_like,
 )
@@ -208,6 +209,68 @@ def test_wasserstein_permutation_invariant_nonnegative(rng):
 def test_wasserstein_shape_mismatch():
     with pytest.raises(ConfigError):
         wasserstein_penalty(np.zeros((2, 2)), np.zeros((4,)))
+
+
+def test_regularizer_presorted_snapshot_matches_per_call_penalty():
+    act = Activation("crelu")
+    params = make_net(4, 6, 3, act, seed=8)
+    reg = make_reg("wasserstein", params, lam=0.5, perturb_seed=9)
+    value, grads = regularizer_penalty(params, reg)
+    want_value = 0.0
+    for lay, ref, g in zip(params.layers, reg.init_snapshot.layers, grads.layers):
+        v, gw = wasserstein_penalty(lay.weights, ref.weights)
+        want_value += reg.lam * v
+        np.testing.assert_array_equal(g.weights, reg.lam * gw)
+        np.testing.assert_array_equal(g.bias, 0.0)
+    assert value == want_value
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter layout
+
+
+def test_layer_views_write_through_to_vector():
+    params = make_net(3, 5, 2, Activation("relu"), seed=1)
+    params.layers[1].weights[0, 2] = 7.5
+    params.layers[0].bias[4] = -2.0
+    vec = params.to_vector()
+    assert vec[5 * 3 + 5 + 2] == 7.5  # fc1 weights, fc1 bias, then fc2 weights
+    assert vec[5 * 3 + 4] == -2.0
+    params.vector[0] = 3.0
+    assert params.layers[0].weights[0, 0] == 3.0
+
+
+def test_layout_segments_and_scalar_layers():
+    params = ParamSet([Layer("fc1", np.ones((2, 3)), np.full(2, 2.0)),
+                       Layer("fc2", np.full((1, 2), 3.0), np.full(1, 4.0))])
+    np.testing.assert_array_equal(params.to_vector(), [1] * 6 + [2, 2, 3, 3, 4])
+    np.testing.assert_array_equal(params.segment("fc2"), [3, 3, 4])
+    np.testing.assert_array_equal(params.per_entry({"fc1": 0.5, "fc2": 2.0}),
+                                  [0.5] * 8 + [2.0] * 3)
+    with pytest.raises(ConfigError):
+        params.segment("fc3")
+
+
+def test_copies_share_no_memory():
+    params = make_net(3, 5, 2, Activation("relu"), seed=2)
+    vec = params.to_vector()
+    for other in (params.copy(), params.from_vector(vec), zeros_like(params)):
+        assert not np.shares_memory(other.vector, params.vector)
+        assert not np.shares_memory(other.vector, vec)
+        np.testing.assert_array_equal(other.layers[0].weights.shape, (5, 3))
+    assert not np.shares_memory(vec, params.vector)
+
+
+def test_per_sample_rows_match_one_sample_gradients():
+    act = Activation("leaky_relu", 0.3)
+    params = make_net(3, 5, 4, act, seed=4)
+    batch = make_batch(3, 4, 6, seed=4)
+    reg = make_reg("l2", params, lam=0.1)
+    ps = per_sample_grads(params, act, batch, reg)
+    for i, g in enumerate(ps):
+        one = Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1])
+        want = loss_grad(params, act, one, reg).grads.to_vector()
+        assert rel_err(g.to_vector(), want) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,34 @@ def test_numeric_abort_partial_log_other_seeds_continue(monkeypatch):
     assert len(second.per_task_accuracy) == 2
 
 
+def test_probe_abort_leaves_the_same_error_record(monkeypatch):
+    def broken(*args, **kwargs):
+        raise NumericError("probe blow-up", layer_id="fc2")
+
+    monkeypatch.setattr(runner_mod, "top_eigenvalue", broken)
+    cfg = tiny_config()
+    res = run_seed(cfg, seed=0)
+    assert res.aborted and res.abort_message == "probe blow-up"
+    assert [r.step for r in res.records] == [cfg.log_interval]
+    assert "aborted_layer:fc2" in res.records[0].flags
+    assert res.final_state.t == cfg.log_interval  # the probed step was taken
+    cells = format_log(res.records, res.layer_ids).splitlines()[1].split(",")
+    assert cells[-9:-1] == ["nan"] * 6 + ["-", "0"]  # fc2's cells, then flags
+
+
+def test_tracing_spans_resolve():
+    """Every function the benchmark's tracer patches is still looked up by
+    that name in that module, so a traced benchmark run can install it."""
+    import importlib
+
+    from conftest import load_bench_module
+
+    for module_name, name, _metric in load_bench_module("tracing").SPANS:
+        assert callable(getattr(importlib.import_module(module_name), name, None)), (
+            f"{module_name}.{name}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # log serialization
 
