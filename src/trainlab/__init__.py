@@ -37,6 +37,7 @@ from .nn import (
     init_mlp,
     loss_grad,
     per_sample_grads,
+    probe_grads,
     wasserstein_penalty,
 )
 from .optim import AdamState, adam_step, agg_step, effective_step, init_adam, reset

@@ -63,7 +63,8 @@ def _format(value) -> str:
 def _resolve_data_path(path: str) -> str:
     data_dir = os.environ.get(DATA_DIR_ENV)
     if data_dir and not os.path.isabs(path):
-        return os.path.join(data_dir, path)
+        # absolute, so that the config_lines dump rebuilds to the same path
+        return os.path.abspath(os.path.join(data_dir, path))
     return path
 
 

@@ -1,10 +1,13 @@
 """Dense MLP with explicit forward/backward passes.
 
 All gradients are computed by hand (no autodiff framework): the batch
-gradient comes from one reverse sweep, per-sample gradients from a batched
-reverse sweep that keeps the sample axis alive.  Per-sample gradients are the
-oracle for gradient-noise estimation, so their mean must reproduce the batch
-gradient exactly up to floating accumulation order.
+gradient comes from one reverse sweep.  The metric probe's gradient noise
+comes from the same sweep in factored form (``probe_grads``): a dense
+layer's per-sample gradient is the outer product of its output gradient and
+its input, so each layer's per-sample variance needs only those B rows,
+never a B x n_params tensor.  Materialized per-sample gradients
+(``per_sample_grads``, ``mean_params``) are kept as test oracles for it and
+are not on the run path.
 
 Conventions:
   - weights are stored ``(out, in)``; a layer computes ``x @ W.T + b``;
@@ -406,7 +409,15 @@ class LossGrad:
     logits: np.ndarray
 
 
-def _backward(params: ParamSet, act: Activation, preacts, layer_inputs, dlogits) -> ParamSet:
+def _backward(
+    params: ParamSet, act: Activation, preacts, layer_inputs, dlogits, layer_stat=None
+) -> ParamSet:
+    """The batch gradient of the data loss (no penalty) from ``dlogits``.
+
+    One reverse sweep, last layer first.  ``layer_stat(i, d)``, when given,
+    is called once per layer with ``d`` the (B, out) gradient at layer
+    ``i``'s output.
+    """
     grads = zeros_like(params)
     d = dlogits
     for i in range(len(params.layers) - 1, -1, -1):
@@ -414,14 +425,20 @@ def _backward(params: ParamSet, act: Activation, preacts, layer_inputs, dlogits)
         g = grads.layers[i]
         g.weights += d.T @ layer_inputs[i]
         g.bias += d.sum(axis=0)
+        if layer_stat is not None:
+            layer_stat(i, d)
         if i > 0:
             dx = d @ lay.weights
             d = _act_backward(act, preacts[i - 1], dx)
     return grads
 
 
-def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> LossGrad:
-    """Mean cross-entropy plus regularizer penalty, with its exact gradient."""
+def _loss_and_dlogits(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer):
+    """Forward pass, loss and ``dL/dlogits`` of the mean cross-entropy.
+
+    Returns (loss, logits, hidden preacts, per-layer inputs, dlogits, penalty
+    gradient); raises NumericError on a non-finite loss.
+    """
     logits, preacts, layer_inputs = _forward(params, act, batch.inputs)
     losses, probs = _softmax_stats(logits, batch.labels)
     reg_value, reg_grads = regularizer_penalty(params, reg)
@@ -434,9 +451,57 @@ def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer)
     dlogits = probs.copy()
     dlogits[np.arange(B), batch.labels] -= 1.0
     dlogits /= B
+    return loss, logits, preacts, layer_inputs, dlogits, reg_grads
+
+
+def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> LossGrad:
+    """Mean cross-entropy plus regularizer penalty, with its exact gradient."""
+    loss, logits, preacts, layer_inputs, dlogits, reg_grads = _loss_and_dlogits(
+        params, act, batch, reg
+    )
     grads = _backward(params, act, preacts, layer_inputs, dlogits)
     grads.vector += reg_grads.vector
     return LossGrad(loss, grads, logits)
+
+
+@dataclass
+class ProbeGrads:
+    grads: ParamSet  # the batch gradient, penalty included, as loss_grad gives it
+    sigma_sq: dict[str, float]  # per layer: (1/B) sum_i ||g_i - g_bar||^2
+    hidden_preacts: list[np.ndarray]  # one (B, width) per hidden layer
+
+
+def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> ProbeGrads:
+    """Batch gradient, each layer's per-sample gradient variance and the hidden
+    pre-activations, from one forward pass and one reverse sweep.
+
+    Sample i's gradient of a dense layer is ``d_i x_i^T`` for the weights and
+    ``d_i`` for the bias (``d_i`` its output gradient, ``x_i`` its input), so
+    ``||g_i||^2 = ||d_i||^2 (||x_i||^2 + 1)`` and the layer's variance is
+    ``(1/B) sum_i ||g_i||^2 - ||g_bar||^2``.  The penalty adds the same vector
+    to every ``g_i`` and cancels from the variance; ``g_bar`` in that formula
+    is the data part alone.  This equals ``minibatch_grad_variance`` over
+    ``per_sample_grads`` up to a relative rounding error of about
+    eps * (1 + alpha_g* / B).  A single sample gives exactly 0, and a
+    negative rounding result is clamped to 0.  Memory is O(B * width).
+    """
+    _, _, preacts, layer_inputs, dlogits, reg_grads = _loss_and_dlogits(params, act, batch, reg)
+    B = batch.size
+    mean_sq = {}  # per layer: (1/B) sum_i ||g_i||^2
+
+    def sample_sq_norms(i, d):
+        # d holds d_i / B, so (1/B) sum_i ||g_i||^2 = B * sum_i ||d||^2 (||x_i||^2 + 1)
+        x = layer_inputs[i]
+        x_sq = np.einsum("bi,bi->b", x, x) + 1.0
+        mean_sq[params.layers[i].layer_id] = B * float(np.einsum("bo,bo->b", d, d) @ x_sq)
+
+    grads = _backward(params, act, preacts, layer_inputs, dlogits, sample_sq_norms)
+    sigma_sq = {}
+    for lid in params.layer_ids():
+        g = grads.segment(lid)
+        sigma_sq[lid] = 0.0 if B == 1 else max(mean_sq[lid] - float(np.vdot(g, g)), 0.0)
+    grads.vector += reg_grads.vector
+    return ProbeGrads(grads, sigma_sq, preacts)
 
 
 def per_sample_grads(

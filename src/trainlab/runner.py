@@ -1,9 +1,10 @@
 """Experiment orchestration: training loops, metric probes, log files.
 
 Runs vanilla / reset-at-task / scheduled modes over a task stream.  Metric
-probes (per-sample gradient variance, power-iteration sharpness, window
-statistics, threshold reports) fire at log intervals; the controller fires at
-its own decision interval in scheduled mode.  Probes draw no randomness from
+probes (per-sample gradient variance in factored per-layer form from one
+forward and one reverse pass, power-iteration sharpness, window statistics,
+threshold reports) fire at log intervals; the controller fires at its own
+decision interval in scheduled mode.  Probes draw no randomness from
 the training streams, so a run's parameter trajectory is identical with
 probes on or off.
 
@@ -29,7 +30,6 @@ from .metrics import (
     WindowStats,
     build_report,
     diagnostics,
-    minibatch_grad_variance,
     normalized_sharpness,
     predict_lot,
     push_and_stats,
@@ -40,16 +40,18 @@ from .nn import (
     Activation,
     ParamSet,
     Regularizer,
-    forward,
     init_mlp,
     loss_grad,
-    mean_params,
-    per_sample_grads,
+    probe_grads,
 )
 from .optim import AdamState, adam_step, agg_step, effective_step, init_adam, reset
 from .rng import derive_seed, stream
 from .scheduler import ControllerConfig, crossing_flags, decide
 from .tasks import BaseDataset, StreamConfig, batches, load_source, make_task, prepare, steps_per_epoch
+
+# Off the run path, but bound here: bench/tracing.py wraps these names in this module.
+from .metrics import minibatch_grad_variance  # noqa: F401
+from .nn import forward, mean_params, per_sample_grads  # noqa: F401
 
 MODES = ("vanilla", "reset", "scheduled")
 
@@ -201,33 +203,34 @@ class ProbeResult:
     sigma_mb_sq: float
     diag: Diagnostics
     crossed: dict[str, bool]
+    sharpness_converged: bool
 
 
 def _probe(cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state, windows):
-    ps = per_sample_grads(params, act, batch, reg)
-    gbar = mean_params(ps)
+    pg = probe_grads(params, act, batch, reg)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
-    lam = top_eigenvalue(params, act, batch, reg, probe).lambda_max
+    eig = top_eigenvalue(params, act, batch, reg, probe)
+    lam = eig.lambda_max
     lam_bar = normalized_sharpness(lam, agg_step(state, GLOBAL_SCOPE))
     reports = []
     for lid in params.layer_ids():
-        g = gbar.segment(lid)
+        g = pg.grads.segment(lid)
         snapshot = push_and_stats(windows[lid], normalized_sharpness(lam, agg_step(state, lid)))
         reports.append(
             build_report(
                 lid,
                 effective_step(state, lid),
                 float(np.vdot(g, g)),
-                minibatch_grad_variance(ps, lid),
+                pg.sigma_sq[lid],
                 snapshot,
                 batch.size,
                 cfg.bounds,
             )
         )
-    sigma_global = minibatch_grad_variance(ps, GLOBAL_SCOPE)
-    diag = diagnostics(params, gbar, forward(params, act, batch).hidden_preacts)
+    sigma_global = sum(pg.sigma_sq.values())
+    diag = diagnostics(params, pg.grads, pg.hidden_preacts)
     crossed = crossing_flags(reports).crossed
-    return ProbeResult(reports, lam, lam_bar, sigma_global, diag, crossed)
+    return ProbeResult(reports, lam, lam_bar, sigma_global, diag, crossed, eig.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +372,8 @@ def _build_record(seed, task, epoch, step, train_acc, probe: ProbeResult, state,
             flags.append(f"{lid}:eta_clamped")
     if not probe.diag.ratio_defined:
         flags.append("ratio_undefined")
+    if not probe.sharpness_converged:
+        flags.append("sharpness_unconverged")
     return MetricRecord(
         seed=seed,
         task=task,

@@ -34,6 +34,7 @@ from trainlab.nn import (
     mean_params,
     param_dot,
     per_sample_grads,
+    probe_grads,
 )
 from trainlab.optim import adam_step, effective_step, init_adam
 from trainlab.runner import (
@@ -146,6 +147,7 @@ def test_criterion_4_per_sample_variance_and_mean():
     reg = Regularizer("l2", 1e-3)
     worst_var = 0.0
     worst_mean = 0.0
+    worst_factored = 0.0
     for B in (1, 2, 16, 64):
         params = make_net(5, 10, 4, act, seed=40 + B)
         batch = make_batch(5, 4, B, seed=40 + B)
@@ -157,9 +159,11 @@ def test_criterion_4_per_sample_variance_and_mean():
         worst_var = max(worst_var, abs(got - oracle) / max(abs(oracle), 1.0))
         lg = loss_grad(params, act, batch, reg)
         worst_mean = max(worst_mean, rel_err(mean_params(ps).to_vector(), lg.grads.to_vector()))
-    ok = worst_var <= 1e-12 and worst_mean <= 1e-8
-    assert verdict(4, ok, f"two-pass oracle dev {worst_var:.2e}; mean-vs-batch rel {worst_mean:.2e} "
-                          f"over B in {{1,2,16,64}}")
+        factored = sum(probe_grads(params, act, batch, reg).sigma_sq.values())
+        worst_factored = max(worst_factored, abs(factored - oracle) / max(abs(oracle), 1.0))
+    ok = worst_var <= 1e-12 and worst_mean <= 1e-8 and worst_factored <= 1e-12
+    assert verdict(4, ok, f"two-pass oracle dev {worst_var:.2e}; mean-vs-batch rel {worst_mean:.2e}; "
+                          f"factored dev {worst_factored:.2e} over B in {{1,2,16,64}}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import trainlab.cli as cli_mod
@@ -160,6 +162,19 @@ def test_mnist_paths_resolved_from_env(monkeypatch, tmp_path):
     assert isinstance(src, MnistSource)
     assert src.images_path == str(tmp_path / "train-images.idx")
     assert src.labels_path == str(tmp_path / "train-labels.idx")
+
+
+def test_config_lines_roundtrip_with_relative_data_dir(monkeypatch):
+    monkeypatch.setenv("TRAINLAB_DATA_DIR", "data")
+    cfg = build_run_config(
+        {
+            "stream.source": "mnist_idx",
+            "stream.mnist.images": "img",
+            "stream.mnist.labels": "lbl",
+        }
+    )
+    assert cfg.stream.source.images_path == os.path.abspath(os.path.join("data", "img"))
+    assert build_run_config(parse_config_text("\n".join(config_lines(cfg)))) == cfg
 
 
 # ---------------------------------------------------------------------------

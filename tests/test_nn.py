@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trainlab.errors import ConfigError
+from trainlab.metrics import minibatch_grad_variance
 from trainlab.nn import (
     Activation,
     Batch,
@@ -13,10 +14,12 @@ from trainlab.nn import (
     loss_grad,
     mean_params,
     per_sample_grads,
+    probe_grads,
     regularizer_penalty,
     wasserstein_penalty,
     zeros_like,
 )
+from trainlab.tasks import StreamConfig, SyntheticSource, batches, load_source, make_task, prepare
 
 from conftest import ACTIVATIONS, fd_gradient, make_batch, make_net, make_reg, rel_err
 
@@ -271,6 +274,59 @@ def test_per_sample_rows_match_one_sample_gradients():
         one = Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1])
         want = loss_grad(params, act, one, reg).grads.to_vector()
         assert rel_err(g.to_vector(), want) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# factored per-sample variance
+
+
+def _short_final_batch():
+    """The trailing batch of a real epoch: 53 samples in batches of 16 leave 5."""
+    cfg = StreamConfig(SyntheticSource(n=60, d=4, classes=5, seed=3), subsample_n=53,
+                       tasks=1, epochs_per_task=1, batch_size=16, base_seed=3)
+    *_, last = batches(make_task(prepare(load_source(cfg), cfg), 0, cfg), 0, cfg)
+    assert last.size == 5
+    return last
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
+def test_probe_grads_match_materialized_oracle(act, reg_kind):
+    """Each layer's and the global variance against per_sample_grads +
+    minibatch_grad_variance at criterion 4's bound; g_bar against loss_grad;
+    the pre-activations against forward."""
+    cases = [make_batch(4, 5, B, seed=70 + B) for B in (1, 2, 17, 256)] + [_short_final_batch()]
+    for batch in cases:
+        params = make_net(4, 6, 5, act, seed=batch.size)
+        reg = make_reg(reg_kind, params, perturb_seed=batch.size)
+        pg = probe_grads(params, act, batch, reg)
+        ps = per_sample_grads(params, act, batch, reg)
+        assert list(pg.sigma_sq) == params.layer_ids()
+        got = dict(pg.sigma_sq, **{"global": sum(pg.sigma_sq.values())})
+        for scope, value in got.items():
+            oracle = minibatch_grad_variance(ps, scope)
+            assert abs(value - oracle) / max(abs(oracle), 1.0) <= 1e-12, (batch.size, scope)
+            if batch.size == 1:
+                assert value == 0.0
+            else:
+                assert value > 0.0
+        assert rel_err(pg.grads.vector, loss_grad(params, act, batch, reg).grads.vector) <= 1e-12
+        want = forward(params, act, batch).hidden_preacts
+        assert len(pg.hidden_preacts) == len(want)
+        for z, w in zip(pg.hidden_preacts, want):
+            np.testing.assert_array_equal(z, w)
+
+
+def test_probe_grads_identical_samples_clamped_at_zero():
+    """Duplicated samples have no spread; here the unclamped difference is a
+    negative rounding residue, which the clamp holds at 0."""
+    act = Activation("relu")
+    params = make_net(3, 5, 4, act, seed=9)
+    row = np.random.default_rng(9).normal(size=3)
+    batch = Batch(np.tile(row, (7, 1)), np.full(7, 2))
+    pg = probe_grads(params, act, batch, NONE)
+    for value in pg.sigma_sq.values():
+        assert 0.0 <= value <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 import trainlab.runner as runner_mod
 from trainlab.errors import ConfigError, NumericError
 from trainlab.metrics import BoundConfig
-from trainlab.nn import Activation
+from trainlab.nn import Activation, Regularizer, loss_grad
+from trainlab.optim import adam_step, init_adam
 from trainlab.runner import (
     ModelConfig,
     OptimConfig,
@@ -20,6 +22,8 @@ from trainlab.runner import (
 )
 from trainlab.scheduler import ControllerConfig
 from trainlab.tasks import StreamConfig, SyntheticSource
+
+from conftest import make_batch, make_net
 
 
 def tiny_config(**kw):
@@ -199,6 +203,46 @@ def test_probe_abort_leaves_the_same_error_record(monkeypatch):
     assert res.final_state.t == cfg.log_interval  # the probed step was taken
     cells = format_log(res.records, res.layer_ids).splitlines()[1].split(",")
     assert cells[-9:-1] == ["nan"] * 6 + ["-", "0"]  # fc2's cells, then flags
+
+
+def test_sharpness_unconverged_flag():
+    short = run_seed(tiny_config(power_iters=1), seed=0)
+    assert short.records
+    assert all("sharpness_unconverged" in rec.flags for rec in short.records)
+    converged = run_seed(tiny_config(power_iters=100), seed=0)
+    assert converged.records
+    assert not any("sharpness_unconverged" in rec.flags for rec in converged.records)
+
+
+def test_materialized_per_sample_oracle_is_off_the_run_path(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the per-sample oracle ran inside a run")
+
+    for name in ("per_sample_grads", "mean_params", "minibatch_grad_variance", "forward"):
+        monkeypatch.setattr(runner_mod, name, oracle)
+    res = run_seed(tiny_config(mode="scheduled", interval_k=2), seed=0)
+    assert not res.aborted and len(res.records) == 6
+
+
+def test_probe_holds_no_per_sample_gradient_tensor():
+    """A probe's peak allocation stays far below one B x n_params buffer."""
+    act = Activation("relu")
+    params = make_net(200, 64, 10, act, seed=1)
+    batch = make_batch(200, 10, 128, seed=1)
+    reg = Regularizer("l2", 1e-3)
+    cfg = tiny_config(power_iters=5)
+    state = init_adam(params, cfg.optimizer.eta)
+    adam_step(state, params, loss_grad(params, act, batch, reg).grads)
+    windows = runner_mod._fresh_windows(cfg, params.layer_ids())
+    one_buffer = batch.size * params.n_params * 8
+    tracemalloc.start()
+    try:
+        runner_mod._probe(cfg, 0, 1, params, act, batch, reg, state, windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"probe peak {peak / 1e6:.2f} MB, one B x n_params buffer {one_buffer / 1e6:.2f} MB")
+    assert peak < one_buffer / 4
 
 
 def test_tracing_spans_resolve():
