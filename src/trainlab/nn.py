@@ -212,6 +212,21 @@ def _act_backward(act: Activation, z: np.ndarray, dh: np.ndarray) -> np.ndarray:
     return dh
 
 
+def _act_tangent(act: Activation, z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """The activation's directional derivative at ``z`` along ``dz`` (phi'(z) dz).
+
+    Every activation is piecewise linear, so this is exact away from the
+    kinks and ``phi''`` is zero there.
+    """
+    if act.kind == "relu":
+        return dz * (z > 0.0)
+    if act.kind == "leaky_relu":
+        return dz * np.where(z > 0.0, 1.0, act.slope)
+    if act.kind == "crelu":
+        return np.concatenate([dz * (z > 0.0), -dz * (z < 0.0)], axis=-1)
+    return dz
+
+
 # ---------------------------------------------------------------------------
 # regularizers
 
@@ -447,11 +462,16 @@ def _loss_and_dlogits(params: ParamSet, act: Activation, batch: Batch, reg: Regu
         raise NumericError(
             f"non-finite loss {loss}", layer_id=_first_nonfinite_layer(params, preacts, logits)
         )
-    B = batch.size
+    return loss, logits, preacts, layer_inputs, _mean_ce_slope(probs, batch.labels), reg_grads
+
+
+def _mean_ce_slope(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``dL/dlogits`` of the mean cross-entropy: (softmax - one-hot) / B."""
+    B = labels.shape[0]
     dlogits = probs.copy()
-    dlogits[np.arange(B), batch.labels] -= 1.0
+    dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
-    return loss, logits, preacts, layer_inputs, dlogits, reg_grads
+    return dlogits
 
 
 def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> LossGrad:

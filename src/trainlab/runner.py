@@ -2,11 +2,13 @@
 
 Runs vanilla / reset-at-task / scheduled modes over a task stream.  Metric
 probes (per-sample gradient variance in factored per-layer form from one
-forward and one reverse pass, power-iteration sharpness, window statistics,
-threshold reports) fire at log intervals; the controller fires at its own
-decision interval in scheduled mode.  Probes draw no randomness from
-the training streams, so a run's parameter trajectory is identical with
-probes on or off.
+forward and one reverse pass, the top Hessian eigenvalue from a Lanczos
+solve over exact R-op products, window statistics, threshold reports) fire
+at log intervals; the controller fires at its own decision interval in
+scheduled mode.  When a decision's eigensolve runs out its product budget,
+the record is flagged ``sharpness_unconverged`` and every layer is held.
+Probes draw no randomness from the training streams, so a run's parameter
+trajectory is identical with probes on or off.
 
 Logs are append-only delimited text: one header line declaring the column
 order, then one record per line with floats at 17 significant digits, so two
@@ -46,7 +48,7 @@ from .nn import (
 )
 from .optim import AdamState, adam_step, agg_step, effective_step, init_adam, reset
 from .rng import derive_seed, stream
-from .scheduler import ControllerConfig, crossing_flags, decide
+from .scheduler import HELD, ControllerConfig, crossing_flags, decide
 from .tasks import BaseDataset, StreamConfig, batches, load_source, make_task, prepare, steps_per_epoch
 
 # Off the run path, but bound here: bench/tracing.py wraps these names in this module.
@@ -323,7 +325,10 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
                     continue
                 decision_labels: dict[str, str] = {}
                 clamped: frozenset[str] = frozenset()
-                if is_decide:
+                if is_decide and not probe.sharpness_converged:
+                    # an eigensolve that ran out its budget gives no sharpness to act on
+                    decision_labels = dict.fromkeys(layer_ids, HELD)
+                elif is_decide:
                     dec = decide(
                         probe.reports, global_step, total_steps, state.eta, cfg.controller
                     )

@@ -68,6 +68,18 @@ def fd_gradient(params, act, batch, reg, h=1e-4):
     return np.array(grad)
 
 
+def fd_hvp(params, act, batch, reg, v, h):
+    """Central difference of the gradient along v: (g(w + h v) - g(w - h v)) / 2h.
+
+    A reference for the exact product only where the gradient is smooth on
+    the segment [w - h v, w + h v]: no hidden pre-activation may change sign
+    there, and no Wasserstein sort order may change.
+    """
+    up = loss_grad(params.like(params.vector + h * v.vector), act, batch, reg).grads.vector
+    down = loss_grad(params.like(params.vector - h * v.vector), act, batch, reg).grads.vector
+    return (up - down) / (2.0 * h)
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

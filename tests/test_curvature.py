@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import trainlab.curvature as curvature_mod
+from trainlab import config
 from trainlab.curvature import (
     CurvatureProbe,
     effective_rank,
@@ -16,11 +20,20 @@ from trainlab.nn import (
     ParamSet,
     Regularizer,
     add_scaled,
+    forward,
     loss_grad,
     param_dot,
 )
 
-from conftest import make_batch, make_net, rel_err
+from conftest import (
+    ACTIVATIONS,
+    fd_hvp,
+    load_bench_module,
+    make_batch,
+    make_net,
+    make_reg,
+    rel_err,
+)
 
 NONE = Regularizer("none")
 LIN = Activation("linear")
@@ -111,6 +124,42 @@ def test_hvp_matches_dense_hessian():
     assert rel_err(got, H @ v.to_vector()) < 1e-3
 
 
+def _smooth_pattern(params, act, batch, reg):
+    """What must not change along a finite-difference segment: the sign of
+    every hidden pre-activation and, for the Wasserstein penalty, each
+    layer's sort order."""
+    out = [z > 0.0 for z in forward(params, act, batch).hidden_preacts]
+    if reg.kind == "wasserstein":
+        out += [np.argsort(lay.weights.ravel(), kind="stable") for lay in params.layers]
+    return out
+
+
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
+@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
+def test_hvp_matches_fd_oracle(act, reg_kind):
+    """The R-op product against a central difference of the gradient along
+    seeded unit directions whose +-h segment stays on one side of every kink."""
+    params = make_net(5, 16, 4, act, seed=21)
+    batch = make_batch(5, 4, 12, seed=21)
+    reg = make_reg(reg_kind, params, lam=1e-2, perturb_seed=3)
+    rng = np.random.default_rng([21, 0x6AD])
+    h = 1e-5
+    checked = 0
+    for _ in range(20):
+        v = rng.standard_normal(params.n_params)
+        v = params.like(v / np.linalg.norm(v))
+        up = _smooth_pattern(params.like(params.vector + h * v.vector), act, batch, reg)
+        down = _smooth_pattern(params.like(params.vector - h * v.vector), act, batch, reg)
+        if any(np.any(a != b) for a, b in zip(up, down)):
+            continue
+        got = hvp(params, act, batch, reg, v).vector
+        assert rel_err(got, fd_hvp(params, act, batch, reg, v, h)) <= 1e-6
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3, "no three kink-free directions in 20 draws"
+
+
 def test_hvp_zero_vector_rejected():
     params = make_net(2, 4, 3, RELU)
     batch = make_batch(2, 3, 4)
@@ -156,22 +205,69 @@ def test_top_eigenvalue_deterministic():
     assert a == b
 
 
-def test_top_eigenvalue_fixed_point_residual():
+def test_top_eigenvalue_ritz_residual():
     params = make_net(2, 6, 3, RELU, seed=11)
     batch = make_batch(2, 3, 5, seed=11)
-    probe = CurvatureProbe(power_iters=200, tol=1e-10, seed=5)
-    res = top_eigenvalue(params, RELU, batch, NONE, probe)
-    # recover the converged direction by replaying the iteration
-    rng = np.random.default_rng(probe.seed)
-    v = rng.standard_normal(params.n_params)
-    v /= np.linalg.norm(v)
-    for _ in range(res.iterations):
-        w = hvp(params, RELU, batch, NONE, params.from_vector(v)).to_vector()
-        v = w / np.linalg.norm(w)
-    resid = np.linalg.norm(
-        hvp(params, RELU, batch, NONE, params.from_vector(v)).to_vector() - res.lambda_max * v
-    )
-    assert resid <= 1e-2 * abs(res.lambda_max)
+    res = top_eigenvalue(params, RELU, batch, NONE, CurvatureProbe(power_iters=200, tol=1e-10, seed=5))
+    eigs = np.linalg.eigvalsh(exact_hessian(params, RELU, batch, NONE))
+    dense_top = eigs[np.argmax(np.abs(eigs))]
+    assert res.converged
+    assert res.residual <= 1e-5 * abs(res.lambda_max)
+    assert abs(res.lambda_max - dense_top) <= 1e-8 * abs(dense_top)
+
+
+@pytest.mark.parametrize("budget", [3, 100])
+def test_top_eigenvalue_counts_its_products(monkeypatch, budget):
+    """One curvature.hvp call per iteration, whether the solve converges
+    (budget 100) or runs out its budget (3)."""
+    params = make_net(3, 8, 4, RELU, seed=9)
+    batch = make_batch(3, 4, 6, seed=9)
+    calls = []
+    real = curvature_mod.hvp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curvature_mod, "hvp", counting)
+    res = top_eigenvalue(params, RELU, batch, NONE, CurvatureProbe(power_iters=budget, seed=1))
+    assert res.converged == (budget == 100)
+    assert len(calls) == res.iterations
+    assert res.iterations == budget or res.converged
+
+
+def test_top_eigenvalue_stores_no_basis():
+    """At 203k parameters the solve's peak allocation stays below 16
+    parameter-sized vectors over more than 16 products: no k x n basis."""
+    params = make_net(784, 256, 10, RELU, seed=2)
+    batch = make_batch(784, 10, 256, seed=2)
+    reg = Regularizer("l2", 1e-3)
+    vector_bytes = params.n_params * 8
+    probe = CurvatureProbe(power_iters=100, tol=1e-20, seed=3)  # tight, for a long solve
+    tracemalloc.start()
+    try:
+        res = top_eigenvalue(params, RELU, batch, reg, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"{res.iterations} products, peak {peak / vector_bytes:.1f} parameter vectors")
+    assert res.iterations > 16
+    assert peak < 16 * vector_bytes
+
+
+@pytest.mark.parametrize("workload", ["desk_l2_scheduled", "desk_crelu_w2_train"])
+def test_benchmark_sharpness_check(workload, tmp_path):
+    """The benchmark's own sharpness check on its fixed desk-shape probe:
+    ReLU with L2 at a 50-product budget, CReLU with the Wasserstein penalty
+    at 10, against ARPACK over a central difference too small to cross a kink."""
+    pytest.importorskip("scipy")
+    checks = load_bench_module("checks")
+    text = load_bench_module("workloads").WORKLOADS[workload].config_text(0, tmp_path)
+    cfg = config.build_run_config(config.parse_config_text(text))
+    probe = checks.sharpness_probe(cfg)
+    check = checks.sharpness_check(checks.sharpness_top(probe, cfg), checks.sharpness_reference(probe))
+    print(check.detail)
+    assert check.ok, check.detail
 
 
 # ---------------------------------------------------------------------------

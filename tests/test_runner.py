@@ -123,13 +123,16 @@ def test_reset_mode_restores_moments_and_counter():
 
 def test_scheduled_forced_cooling_geometric_eta():
     # gamma ~ 0 forces cooling whenever alpha > 0.12 and the window is armed;
-    # a large base LR keeps alpha far above the floor
+    # a large base LR keeps alpha far above the floor.  The eigensolve gets a
+    # budget it converges within (6-11 products here), since a decision on an
+    # unconverged probe holds every layer.
     controller = ControllerConfig(gamma=1e-9, interval_k=1)
     cfg = tiny_config(
         mode="scheduled",
         controller=controller,
         optimizer=OptimConfig(eta=0.05),
         log_interval=1,
+        power_iters=100,
     )
     res = run_seed(cfg, seed=0)
     assert not res.aborted
@@ -212,6 +215,26 @@ def test_sharpness_unconverged_flag():
     converged = run_seed(tiny_config(power_iters=100), seed=0)
     assert converged.records
     assert not any("sharpness_unconverged" in rec.flags for rec in converged.records)
+
+
+def test_unconverged_probe_holds_every_layer():
+    """A one-product budget never converges, so the controller never acts:
+    the same forced-cooling run as above holds every layer at every decision."""
+    cfg = tiny_config(
+        mode="scheduled",
+        controller=ControllerConfig(gamma=1e-9, interval_k=1),
+        optimizer=OptimConfig(eta=0.05),
+        log_interval=1,
+        power_iters=1,
+    )
+    res = run_seed(cfg, seed=0)
+    assert not res.aborted and len(res.records) == 12
+    for rec in res.records:
+        assert "sharpness_unconverged" in rec.flags
+        for lm in rec.layers.values():
+            assert lm.decision == "held"
+            assert lm.eta == 0.05
+    assert res.final_state.eta == {"fc1": 0.05, "fc2": 0.05}
 
 
 def test_materialized_per_sample_oracle_is_off_the_run_path(monkeypatch):
