@@ -3,14 +3,15 @@
 The product ``H v`` is Pearlmutter's R-op (*Fast exact multiplication by
 the Hessian*, 1994): the directional derivative of the hand-written
 gradient.  Everything it shares across directions at one parameter point
-(the forward pass, the softmax and each layer's output gradient) is built
-once as a ``BasePoint``; a product is then one R-forward and one R-backward
-pass.  The activations are piecewise linear, so ``phi''`` is zero almost
-everywhere and the product is exact away from the kinks.  The penalties'
-Hessians are multiples of the identity on the weights: ``2 lam`` for L2 and
-``2 lam / n`` for the Wasserstein penalty of an n-entry layer, whose sort
-permutation is fixed almost everywhere.  No penalty is evaluated inside a
-product.
+(the forward pass, the softmax and each layer's output gradient) is the
+``nn.sweep`` the gradient is built from, made once per point; a probe hands
+its noise pass's sweep to ``top_eigenvalue``.  A product is then one
+R-forward and one R-backward pass.  The activations are piecewise linear,
+so ``phi''`` is zero almost everywhere and the product is exact away from
+the kinks.  The penalties' Hessians are multiples of the identity on the
+weights: ``2 lam`` for L2 and ``2 lam / n`` for the Wasserstein penalty of
+an n-entry layer, whose sort permutation is fixed almost everywhere.  No
+penalty is evaluated inside a product.
 
 The top eigenvalue comes from a Lanczos three-term recurrence that stores
 no basis (Ghorbani et al., arXiv:1901.10159).  After each product it takes
@@ -30,13 +31,13 @@ from .errors import CapacityError, ConfigError, NumericError
 from .nn import (
     Activation,
     Batch,
+    Layer,
     ParamSet,
     Regularizer,
+    Sweep,
     _act_backward,
     _act_tangent,
-    _forward,
-    _mean_ce_slope,
-    _softmax_stats,
+    sweep,
 )
 
 # Off the product path, but bound here: bench/tracing.py wraps this name in this module.
@@ -61,34 +62,13 @@ class CurvatureProbe:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
 
 
-@dataclass
-class BasePoint:
-    """What every Hessian-vector product at one parameter point shares."""
-
-    layer_inputs: list[np.ndarray]  # (B, in) per layer
-    preacts: list[np.ndarray]  # (B, width) per hidden layer
-    probs: np.ndarray  # (B, C) softmax of the logits
-    out_grads: list[np.ndarray]  # (B, out) per layer: dL/d(its output), 1/B included
-    penalty_curvature: list[float]  # per layer: the penalty's Hessian on its weights, times I
-
-
-def base_point(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> BasePoint:
-    """One forward pass and one reverse sweep of output gradients at ``params``."""
-    logits, preacts, layer_inputs = _forward(params, act, batch.inputs)
-    _, probs = _softmax_stats(logits, batch.labels)
-    out_grads: list = [None] * len(params.layers)
-    d = _mean_ce_slope(probs, batch.labels)
-    for i in range(len(params.layers) - 1, -1, -1):
-        out_grads[i] = d
-        if i > 0:
-            d = _act_backward(act, preacts[i - 1], d @ params.layers[i].weights)
+def _penalty_curvature(reg: Regularizer, lay: Layer) -> float:
+    """The penalty's Hessian on a layer's weights, as a multiple of the identity."""
     if reg.kind == "none" or reg.lam == 0.0:
-        curv = [0.0] * len(params.layers)
-    elif reg.kind == "l2":
-        curv = [2.0 * reg.lam] * len(params.layers)
-    else:  # wasserstein
-        curv = [2.0 * reg.lam / lay.weights.size for lay in params.layers]
-    return BasePoint(layer_inputs, preacts, probs, out_grads, curv)
+        return 0.0
+    if reg.kind == "l2":
+        return 2.0 * reg.lam
+    return 2.0 * reg.lam / lay.weights.size  # wasserstein
 
 
 def hvp(
@@ -97,17 +77,17 @@ def hvp(
     batch: Batch,
     reg: Regularizer,
     v: ParamSet,
-    base: BasePoint | None = None,
+    base: Sweep | None = None,
 ) -> ParamSet:
     """H @ v for the Hessian of the full (loss + regularizer) objective.
 
-    ``base`` is ``base_point(params, act, batch, reg)``, built here when not
+    ``base`` is ``nn.sweep(params, act, batch, reg)``, built here when not
     given; callers making many products at one point pass it in.
     """
     if not np.any(v.vector):
         raise ValueError("hvp probe vector must be nonzero")
     if base is None:
-        base = base_point(params, act, batch, reg)
+        base = sweep(params, act, batch, reg)
     last = len(params.layers) - 1
     # R-forward: the tangent of each layer's input (zero for the data) and of the logits
     r_inputs: list[np.ndarray | None] = [None]
@@ -127,8 +107,9 @@ def hvp(
         np.matmul(rd.T, base.layer_inputs[i], out=o.weights)
         if r_inputs[i] is not None:
             o.weights += base.out_grads[i].T @ r_inputs[i]
-        if base.penalty_curvature[i] != 0.0:
-            o.weights += base.penalty_curvature[i] * dv.weights
+        curv = _penalty_curvature(reg, lay)
+        if curv != 0.0:
+            o.weights += curv * dv.weights
         np.sum(rd, axis=0, out=o.bias)
         if i > 0:
             r_dx = rd @ lay.weights + base.out_grads[i] @ dv.weights
@@ -155,7 +136,12 @@ def _top_ritz(alphas: list[float], betas: list[float]) -> tuple[float, float]:
 
 
 def top_eigenvalue(
-    params: ParamSet, act: Activation, batch: Batch, reg: Regularizer, probe: CurvatureProbe
+    params: ParamSet,
+    act: Activation,
+    batch: Batch,
+    reg: Regularizer,
+    probe: CurvatureProbe,
+    base: Sweep | None = None,
 ) -> TopEigen:
     """Largest-magnitude Hessian eigenvalue, signed, via Lanczos.
 
@@ -167,8 +153,11 @@ def top_eigenvalue(
     0 (an invariant subspace, as for a zero Hessian).  A Ritz value's error
     is about (residual / |theta|)^2, so ``probe.tol`` stays a relative
     tolerance on the eigenvalue.  Only the last two Lanczos vectors are kept.
+    Every product reads ``base`` (``nn.sweep`` at ``params``), built here
+    when not given.
     """
-    base = base_point(params, act, batch, reg)
+    if base is None:
+        base = sweep(params, act, batch, reg)
     stop = math.sqrt(probe.tol)
     rng = np.random.default_rng(probe.seed)
     v = rng.standard_normal(params.n_params)
@@ -209,7 +198,7 @@ def exact_hessian(
     n = params.n_params
     if n > EXACT_HESSIAN_MAX_PARAMS:
         raise CapacityError(f"{n} parameters exceeds exact-Hessian guard {EXACT_HESSIAN_MAX_PARAMS}")
-    base = base_point(params, act, batch, reg)
+    base = sweep(params, act, batch, reg)
     H = np.empty((n, n))
     e = np.zeros(n)
     for j in range(n):

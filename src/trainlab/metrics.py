@@ -116,29 +116,36 @@ class WindowStats:
 
 
 def push_and_stats(ws: WindowStats, lambda_bar: float) -> WindowSnapshot:
-    """Push one sample; report EMA mean, windowed variance, and volatility.
-
-    vol = var / (mu + eps); a nonpositive denominator with nonzero variance
-    reports +inf (curvature statistics unusable at that point).
-    """
+    """Push one sample, then report the window as ``window_stats`` does."""
     lam = float(lambda_bar)
     if not math.isfinite(lam):
         raise NumericError(f"non-finite normalized sharpness {lam}")
     ws._queue.append(lam)
     ws.ema_mu = lam if ws.ema_mu is None else (1.0 - ws.ema_decay) * ws.ema_mu + ws.ema_decay * lam
+    return window_stats(ws)
+
+
+def window_stats(ws: WindowStats) -> WindowSnapshot:
+    """EMA mean, windowed variance and volatility of the samples pushed so far.
+
+    vol = var / (mu + eps); a nonpositive denominator with nonzero variance
+    reports +inf (curvature statistics unusable at that point).  An empty
+    window reads mu = var = vol = 0, count 0, unarmed.
+    """
     samples = np.fromiter(ws._queue, dtype=np.float64)
+    mu = 0.0 if ws.ema_mu is None else ws.ema_mu
     if samples.size < 2 or samples.min() == samples.max():
         var = 0.0  # a constant queue reports exactly zero spread
     else:
         var = float(np.mean((samples - samples.mean()) ** 2))
-    denom = ws.ema_mu + ws.eps_vol
+    denom = mu + ws.eps_vol
     if var == 0.0:
         vol = 0.0
     elif denom > 0.0:
         vol = var / denom
     else:
         vol = math.inf
-    return WindowSnapshot(ws.ema_mu, var, vol, samples.size, samples.size >= 2)
+    return WindowSnapshot(mu, var, vol, samples.size, samples.size >= 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Dense MLP with explicit forward/backward passes.
 
-All gradients are computed by hand (no autodiff framework): the batch
-gradient comes from one reverse sweep.  The metric probe's gradient noise
-comes from the same sweep in factored form (``probe_grads``): a dense
-layer's per-sample gradient is the outer product of its output gradient and
-its input, so each layer's per-sample variance needs only those B rows,
-never a B x n_params tensor.  Materialized per-sample gradients
-(``per_sample_grads``, ``mean_params``) are kept as test oracles for it and
-are not on the run path.
+All gradients are computed by hand (no autodiff framework).  ``sweep`` is
+the one reverse pass: the forward pass, the loss with its finite check, the
+penalty gradient and each layer's output gradient, last layer first.  The
+batch gradient (``loss_grad``), the probe's per-layer gradient noise
+(``probe_grads``) and every R-op Hessian-vector product
+(``curvature.hvp``) are built from it, so a probe runs it once.  The noise
+is in factored form: a dense layer's per-sample gradient is the outer
+product of its output gradient and its input, so each layer's per-sample
+variance needs only those B rows, never a B x n_params tensor.
+Materialized per-sample gradients (``per_sample_grads``, ``mean_params``)
+are kept as test oracles for it and are not on the run path.
 
 Conventions:
   - weights are stored ``(out, in)``; a layer computes ``x @ W.T + b``;
@@ -107,11 +110,6 @@ class ParamSet:
         sizes = [self.segment(lid).size for lid in ids]
         return np.repeat([float(values[lid]) for lid in ids], sizes)
 
-    def arrays(self):
-        for lay in self.layers:
-            yield lay.weights
-            yield lay.bias
-
     @property
     def n_params(self) -> int:
         return self.vector.size
@@ -135,11 +133,6 @@ class ParamSet:
 
 def zeros_like(ps: ParamSet) -> ParamSet:
     return ps.like(np.zeros_like(ps.vector))
-
-
-def add_scaled(a: ParamSet, b: ParamSet, scale: float) -> ParamSet:
-    """a + scale * b, as a new ParamSet (layout taken from ``a``)."""
-    return a.like(a.vector + scale * b.vector)
 
 
 def param_dot(a: ParamSet, b: ParamSet) -> float:
@@ -418,41 +411,24 @@ def _first_nonfinite_layer(params: ParamSet, preacts, logits) -> str:
 
 
 @dataclass
-class LossGrad:
-    loss: float
-    grads: ParamSet
-    logits: np.ndarray
+class Sweep:
+    """One forward pass and one reverse sweep at a parameter point: what the
+    gradient, the per-layer noise and every Hessian-vector product there share."""
+
+    loss: float  # mean cross-entropy plus penalty
+    logits: np.ndarray  # (B, C)
+    probs: np.ndarray  # (B, C) softmax of the logits
+    layer_inputs: list[np.ndarray]  # (B, in) per layer
+    preacts: list[np.ndarray]  # (B, width) per hidden layer
+    out_grads: list[np.ndarray]  # (B, out) per layer: dL/d(its output), 1/B included
+    penalty_grads: ParamSet
 
 
-def _backward(
-    params: ParamSet, act: Activation, preacts, layer_inputs, dlogits, layer_stat=None
-) -> ParamSet:
-    """The batch gradient of the data loss (no penalty) from ``dlogits``.
+def sweep(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> Sweep:
+    """Forward pass, loss, penalty gradient and the reverse sweep of each
+    layer's output gradient, last layer first.
 
-    One reverse sweep, last layer first.  ``layer_stat(i, d)``, when given,
-    is called once per layer with ``d`` the (B, out) gradient at layer
-    ``i``'s output.
-    """
-    grads = zeros_like(params)
-    d = dlogits
-    for i in range(len(params.layers) - 1, -1, -1):
-        lay = params.layers[i]
-        g = grads.layers[i]
-        g.weights += d.T @ layer_inputs[i]
-        g.bias += d.sum(axis=0)
-        if layer_stat is not None:
-            layer_stat(i, d)
-        if i > 0:
-            dx = d @ lay.weights
-            d = _act_backward(act, preacts[i - 1], dx)
-    return grads
-
-
-def _loss_and_dlogits(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer):
-    """Forward pass, loss and ``dL/dlogits`` of the mean cross-entropy.
-
-    Returns (loss, logits, hidden preacts, per-layer inputs, dlogits, penalty
-    gradient); raises NumericError on a non-finite loss.
+    Raises NumericError on a non-finite loss.
     """
     logits, preacts, layer_inputs = _forward(params, act, batch.inputs)
     losses, probs = _softmax_stats(logits, batch.labels)
@@ -462,38 +438,51 @@ def _loss_and_dlogits(params: ParamSet, act: Activation, batch: Batch, reg: Regu
         raise NumericError(
             f"non-finite loss {loss}", layer_id=_first_nonfinite_layer(params, preacts, logits)
         )
-    return loss, logits, preacts, layer_inputs, _mean_ce_slope(probs, batch.labels), reg_grads
+    B = batch.size
+    d = probs.copy()  # the mean cross-entropy's slope (softmax - one-hot) / B
+    d[np.arange(B), batch.labels] -= 1.0
+    d /= B
+    out_grads = [d]
+    for i in range(len(params.layers) - 1, 0, -1):
+        d = _act_backward(act, preacts[i - 1], d @ params.layers[i].weights)
+        out_grads.insert(0, d)
+    return Sweep(loss, logits, probs, layer_inputs, preacts, out_grads, reg_grads)
 
 
-def _mean_ce_slope(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """``dL/dlogits`` of the mean cross-entropy: (softmax - one-hot) / B."""
-    B = labels.shape[0]
-    dlogits = probs.copy()
-    dlogits[np.arange(B), labels] -= 1.0
-    dlogits /= B
-    return dlogits
+def _data_grads(params: ParamSet, sw: Sweep) -> ParamSet:
+    """The batch gradient of the data loss (no penalty): ``d^T x`` per layer."""
+    grads = zeros_like(params)
+    for x, d, g in zip(sw.layer_inputs, sw.out_grads, grads.layers):
+        g.weights += d.T @ x
+        g.bias += d.sum(axis=0)
+    return grads
+
+
+@dataclass
+class LossGrad:
+    loss: float
+    grads: ParamSet
+    logits: np.ndarray
 
 
 def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> LossGrad:
     """Mean cross-entropy plus regularizer penalty, with its exact gradient."""
-    loss, logits, preacts, layer_inputs, dlogits, reg_grads = _loss_and_dlogits(
-        params, act, batch, reg
-    )
-    grads = _backward(params, act, preacts, layer_inputs, dlogits)
-    grads.vector += reg_grads.vector
-    return LossGrad(loss, grads, logits)
+    sw = sweep(params, act, batch, reg)
+    grads = _data_grads(params, sw)
+    grads.vector += sw.penalty_grads.vector
+    return LossGrad(sw.loss, grads, sw.logits)
 
 
 @dataclass
 class ProbeGrads:
     grads: ParamSet  # the batch gradient, penalty included, as loss_grad gives it
     sigma_sq: dict[str, float]  # per layer: (1/B) sum_i ||g_i - g_bar||^2
-    hidden_preacts: list[np.ndarray]  # one (B, width) per hidden layer
+    sweep: Sweep  # the pass both came from; its preacts feed the diagnostics
 
 
 def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> ProbeGrads:
-    """Batch gradient, each layer's per-sample gradient variance and the hidden
-    pre-activations, from one forward pass and one reverse sweep.
+    """Batch gradient and each layer's per-sample gradient variance, from one
+    ``sweep`` that the probe's eigensolve and diagnostics then reuse.
 
     Sample i's gradient of a dense layer is ``d_i x_i^T`` for the weights and
     ``d_i`` for the bias (``d_i`` its output gradient, ``x_i`` its input), so
@@ -505,23 +494,18 @@ def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularize
     eps * (1 + alpha_g* / B).  A single sample gives exactly 0, and a
     negative rounding result is clamped to 0.  Memory is O(B * width).
     """
-    _, _, preacts, layer_inputs, dlogits, reg_grads = _loss_and_dlogits(params, act, batch, reg)
+    sw = sweep(params, act, batch, reg)
+    grads = _data_grads(params, sw)
     B = batch.size
-    mean_sq = {}  # per layer: (1/B) sum_i ||g_i||^2
-
-    def sample_sq_norms(i, d):
-        # d holds d_i / B, so (1/B) sum_i ||g_i||^2 = B * sum_i ||d||^2 (||x_i||^2 + 1)
-        x = layer_inputs[i]
-        x_sq = np.einsum("bi,bi->b", x, x) + 1.0
-        mean_sq[params.layers[i].layer_id] = B * float(np.einsum("bo,bo->b", d, d) @ x_sq)
-
-    grads = _backward(params, act, preacts, layer_inputs, dlogits, sample_sq_norms)
     sigma_sq = {}
-    for lid in params.layer_ids():
+    for lid, x, d in zip(params.layer_ids(), sw.layer_inputs, sw.out_grads):
+        # d holds d_i / B, so (1/B) sum_i ||g_i||^2 = B * sum_i ||d||^2 (||x_i||^2 + 1)
+        x_sq = np.einsum("bi,bi->b", x, x) + 1.0
+        mean_sq = B * float(np.einsum("bo,bo->b", d, d) @ x_sq)
         g = grads.segment(lid)
-        sigma_sq[lid] = 0.0 if B == 1 else max(mean_sq[lid] - float(np.vdot(g, g)), 0.0)
-    grads.vector += reg_grads.vector
-    return ProbeGrads(grads, sigma_sq, preacts)
+        sigma_sq[lid] = 0.0 if B == 1 else max(mean_sq - float(np.vdot(g, g)), 0.0)
+    grads.vector += sw.penalty_grads.vector
+    return ProbeGrads(grads, sigma_sq, sw)
 
 
 def per_sample_grads(

@@ -1,12 +1,16 @@
 """Experiment orchestration: training loops, metric probes, log files.
 
 Runs vanilla / reset-at-task / scheduled modes over a task stream.  Metric
-probes (per-sample gradient variance in factored per-layer form from one
-forward and one reverse pass, the top Hessian eigenvalue from a Lanczos
-solve over exact R-op products, window statistics, threshold reports) fire
-at log intervals; the controller fires at its own decision interval in
-scheduled mode.  When a decision's eigensolve runs out its product budget,
-the record is flagged ``sharpness_unconverged`` and every layer is held.
+probes fire at log intervals; the controller fires at its own decision
+interval in scheduled mode.  A probe makes one forward pass and one reverse
+sweep (``nn.sweep``, through ``probe_grads``), and everything it measures
+reads that sweep: the per-layer gradient variance in factored form, the
+diagnostics and every R-op product of the Lanczos solve for the top Hessian
+eigenvalue; window statistics and threshold reports follow.  When the
+eigensolve runs out its product budget, the record is flagged
+``sharpness_unconverged``, its eigenvalue is kept out of the volatility
+windows (the bounds read each window as it stands) and a decision on it
+holds every layer.
 Probes draw no randomness from the training streams, so a run's parameter
 trajectory is identical with probes on or off.
 
@@ -18,7 +22,7 @@ runs of the same config and seed produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +39,7 @@ from .metrics import (
     normalized_sharpness,
     predict_lot,
     push_and_stats,
+    window_stats,
 )
 from .nn import (
     GLOBAL_SCOPE,
@@ -56,26 +61,6 @@ from .metrics import minibatch_grad_variance  # noqa: F401
 from .nn import forward, mean_params, per_sample_grads  # noqa: F401
 
 MODES = ("vanilla", "reset", "scheduled")
-
-LAYER_FIELDS = (
-    "alpha",
-    "alpha_g_star",
-    "alpha_vol_star",
-    "alpha_tilde_star",
-    "vol",
-    "eta",
-    "decision",
-    "crossed",
-)
-GLOBAL_FIELDS = (
-    "lambda_max",
-    "lambda_bar",
-    "sigma_mb_sq",
-    "weight_norm",
-    "grad_norm",
-    "grad_param_ratio",
-    "use",
-)
 ABSENT = "-"
 
 
@@ -162,6 +147,18 @@ class MetricRecord:
     flags: tuple[str, ...] = ()
 
 
+# The log schema: each layer's cells, and the record's global cells (those
+# between train_accuracy and layers), in field order.
+LAYER_FIELDS = tuple(f.name for f in fields(LayerMetrics))
+_RECORD_FIELDS = [f.name for f in fields(MetricRecord)]
+GLOBAL_FIELDS = tuple(
+    _RECORD_FIELDS[_RECORD_FIELDS.index("train_accuracy") + 1 : _RECORD_FIELDS.index("layers")]
+)
+# the cells of a layer that a record does not cover (an abort record), by field type
+_ABSENT_CELL = {"float": math.nan, "str": ABSENT, "bool": False}
+_ABSENT_LAYER = LayerMetrics(**{f.name: _ABSENT_CELL[f.type] for f in fields(LayerMetrics)})
+
+
 @dataclass
 class SeedResult:
     seed: int
@@ -211,13 +208,16 @@ class ProbeResult:
 def _probe(cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state, windows):
     pg = probe_grads(params, act, batch, reg)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
-    eig = top_eigenvalue(params, act, batch, reg, probe)
+    eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep)
     lam = eig.lambda_max
     lam_bar = normalized_sharpness(lam, agg_step(state, GLOBAL_SCOPE))
     reports = []
     for lid in params.layer_ids():
         g = pg.grads.segment(lid)
-        snapshot = push_and_stats(windows[lid], normalized_sharpness(lam, agg_step(state, lid)))
+        if eig.converged:
+            snapshot = push_and_stats(windows[lid], normalized_sharpness(lam, agg_step(state, lid)))
+        else:  # a solve that ran out its budget adds no sample to the window
+            snapshot = window_stats(windows[lid])
         reports.append(
             build_report(
                 lid,
@@ -230,7 +230,7 @@ def _probe(cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state,
             )
         )
     sigma_global = sum(pg.sigma_sq.values())
-    diag = diagnostics(params, pg.grads, pg.hidden_preacts)
+    diag = diagnostics(params, pg.grads, pg.sweep.preacts)
     crossed = crossing_flags(reports).crossed
     return ProbeResult(reports, lam, lam_bar, sigma_global, diag, crossed, eig.converged)
 
@@ -408,13 +408,7 @@ def _error_record(seed, task, epoch, step, err: NumericError) -> MetricRecord:
         epoch=epoch,
         step=step,
         train_accuracy=math.nan,
-        lambda_max=math.nan,
-        lambda_bar=math.nan,
-        sigma_mb_sq=math.nan,
-        weight_norm=math.nan,
-        grad_norm=math.nan,
-        grad_param_ratio=math.nan,
-        use=math.nan,
+        **dict.fromkeys(GLOBAL_FIELDS, math.nan),
         layers={},
         flags=tuple(flags),
     )
@@ -435,10 +429,6 @@ def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     return _fmt(value)
-
-
-# the cells of a layer that a record does not cover (an abort record)
-_ABSENT_LAYER = LayerMetrics(*[math.nan] * 6, decision=ABSENT, crossed=False)
 
 
 def log_columns(layer_ids: Sequence[str]) -> list[str]:

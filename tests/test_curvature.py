@@ -19,10 +19,11 @@ from trainlab.nn import (
     Layer,
     ParamSet,
     Regularizer,
-    add_scaled,
     forward,
     loss_grad,
     param_dot,
+    probe_grads,
+    sweep,
 )
 
 from conftest import (
@@ -92,12 +93,12 @@ def test_hvp_linearity():
     params = make_net(2, 6, 3, RELU, seed=3)
     batch = make_batch(2, 3, 5, seed=3)
     v = random_direction(params, 4)
-    two_v = add_scaled(v, v, 1.0)
+    two_v = v.like(v.vector + 1.0 * v.vector)
     h1 = hvp(params, RELU, batch, NONE, v).to_vector()
     h2 = hvp(params, RELU, batch, NONE, two_v).to_vector()
     assert rel_err(h2, 2.0 * h1) < 1e-3
     u = random_direction(params, 5)
-    combo = add_scaled(v, u, 0.5)
+    combo = v.like(v.vector + 0.5 * u.vector)
     hc = hvp(params, RELU, batch, NONE, combo).to_vector()
     hu = hvp(params, RELU, batch, NONE, u).to_vector()
     assert rel_err(hc, h1 + 0.5 * hu) < 1e-3
@@ -214,6 +215,21 @@ def test_top_eigenvalue_ritz_residual():
     assert res.converged
     assert res.residual <= 1e-5 * abs(res.lambda_max)
     assert abs(res.lambda_max - dense_top) <= 1e-8 * abs(dense_top)
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
+def test_top_eigenvalue_reads_a_caller_built_sweep_bit_for_bit(act, reg_kind):
+    """Given the sweep, as the runner passes the one its noise pass made, the
+    solve returns the same TopEigen as one that builds its own."""
+    params = make_net(4, 6, 3, act, seed=11)
+    batch = make_batch(4, 3, 9, seed=11)
+    reg = make_reg(reg_kind, params, perturb_seed=11)
+    probe = CurvatureProbe(power_iters=40, tol=1e-10, seed=5)
+    own = top_eigenvalue(params, act, batch, reg, probe)
+    assert own.iterations > 1
+    for base in (sweep(params, act, batch, reg), probe_grads(params, act, batch, reg).sweep):
+        assert top_eigenvalue(params, act, batch, reg, probe, base=base) == own
 
 
 @pytest.mark.parametrize("budget", [3, 100])

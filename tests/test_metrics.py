@@ -17,6 +17,7 @@ from trainlab.metrics import (
     normalized_sharpness,
     predict_lot,
     push_and_stats,
+    window_stats,
 )
 from trainlab.nn import Activation, Layer, ParamSet, forward, per_sample_grads, zeros_like
 
@@ -136,6 +137,19 @@ def test_window_single_sample_unarmed():
     assert snap.var == 0.0
     assert snap.count == 1
     assert not snap.armed
+
+
+def test_window_stats_reads_without_pushing():
+    ws = WindowStats()
+    empty = window_stats(ws)
+    assert empty == (0.0, 0.0, 0.0, 0, False)
+    cfg = BoundConfig()
+    rep = build_report("fc1", 1e-3, 1.0, 0.5, empty, 8, cfg)
+    assert not rep.armed and rep.vol == 0.0 and rep.alpha_vol_star == cfg.cap
+    for s in (0.4, 1.1, 0.7):
+        pushed = push_and_stats(ws, s)
+    assert window_stats(ws) == pushed
+    assert window_stats(ws).count == 3  # reading adds no sample
 
 
 def test_window_eviction_and_two_pass_equality(rng):

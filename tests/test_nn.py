@@ -293,8 +293,8 @@ def _short_final_batch():
 @pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
 def test_probe_grads_match_materialized_oracle(act, reg_kind):
     """Each layer's and the global variance against per_sample_grads +
-    minibatch_grad_variance at criterion 4's bound; g_bar against loss_grad;
-    the pre-activations against forward."""
+    minibatch_grad_variance at criterion 4's bound; g_bar bit for bit against
+    loss_grad (both read the same sweep); the pre-activations against forward."""
     cases = [make_batch(4, 5, B, seed=70 + B) for B in (1, 2, 17, 256)] + [_short_final_batch()]
     for batch in cases:
         params = make_net(4, 6, 5, act, seed=batch.size)
@@ -310,10 +310,11 @@ def test_probe_grads_match_materialized_oracle(act, reg_kind):
                 assert value == 0.0
             else:
                 assert value > 0.0
-        assert rel_err(pg.grads.vector, loss_grad(params, act, batch, reg).grads.vector) <= 1e-12
+        want_g = loss_grad(params, act, batch, reg).grads.vector
+        np.testing.assert_array_equal(pg.grads.vector, want_g)
         want = forward(params, act, batch).hidden_preacts
-        assert len(pg.hidden_preacts) == len(want)
-        for z, w in zip(pg.hidden_preacts, want):
+        assert len(pg.sweep.preacts) == len(want)
+        for z, w in zip(pg.sweep.preacts, want):
             np.testing.assert_array_equal(z, w)
 
 

@@ -197,8 +197,8 @@ def test_reset_contract():
     state.eta["fc1"] = 5e-4  # as if a controller had cooled it
     fresh = reset(state)
     assert fresh.t == 0
-    assert all(np.all(a == 0.0) for a in fresh.m.arrays())
-    assert all(np.all(a == 0.0) for a in fresh.v.arrays())
+    assert np.all(fresh.m.vector == 0.0)
+    assert np.all(fresh.v.vector == 0.0)
     assert fresh.eta == {"fc1": 1e-3, "fc2": 2e-3}
     with pytest.raises(StateError):
         effective_step(fresh)
@@ -230,16 +230,13 @@ def test_bias_corrected_moment_identities():
     params, state, history = two_layer_state(steps=5, seed=4)
     b1, b2 = state.beta1, state.beta2
     # recompute moments directly from the gradient history
-    m = [np.zeros_like(a) for a in state.m.arrays()]
-    v = [np.zeros_like(a) for a in state.v.arrays()]
+    m = np.zeros_like(state.m.vector)
+    v = np.zeros_like(state.v.vector)
     for g in history:
-        for i, arr in enumerate(g.arrays()):
-            m[i] = b1 * m[i] + (1 - b1) * arr
-            v[i] = b2 * v[i] + (1 - b2) * arr**2
-    for got, want in zip(state.m.arrays(), m):
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-    for got, want in zip(state.v.arrays(), v):
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        m = b1 * m + (1 - b1) * g.vector
+        v = b2 * v + (1 - b2) * g.vector**2
+    np.testing.assert_allclose(state.m.vector, m, rtol=1e-12)
+    np.testing.assert_allclose(state.v.vector, v, rtol=1e-12)
 
 
 def test_update_equals_formula_elementwise():

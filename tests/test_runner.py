@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import trainlab.curvature as curvature_mod
+import trainlab.nn as nn_mod
 import trainlab.runner as runner_mod
 from trainlab.errors import ConfigError, NumericError
 from trainlab.metrics import BoundConfig
@@ -14,6 +16,7 @@ from trainlab.runner import (
     OptimConfig,
     RunConfig,
     format_log,
+    log_columns,
     read_log,
     run,
     run_seed,
@@ -23,7 +26,7 @@ from trainlab.runner import (
 from trainlab.scheduler import ControllerConfig
 from trainlab.tasks import StreamConfig, SyntheticSource
 
-from conftest import make_batch, make_net
+from conftest import make_batch, make_net, make_reg
 
 
 def tiny_config(**kw):
@@ -237,6 +240,74 @@ def test_unconverged_probe_holds_every_layer():
     assert res.final_state.eta == {"fc1": 0.05, "fc2": 0.05}
 
 
+def _probe_inputs(cfg, reg_kind="l2"):
+    act = Activation("relu")
+    params = make_net(6, 8, 3, act, seed=2)
+    batch = make_batch(6, 3, 16, seed=2)
+    reg = make_reg(reg_kind, params, perturb_seed=2)
+    state = init_adam(params, cfg.optimizer.eta)
+    adam_step(state, params, loss_grad(params, act, batch, reg).grads)
+    return params, act, batch, reg, state
+
+
+@pytest.mark.parametrize("reg_kind", ["l2", "wasserstein"])
+def test_probe_makes_one_forward_pass_and_one_penalty_evaluation(monkeypatch, reg_kind):
+    """The noise pass, the diagnostics and every product of the eigensolve
+    read one sweep: a probe runs one forward pass and evaluates the penalty
+    once, whatever the number of products."""
+    cfg = tiny_config(power_iters=100)
+    params, act, batch, reg, state = _probe_inputs(cfg, reg_kind)
+    windows = runner_mod._fresh_windows(cfg, params.layer_ids())
+    calls = dict.fromkeys(("_forward", "regularizer_penalty"), 0)
+    products = []
+    for name in calls:
+        real = getattr(nn_mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        # every module that binds the name, so a pass made through any of them counts
+        for mod in (nn_mod, curvature_mod, runner_mod):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    real_hvp = curvature_mod.hvp
+    monkeypatch.setattr(
+        curvature_mod, "hvp", lambda *a, **kw: products.append(1) or real_hvp(*a, **kw)
+    )
+    probe = runner_mod._probe(cfg, 0, 1, params, act, batch, reg, state, windows)
+    assert probe.sharpness_converged and len(products) > 1
+    assert calls == {"_forward": 1, "regularizer_penalty": 1}
+
+
+def test_unconverged_probe_adds_no_window_sample(monkeypatch):
+    """A solve that ran out its budget leaves every window as it stands; the
+    bounds then read an empty window as unarmed, with vol 0."""
+    made = []
+
+    def capture(cfg, layer_ids, _real=runner_mod._fresh_windows):
+        made.append(_real(cfg, layer_ids))
+        return made[-1]
+
+    monkeypatch.setattr(runner_mod, "_fresh_windows", capture)
+    res = run_seed(tiny_config(mode="scheduled", interval_k=2, power_iters=1), seed=0)
+    assert not res.aborted and res.records and made
+    for windows in made:
+        for ws in windows.values():
+            assert len(ws._queue) == 0 and ws.ema_mu is None
+    for rec in res.records:
+        assert "sharpness_unconverged" in rec.flags
+        for lid, lm in rec.layers.items():
+            assert lm.vol == 0.0 and f"{lid}:unarmed" in rec.flags
+
+    cfg = tiny_config(power_iters=100)
+    params, act, batch, reg, state = _probe_inputs(cfg)
+    windows = made[-1]
+    probe = runner_mod._probe(cfg, 0, 1, params, act, batch, reg, state, windows)
+    assert probe.sharpness_converged
+    assert all(len(ws._queue) == 1 for ws in windows.values())
+
+
 def test_materialized_per_sample_oracle_is_off_the_run_path(monkeypatch):
     def oracle(*args, **kwargs):
         raise AssertionError("the per-sample oracle ran inside a run")
@@ -301,6 +372,15 @@ def test_log_write_read_roundtrip(tmp_path):
             assert row[f"{lid}.eta"] == lm.eta
             assert row[f"{lid}.crossed"] == lm.crossed
             assert row[f"{lid}.decision"] == lm.decision
+
+
+def test_log_header_is_the_record_schema():
+    """The derived column tables spell the header as it has always been."""
+    assert ",".join(log_columns(["fc1"])) == (
+        "seed,task,epoch,step,train_accuracy,lambda_max,lambda_bar,sigma_mb_sq,weight_norm,"
+        "grad_norm,grad_param_ratio,use,fc1.alpha,fc1.alpha_g_star,fc1.alpha_vol_star,"
+        "fc1.alpha_tilde_star,fc1.vol,fc1.eta,fc1.decision,fc1.crossed,flags"
+    )
 
 
 def test_write_log_byte_identical(tmp_path):
