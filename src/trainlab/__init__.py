@@ -52,7 +52,7 @@ from .runner import (
     run_seed,
     summarize,
 )
-from .scheduler import ControllerConfig, crossing_flags, decide
+from .scheduler import ControllerConfig, decide
 from .tasks import (
     MnistSource,
     StreamConfig,

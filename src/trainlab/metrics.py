@@ -10,8 +10,10 @@ combination:
     + beta * ||g||^2 * Vol
 
 where Vol = windowed variance of the normalized sharpness over its EMA mean
-(plus a small epsilon), and a Cantelli-style tail cap
-2 / (mu + sigma * sqrt((1-delta)/delta)) is reported alongside.
+(plus EPS_VOL), and a Cantelli-style tail cap
+2 / (mu + sigma * sqrt((1-delta)/delta)) is reported alongside.  Every bound
+is one ratio read through ``_ratio``: a zero denominator, a non-finite ratio
+or a ratio above CAP reads CAP and is flagged capped.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .nn import GLOBAL_SCOPE, ParamSet, param_norm
 
-DEFAULT_CAP = 1e6
+CAP = 1e6  # every bound reads at most this, so comparisons against it stay finite
+EPS_VOL = 1e-8  # keeps vol = var / (mu + EPS_VOL) finite at a zero EMA mean
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,6 @@ class BoundConfig:
     kappa: float = 1.0
     beta: float = 0.5
     delta: float = 0.1
-    cap: float = DEFAULT_CAP
 
     def __post_init__(self):
         if not self.kappa > 0.0:
@@ -43,13 +45,21 @@ class BoundConfig:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if not self.cap > 0.0:
-            raise ConfigError(f"cap must be > 0, got {self.cap}")
 
 
 class BoundValue(NamedTuple):
     value: float
     capped: bool
+
+
+def _ratio(num: float, den: float) -> BoundValue:
+    """num / den, or CAP flagged when den is zero or the ratio is non-finite or above CAP."""
+    if den == 0.0:
+        return BoundValue(CAP, True)
+    value = num / den
+    if value > CAP or not math.isfinite(value):
+        return BoundValue(CAP, True)
+    return BoundValue(value, False)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +111,6 @@ class WindowStats:
 
     capacity: int = 30
     ema_decay: float = 0.1
-    eps_vol: float = 1e-8
     ema_mu: float | None = None
     _queue: deque = field(default_factory=deque, repr=False)
 
@@ -110,8 +119,6 @@ class WindowStats:
             raise ConfigError(f"window capacity must be >= 1, got {self.capacity}")
         if not 0.0 < self.ema_decay < 1.0:
             raise ConfigError(f"ema_decay must be in (0, 1), got {self.ema_decay}")
-        if not self.eps_vol > 0.0:
-            raise ConfigError(f"eps_vol must be > 0, got {self.eps_vol}")
         self._queue = deque(self._queue, maxlen=self.capacity)
 
 
@@ -128,7 +135,7 @@ def push_and_stats(ws: WindowStats, lambda_bar: float) -> WindowSnapshot:
 def window_stats(ws: WindowStats) -> WindowSnapshot:
     """EMA mean, windowed variance and volatility of the samples pushed so far.
 
-    vol = var / (mu + eps); a nonpositive denominator with nonzero variance
+    vol = var / (mu + EPS_VOL); a nonpositive denominator with nonzero variance
     reports +inf (curvature statistics unusable at that point).  An empty
     window reads mu = var = vol = 0, count 0, unarmed.
     """
@@ -138,7 +145,7 @@ def window_stats(ws: WindowStats) -> WindowSnapshot:
         var = 0.0  # a constant queue reports exactly zero spread
     else:
         var = float(np.mean((samples - samples.mean()) ** 2))
-    denom = mu + ws.eps_vol
+    denom = mu + EPS_VOL
     if var == 0.0:
         vol = 0.0
     elif denom > 0.0:
@@ -152,43 +159,32 @@ def window_stats(ws: WindowStats) -> WindowSnapshot:
 # critical steps
 
 
-def alpha_g_star(
-    grad_sq_norm: float, sigma_ps_sq: float, B: int, cap: float = DEFAULT_CAP
-) -> BoundValue:
-    """Batch-size-aware critical step B * ||g||^2 / sigma_ps^2.
-
-    Zero measured noise returns the finite cap with the capped flag set.
-    """
+def alpha_g_star(grad_sq_norm: float, sigma_ps_sq: float, B: int) -> BoundValue:
+    """Batch-size-aware critical step B * ||g||^2 / sigma_ps^2, capped at CAP."""
     if grad_sq_norm < 0.0 or sigma_ps_sq < 0.0:
         raise ValueError("squared norms must be nonnegative")
     if B < 1:
         raise ValueError(f"batch size must be >= 1, got {B}")
-    if sigma_ps_sq == 0.0:
-        return BoundValue(cap, True)
-    return BoundValue(B * grad_sq_norm / sigma_ps_sq, False)
+    return _ratio(B * grad_sq_norm, sigma_ps_sq)
 
 
 def alpha_vol_star(vol: float, cfg: BoundConfig) -> BoundValue:
-    """Volatility-controlled critical step 1 / (kappa * Vol)."""
+    """Volatility-controlled critical step 1 / (kappa * Vol), capped at CAP.
+
+    An infinite Vol (curvature statistics unusable) gives 0, unflagged.
+    """
     if vol < 0.0:
         raise ValueError(f"vol must be nonnegative, got {vol}")
-    if vol == 0.0:
-        return BoundValue(cfg.cap, True)
-    return BoundValue(1.0 / (cfg.kappa * vol), False)
+    return _ratio(1.0, cfg.kappa * vol)
 
 
-def cantelli_cap(
-    mu: float, sigma: float, delta: float, cap: float = DEFAULT_CAP
-) -> BoundValue:
-    """Tail-probability step cap 2 / (mu + sigma * sqrt((1-delta)/delta))."""
+def cantelli_cap(mu: float, sigma: float, delta: float) -> BoundValue:
+    """Tail-probability step cap 2 / (mu + sigma * sqrt((1-delta)/delta)), capped at CAP."""
     if mu < 0.0 or sigma < 0.0:
         raise ValueError("mu and sigma must be nonnegative")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    denom = mu + sigma * math.sqrt((1.0 - delta) / delta)
-    if denom == 0.0:
-        return BoundValue(cap, True)
-    return BoundValue(2.0 / denom, False)
+    return _ratio(2.0, mu + sigma * math.sqrt((1.0 - delta) / delta))
 
 
 class CombinedBound(NamedTuple):
@@ -202,8 +198,8 @@ def combined_bound(
 ) -> CombinedBound:
     """Volatility-inflated noise proxy and the resulting critical step.
 
-    sigma~^2 = sigma_ps^2 + beta * ||g||^2 * Vol;  alpha~* = B * ||g||^2 / sigma~^2.
-    With beta = 0 this reduces exactly to alpha_g_star.
+    sigma~^2 = sigma_ps^2 + beta * ||g||^2 * Vol;  alpha~* = B * ||g||^2 / sigma~^2,
+    capped at CAP.  With beta = 0 this reduces exactly to alpha_g_star.
     """
     if grad_sq_norm < 0.0 or sigma_ps_sq < 0.0 or vol < 0.0:
         raise ValueError("inputs must be nonnegative")
@@ -211,9 +207,7 @@ def combined_bound(
         raise ValueError(f"batch size must be >= 1, got {B}")
     inflation = 0.0 if cfg.beta * grad_sq_norm == 0.0 else cfg.beta * grad_sq_norm * vol
     sigma_tilde_sq = sigma_ps_sq + inflation
-    if sigma_tilde_sq == 0.0:
-        return CombinedBound(0.0, cfg.cap, True)
-    return CombinedBound(sigma_tilde_sq, B * grad_sq_norm / sigma_tilde_sq, False)
+    return CombinedBound(sigma_tilde_sq, *_ratio(B * grad_sq_norm, sigma_tilde_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +230,14 @@ class ThresholdReport:
     armed: bool
     flags: tuple[str, ...] = ()
 
+    @property
+    def crossed(self) -> bool:
+        """Raw (unscaled by gamma) crossing alpha > alpha~* for the predictor.
 
-def _capped(value: float, cap: float, already: bool) -> tuple[float, bool]:
-    if already:
-        return value, True
-    if value > cap or not math.isfinite(value):
-        return cap, True
-    return value, False
+        Strict inequality; False while the window is unarmed or alpha~* is capped.
+        """
+        capped = "tilde_capped" in self.flags
+        return self.armed and not capped and self.alpha > self.alpha_tilde_star
 
 
 def build_report(
@@ -256,52 +251,33 @@ def build_report(
 ) -> ThresholdReport:
     """Assemble one layer's ThresholdReport from raw statistics.
 
-    All bound values are clamped to cfg.cap (flagged per bound) so downstream
-    comparisons stay finite; a negative EMA mean is clamped to zero for the
-    Cantelli denominator and flagged.
+    Every bound reads at most CAP (flagged per bound); a negative EMA mean is
+    clamped to zero for the Cantelli denominator and flagged.
     """
-    flags: list[str] = []
-    vol = window.vol if window.vol >= 0.0 else 0.0
-
-    g = alpha_g_star(grad_sq_norm, sigma_ps_sq, batch_size, cap=cfg.cap)
-    g_val, g_cap = _capped(g.value, cfg.cap, g.capped)
-    if g_cap:
-        flags.append("g_capped")
-
-    v = alpha_vol_star(vol, cfg) if math.isfinite(vol) else BoundValue(0.0, False)
-    v_val, v_cap = _capped(v.value, cfg.cap, v.capped)
-    if v_cap:
-        flags.append("vol_capped")
-
-    mu = window.mu
-    if mu < 0.0:
-        mu = 0.0
-        flags.append("mu_clamped")
-    c = cantelli_cap(mu, math.sqrt(window.var), cfg.delta, cap=cfg.cap)
-    c_val, c_cap = _capped(c.value, cfg.cap, c.capped)
-    if c_cap:
-        flags.append("cantelli_capped")
-
-    comb = combined_bound(grad_sq_norm, sigma_ps_sq, vol, batch_size, cfg)
-    t_val, t_cap = _capped(comb.alpha_tilde_star, cfg.cap, comb.capped)
-    if t_cap:
-        flags.append("tilde_capped")
-
-    if not window.armed:
-        flags.append("unarmed")
-
+    g = alpha_g_star(grad_sq_norm, sigma_ps_sq, batch_size)
+    v = alpha_vol_star(window.vol, cfg)
+    c = cantelli_cap(max(window.mu, 0.0), math.sqrt(window.var), cfg.delta)
+    comb = combined_bound(grad_sq_norm, sigma_ps_sq, window.vol, batch_size, cfg)
+    flags = (
+        ("g_capped", g.capped),
+        ("vol_capped", v.capped),
+        ("mu_clamped", window.mu < 0.0),
+        ("cantelli_capped", c.capped),
+        ("tilde_capped", comb.capped),
+        ("unarmed", not window.armed),
+    )
     return ThresholdReport(
         layer_id=layer_id,
         alpha=alpha,
-        alpha_g_star=g_val,
-        alpha_vol_star=v_val,
-        cantelli_cap=c_val,
+        alpha_g_star=g.value,
+        alpha_vol_star=v.value,
+        cantelli_cap=c.value,
         sigma_ps_sq=sigma_ps_sq,
         sigma_tilde_sq=comb.sigma_tilde_sq,
-        alpha_tilde_star=t_val,
-        vol=vol,
+        alpha_tilde_star=comb.alpha_tilde_star,
+        vol=window.vol,
         armed=window.armed,
-        flags=tuple(flags),
+        flags=tuple(name for name, on in flags if on),
     )
 
 

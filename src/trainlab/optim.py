@@ -12,6 +12,7 @@ preconditioning summaries the diagnostics are built on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +36,16 @@ class AdamState:
             self.initial_eta = dict(self.eta)
 
 
+def check_adam(etas: Iterable[float], beta1: float, beta2: float, eps: float) -> None:
+    """Raise ConfigError unless every setting of an Adam run is usable."""
+    if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
+        raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be > 0, got {eps}")
+    if any(not v > 0.0 for v in etas):
+        raise ConfigError("all per-layer learning rates must be > 0")
+
+
 def init_adam(
     params: ParamSet,
     eta: float | dict[str, float] = 1e-3,
@@ -42,16 +53,11 @@ def init_adam(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-        raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-    if not eps > 0.0:
-        raise ConfigError(f"eps must be > 0, got {eps}")
     ids = params.layer_ids()
     eta_map = {lid: float(eta) for lid in ids} if np.isscalar(eta) else dict(eta)
     if sorted(eta_map) != sorted(ids):
         raise ConfigError("per-layer learning-rate map does not match the layer ids")
-    if any(not v > 0.0 for v in eta_map.values()):
-        raise ConfigError("all per-layer learning rates must be > 0")
+    check_adam(eta_map.values(), beta1, beta2, eps)
     return AdamState(zeros_like(params), zeros_like(params), 0, beta1, beta2, eps, eta_map)
 
 

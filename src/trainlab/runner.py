@@ -1,12 +1,13 @@
 """Experiment orchestration: training loops, metric probes, log files.
 
 Runs vanilla / reset-at-task / scheduled modes over a task stream.  Metric
-probes fire at log intervals; the controller fires at its own decision
-interval in scheduled mode.  A probe makes one forward pass and one reverse
-sweep (``nn.sweep``, through ``probe_grads``), and everything it measures
-reads that sweep: the per-layer gradient variance in factored form, the
-diagnostics and every R-op product of the Lanczos solve for the top Hessian
-eigenvalue; window statistics and threshold reports follow.  When the
+probes fire at log intervals and, in scheduled mode, at the controller's own
+decision interval; every probe writes one record, so every decision is
+logged.  A probe makes one forward pass and one reverse sweep (``nn.sweep``,
+through ``probe_grads``), and everything it measures reads that sweep: the
+per-layer gradient variance in factored form, the diagnostics and every R-op
+product of the Lanczos solve for the top Hessian eigenvalue; window
+statistics and threshold reports follow.  When the
 eigensolve runs out its product budget, the record is flagged
 ``sharpness_unconverged``, its eigenvalue is kept out of the volatility
 windows (the bounds read each window as it stands) and a decision on it
@@ -51,9 +52,9 @@ from .nn import (
     loss_grad,
     probe_grads,
 )
-from .optim import AdamState, adam_step, agg_step, effective_step, init_adam, reset
+from .optim import AdamState, adam_step, agg_step, check_adam, effective_step, init_adam, reset
 from .rng import derive_seed, stream
-from .scheduler import HELD, ControllerConfig, crossing_flags, decide
+from .scheduler import HELD, ControllerConfig, decide
 from .tasks import BaseDataset, StreamConfig, batches, load_source, make_task, prepare, steps_per_epoch
 
 # Off the run path, but bound here: bench/tracing.py wraps these names in this module.
@@ -87,6 +88,9 @@ class OptimConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        check_adam([self.eta], self.beta1, self.beta2, self.eps)
+
 
 @dataclass
 class RunConfig:
@@ -101,7 +105,6 @@ class RunConfig:
     power_tol: float = 1e-6
     window: int = 30
     ema_decay: float = 0.1
-    eps_vol: float = 1e-8
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
@@ -111,8 +114,9 @@ class RunConfig:
             raise ConfigError("scheduled mode requires a controller config")
         if self.log_interval < 1:
             raise ConfigError(f"log_interval must be >= 1, got {self.log_interval}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
+        # the probe's own checks, made here so that a bad setting fails before any data loads
+        CurvatureProbe(self.power_iters, self.power_tol)
+        WindowStats(self.window, self.ema_decay)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
 
@@ -201,7 +205,6 @@ class ProbeResult:
     lambda_bar: float
     sigma_mb_sq: float
     diag: Diagnostics
-    crossed: dict[str, bool]
     sharpness_converged: bool
 
 
@@ -231,8 +234,7 @@ def _probe(cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state,
         )
     sigma_global = sum(pg.sigma_sq.values())
     diag = diagnostics(params, pg.grads, pg.sweep.preacts)
-    crossed = crossing_flags(reports).crossed
-    return ProbeResult(reports, lam, lam_bar, sigma_global, diag, crossed, eig.converged)
+    return ProbeResult(reports, lam, lam_bar, sigma_global, diag, eig.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +249,7 @@ def run(cfg: RunConfig) -> RunResult:
 
 
 def _fresh_windows(cfg: RunConfig, layer_ids) -> dict[str, WindowStats]:
-    return {
-        lid: WindowStats(capacity=cfg.window, ema_decay=cfg.ema_decay, eps_vol=cfg.eps_vol)
-        for lid in layer_ids
-    }
+    return {lid: WindowStats(capacity=cfg.window, ema_decay=cfg.ema_decay) for lid in layer_ids}
 
 
 def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> SeedResult:
@@ -295,7 +294,6 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
             ep_sum, ep_n = 0.0, 0
             for batch in batches(view, epoch, cfg.stream):
                 global_step += 1
-                is_log = global_step % cfg.log_interval == 0
                 is_decide = (
                     cfg.mode == "scheduled"
                     and global_step % cfg.controller.interval_k == 0
@@ -304,7 +302,7 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
                 try:
                     lg = loss_grad(params, act, batch, reg)
                     adam_step(state, params, lg.grads)
-                    if is_log or is_decide:
+                    if is_decide or global_step % cfg.log_interval == 0:
                         probe = _probe(
                             cfg, seed, global_step, params, act, batch, reg, state, windows
                         )
@@ -335,21 +333,20 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
                     state.eta = dec.etas
                     decision_labels = dec.labels
                     clamped = dec.clamped
-                if is_log:
-                    result.records.append(
-                        _build_record(
-                            seed,
-                            task_i,
-                            epoch,
-                            global_step,
-                            acc_sum / acc_n,
-                            probe,
-                            state,
-                            decision_labels,
-                            clamped,
-                        )
+                result.records.append(
+                    _build_record(
+                        seed,
+                        task_i,
+                        epoch,
+                        global_step,
+                        acc_sum / acc_n,
+                        probe,
+                        state,
+                        decision_labels,
+                        clamped,
                     )
-                    acc_sum, acc_n = 0.0, 0
+                )
+                acc_sum, acc_n = 0.0, 0
             if epoch == cfg.stream.epochs_per_task - 1 and ep_n > 0:
                 task_final_acc = ep_sum / ep_n
         result.per_task_accuracy.append(task_final_acc)
@@ -370,7 +367,7 @@ def _build_record(seed, task, epoch, step, train_acc, probe: ProbeResult, state,
             vol=rep.vol,
             eta=state.eta[lid],
             decision=labels.get(lid, ABSENT),
-            crossed=probe.crossed[lid],
+            crossed=rep.crossed,
         )
         flags.extend(f"{lid}:{f}" for f in rep.flags)
         if lid in clamped:

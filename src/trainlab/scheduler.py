@@ -93,24 +93,3 @@ def decide(
         new_etas[lid] = bounded
     return Decision(new_etas, labels, frozenset(clamped))
 
-
-class CrossingFlags(NamedTuple):
-    crossed: dict[str, bool]
-    degenerate: frozenset[str]
-
-
-def crossing_flags(layer_reports: Sequence[ThresholdReport]) -> CrossingFlags:
-    """Raw (unscaled by gamma) crossings alpha > alpha~* for the predictor.
-
-    Strict inequality; a layer whose bound is capped or whose window is not
-    yet armed reports False and is marked degenerate.
-    """
-    crossed: dict[str, bool] = {}
-    degenerate: set[str] = set()
-    for rep in layer_reports:
-        if not rep.armed or "tilde_capped" in rep.flags:
-            crossed[rep.layer_id] = False
-            degenerate.add(rep.layer_id)
-        else:
-            crossed[rep.layer_id] = rep.alpha > rep.alpha_tilde_star
-    return CrossingFlags(crossed, frozenset(degenerate))

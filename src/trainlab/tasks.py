@@ -39,13 +39,10 @@ class SyntheticSource:
     classes: int = 10
     seed: int = 0
     separation: float = 3.0
-    spectrum: float = 0.0  # power-law exponent of the per-dimension variances
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.classes < 2:
             raise ConfigError("synthetic source needs n >= 1, d >= 1, classes >= 2")
-        if self.spectrum < 0.0:
-            raise ConfigError(f"spectrum exponent must be >= 0, got {self.spectrum}")
 
 
 @dataclass(frozen=True)
@@ -151,20 +148,13 @@ def synthesize(src: SyntheticSource) -> RawDataset:
     """Class-conditional Gaussian clusters.
 
     Cluster means are drawn once at scale separation / sqrt(d), so the
-    expected distance between two class means is about separation * sqrt(2).
-    With spectrum > 0 the per-dimension variances follow a power law
-    (j+1)^-spectrum normalized to mean 1, concentrating variance in the
-    leading dimensions the way image pixels do; spectrum 0 is isotropic.
+    expected distance between two class means is about separation * sqrt(2);
+    the within-class noise is isotropic with unit variance.
     """
     rng = stream(src.seed, "synthetic")
     means = rng.normal(0.0, src.separation / math.sqrt(src.d), size=(src.classes, src.d))
     labels = rng.integers(0, src.classes, size=src.n)
-    noise = rng.normal(0.0, 1.0, size=(src.n, src.d))
-    if src.spectrum > 0.0:
-        scales = (1.0 + np.arange(src.d)) ** (-0.5 * src.spectrum)
-        scales *= math.sqrt(src.d / np.sum(scales**2))
-        noise *= scales
-    images = means[labels] + noise
+    images = means[labels] + rng.normal(0.0, 1.0, size=(src.n, src.d))
     return RawDataset(images, labels, src.classes)
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines as
-they complete.  The desk-scale experiment behind criteria 10 and 12 runs once
+they complete; `-m "not slow"` leaves out the desk-scale criteria 10-12.  The desk-scale experiment behind criteria 10 and 12 runs once
 in a module fixture and takes a few minutes.  Criterion 11 runs on its own
 stream: the desk stream with 2 tasks of 2400 steps instead of 6 tasks of 240,
 because learning-rate decay only appears once a task outlasts Adam's
@@ -353,6 +353,7 @@ def desk_runs():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_10_desk_scale_reproduction(desk_runs):
     vans = desk_runs["vanilla"]
     scheds = desk_runs["scheduled"]
@@ -399,6 +400,7 @@ def long_task_runs():
     return cfg, [run_seed(cfg, s, base) for s in DESK_SEEDS]
 
 
+@pytest.mark.slow
 def test_criterion_11_lr_trajectory_direction(long_task_runs):
     cfg, runs = long_task_runs
     eta0 = cfg.optimizer.eta
@@ -417,6 +419,7 @@ def test_criterion_11_lr_trajectory_direction(long_task_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_12_determinism(desk_runs):
     first = desk_runs["scheduled"][0]
     cfg = desk_config("scheduled")

@@ -84,6 +84,28 @@ def test_build_run_config_rejects_bad_types():
         build_run_config({"mode": "warp"})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("power_iters", "0"),
+        ("power_tol", "0"),
+        ("controller.window", "0"),
+        ("ema_decay", "0"),
+        ("ema_decay", "1"),
+        ("optimizer.eta", "0"),
+        ("optimizer.beta1", "1"),
+        ("optimizer.beta2", "-0.1"),
+        ("optimizer.eps", "0"),
+    ],
+)
+def test_build_run_config_rejects_bad_settings(key, value):
+    """A setting the run cannot use fails when the config is built, before any data loads."""
+    values = parse_config_text(TINY_CONFIG)
+    values[key] = value
+    with pytest.raises(ConfigError):
+        build_run_config(values)
+
+
 def test_build_run_config_seeds_list():
     cfg = build_run_config({"seeds": "3,1,2"})
     assert cfg.seeds == (3, 1, 2)
@@ -109,9 +131,9 @@ def test_config_lines_roundtrip(extra, monkeypatch):
 
 
 def test_config_accepts_exactly_the_derived_keys():
-    assert len(KEYS) == 45
+    assert len(KEYS) == 42
     assert "controller.window" in KEYS and "stream.synthetic.n" in KEYS
-    for gone in ("window", "bounds.c_contraction"):
+    for gone in ("window", "bounds.c_contraction", "bounds.cap", "eps_vol", "stream.synthetic.spectrum"):
         with pytest.raises(ConfigError):
             build_run_config({gone: "1"})
 

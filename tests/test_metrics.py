@@ -5,6 +5,7 @@ import pytest
 
 from trainlab.errors import NumericError
 from trainlab.metrics import (
+    CAP,
     BoundConfig,
     WindowStats,
     alpha_g_star,
@@ -145,7 +146,7 @@ def test_window_stats_reads_without_pushing():
     assert empty == (0.0, 0.0, 0.0, 0, False)
     cfg = BoundConfig()
     rep = build_report("fc1", 1e-3, 1.0, 0.5, empty, 8, cfg)
-    assert not rep.armed and rep.vol == 0.0 and rep.alpha_vol_star == cfg.cap
+    assert not rep.armed and rep.vol == 0.0 and rep.alpha_vol_star == CAP
     for s in (0.4, 1.1, 0.7):
         pushed = push_and_stats(ws, s)
     assert window_stats(ws) == pushed
@@ -175,6 +176,7 @@ def test_alpha_g_star_examples():
     assert alpha_g_star(1.0, 256.0, 256).value == pytest.approx(1.0)
     capped = alpha_g_star(1.0, 0.0, 8)
     assert capped.capped and capped.value == 1e6
+    assert alpha_g_star(CAP / 2, 1.0, 2) == (CAP, False)  # only a ratio above CAP is capped
     assert alpha_g_star(0.5, 64.0, 32).value == pytest.approx(0.25)
     with pytest.raises(ValueError):
         alpha_g_star(-1.0, 1.0, 4)
@@ -186,6 +188,23 @@ def test_alpha_vol_star_examples():
     assert alpha_vol_star(0.0, CFG).capped
     assert alpha_vol_star(4.0, BoundConfig(kappa=1.0)).value == pytest.approx(0.25)
     assert alpha_vol_star(0.5, BoundConfig(kappa=2.0)).value == pytest.approx(1.0)
+    # an infinite vol (a window whose EMA mean is not positive) allows no step, unflagged
+    assert alpha_vol_star(math.inf, CFG) == (0.0, False)
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda: alpha_g_star(1.0, 1e-12, 8),
+        lambda: alpha_vol_star(1e-12, CFG),
+        lambda: cantelli_cap(1e-12, 0.0, 0.5),
+        lambda: combined_bound(1.0, 1e-12, 0.0, 8, CFG)[1:],
+    ],
+    ids=["alpha_g_star", "alpha_vol_star", "cantelli_cap", "combined_bound"],
+)
+def test_bound_above_cap_reads_cap_flagged(bound):
+    """Each bound's ratio lies above CAP here (8e12, 1e12, 2e12, 8e12): it reads CAP, capped."""
+    assert tuple(bound()) == (CAP, True)
 
 
 def test_cantelli_examples():
@@ -240,7 +259,7 @@ def test_combined_bound_monotonicities():
 
 def test_combined_bound_degenerate_capped():
     comb = combined_bound(0.0, 0.0, 3.0, 4, CFG)
-    assert comb.capped and comb.alpha_tilde_star == CFG.cap
+    assert comb.capped and comb.alpha_tilde_star == CAP
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +396,8 @@ def test_build_report_unarmed_and_caps():
     assert "unarmed" in rep.flags
     assert "g_capped" in rep.flags
     assert "vol_capped" in rep.flags  # zero variance window
-    assert rep.alpha_g_star == CFG.cap
-    assert rep.alpha_tilde_star <= CFG.cap
+    assert rep.alpha_g_star == CAP
+    assert rep.alpha_tilde_star <= CAP
 
 
 def test_build_report_negative_mu_clamped():

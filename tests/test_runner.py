@@ -88,6 +88,16 @@ def test_vanilla_run_holds_eta_and_decisions():
     assert [r.step for r in res.records] == [2, 4, 6, 8, 10, 12]
 
 
+def test_every_decision_is_logged():
+    """A decision probe between log steps writes its record too."""
+    cfg = tiny_config(mode="scheduled", interval_k=2, log_interval=4, power_iters=100)
+    res = run_seed(cfg, seed=0)
+    assert not res.aborted
+    assert [r.step for r in res.records] == [2, 4, 6, 8, 10, 12]
+    for rec in res.records:
+        assert all(lm.decision != "-" for lm in rec.layers.values())
+
+
 def test_reset_mode_replays_fresh_state():
     # ns=0 keeps labels identical across tasks; full-batch epochs make the
     # per-(task, epoch) shuffles differ only by summation order

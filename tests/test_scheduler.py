@@ -9,8 +9,6 @@ from trainlab.scheduler import (
     HELD,
     WARMED,
     ControllerConfig,
-    CrossingFlags,
-    crossing_flags,
     decide,
 )
 
@@ -137,26 +135,21 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# crossing flags
+# the crossing test on the report
 
 
 def test_crossing_strict_inequality():
-    flags = crossing_flags([report(alpha=0.1875, safe=0.1875)])
-    assert flags.crossed == {"fc1": False}
+    assert not report(alpha=0.1875, safe=0.1875).crossed
 
 
 def test_crossing_capped_or_unarmed_false_with_flag():
-    flags = crossing_flags(
-        [
-            report("fc1", alpha=9.0, safe=1.0, flags=("tilde_capped",)),
-            report("fc2", alpha=9.0, safe=1.0, armed=False),
-            report("fc3", alpha=9.0, safe=1.0),
-        ]
-    )
-    assert flags.crossed == {"fc1": False, "fc2": False, "fc3": True}
-    assert flags.degenerate == frozenset({"fc1", "fc2"})
+    reports = [
+        report("fc1", alpha=9.0, safe=1.0, flags=("tilde_capped",)),
+        report("fc2", alpha=9.0, safe=1.0, armed=False),
+        report("fc3", alpha=9.0, safe=1.0),
+    ]
+    assert {r.layer_id: r.crossed for r in reports} == {"fc1": False, "fc2": False, "fc3": True}
 
 
 def test_crossing_direct_comparison():
-    flags = crossing_flags([report(alpha=0.3, safe=0.2)])
-    assert flags == CrossingFlags({"fc1": True}, frozenset())
+    assert report(alpha=0.3, safe=0.2).crossed is True
