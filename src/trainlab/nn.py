@@ -96,6 +96,10 @@ class ParamSet:
     def layer_ids(self) -> list[str]:
         return list(self._segments)
 
+    def slices(self) -> dict[str, slice]:
+        """Each layer id with the slice of the flat layout that its layer owns."""
+        return dict(self._segments)
+
     def segment(self, scope: str = GLOBAL_SCOPE) -> np.ndarray:
         """The whole vector, or one layer's segment of it (a view either way)."""
         if scope == GLOBAL_SCOPE:
@@ -252,6 +256,12 @@ def wasserstein_penalty(current: np.ndarray, init: np.ndarray) -> tuple[float, n
     value = (1/n) * sum_k (sort(current)_k - sort(init)_k)^2, gradient routed
     back through the sorting permutation of ``current``.  Zero iff the two
     multisets of entries coincide.
+
+    Tie policy: entries of ``current`` that compare equal (``inf`` pairs and
+    ``-0.0``/``0.0`` included) keep their index order in the permutation, as
+    a stable sort leaves them.  Without ties every sort gives that same
+    permutation, so the fast default sort is used and the stable one is run
+    only when a tie is found.
     """
     if current.shape != init.shape:
         raise ConfigError(f"shape mismatch {current.shape} vs {init.shape}")
@@ -261,10 +271,14 @@ def wasserstein_penalty(current: np.ndarray, init: np.ndarray) -> tuple[float, n
 def _wasserstein_to_sorted(current: np.ndarray, init_sorted: np.ndarray):
     flat = current.ravel()
     n = flat.size
-    order = np.argsort(flat, kind="stable")
-    diffs = flat[order] - init_sorted
+    order = np.argsort(flat)
+    ranked = flat[order]
+    if not np.all(ranked[1:] > ranked[:-1]):  # a tie (or a NaN): order it by index
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+    diffs = ranked - init_sorted
     value = float(np.mean(diffs**2))
-    grad_flat = np.zeros_like(flat)
+    grad_flat = np.empty_like(flat)  # every entry is written: order is a permutation
     grad_flat[order] = (2.0 / n) * diffs
     return value, grad_flat.reshape(current.shape)
 

@@ -30,6 +30,8 @@ class AdamState:
     eps: float
     eta: dict[str, float]
     initial_eta: dict[str, float] = field(default_factory=dict)
+    # two n_params scratch rows for adam_step, made on its first call
+    work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.initial_eta:
@@ -66,22 +68,33 @@ def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
 
     L2 decay is not applied here; weight decay enters through the loss
     gradient.  Mutates ``state`` and ``params`` in place and returns them.
+    The update is eta * m_hat / (sqrt(v_hat) + eps), evaluated in that
+    order in two scratch rows kept on ``state``, so the update allocates no
+    parameter-sized array.
     """
     g = grads.vector
     if not np.all(np.isfinite(g)):
         bad = next(lid for lid in grads.layer_ids() if not np.all(np.isfinite(grads.segment(lid))))
         raise NumericError("non-finite gradient", layer_id=bad)
+    if state.work is None:
+        state.work = np.empty((2, g.size))
+    step, denom = state.work
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     m, v = state.m.vector, state.v.vector
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += np.multiply(g, 1.0 - state.beta1, out=step)
     v *= state.beta2
-    v += (1.0 - state.beta2) * g**2
-    m_hat = m / bc1
-    v_hat = v / bc2
-    params.vector -= params.per_entry(state.eta) * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.square(g, out=step)
+    v += np.multiply(step, 1.0 - state.beta2, out=step)
+    np.divide(m, bc1, out=step)  # m_hat
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += state.eps
+    for lid, seg in params.slices().items():
+        step[seg] *= state.eta[lid]
+    step /= denom
+    params.vector -= step
     return state, params
 
 

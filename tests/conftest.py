@@ -80,6 +80,39 @@ def fd_hvp(params, act, batch, reg, v, h):
     return (up - down) / (2.0 * h)
 
 
+def stable_wasserstein_to_sorted(current, init_sorted):
+    """The Wasserstein penalty through one stable argsort on every call: the
+    reference for ``nn._wasserstein_to_sorted``, whose fast sort must give the
+    same value, gradient and gradient signs (ties ordered by index)."""
+    flat = current.ravel()
+    n = flat.size
+    order = np.argsort(flat, kind="stable")
+    diffs = flat[order] - init_sorted
+    value = float(np.mean(diffs**2))
+    grad_flat = np.zeros_like(flat)
+    grad_flat[order] = (2.0 / n) * diffs
+    return value, grad_flat.reshape(current.shape)
+
+
+def reference_adam_step(state, params, grads):
+    """Adam with every intermediate a fresh array and the per-layer LRs
+    repeated over their entries: the reference for ``optim.adam_step``.
+    Skips the finite check and the scratch rows."""
+    g = grads.vector
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    m, v = state.m.vector, state.v.vector
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g**2
+    m_hat = m / bc1
+    v_hat = v / bc2
+    params.vector -= params.per_entry(state.eta) * m_hat / (np.sqrt(v_hat) + state.eps)
+    return state, params
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -3,6 +3,7 @@ import pytest
 
 from trainlab.errors import ConfigError
 from trainlab.metrics import minibatch_grad_variance
+from trainlab import nn
 from trainlab.nn import (
     Activation,
     Batch,
@@ -21,7 +22,15 @@ from trainlab.nn import (
 )
 from trainlab.tasks import StreamConfig, SyntheticSource, batches, load_source, make_task, prepare
 
-from conftest import ACTIVATIONS, fd_gradient, make_batch, make_net, make_reg, rel_err
+from conftest import (
+    ACTIVATIONS,
+    fd_gradient,
+    make_batch,
+    make_net,
+    make_reg,
+    rel_err,
+    stable_wasserstein_to_sorted,
+)
 
 NONE = Regularizer("none")
 
@@ -226,6 +235,58 @@ def test_regularizer_presorted_snapshot_matches_per_call_penalty():
         np.testing.assert_array_equal(g.weights, reg.lam * gw)
         np.testing.assert_array_equal(g.bias, 0.0)
     assert value == want_value
+
+
+def _tie_cases():
+    rng = np.random.default_rng(31)
+    signed_zeros = np.where(rng.random(256) < 0.5, -0.0, 0.0)
+    signed_zeros[::7] = rng.normal(size=signed_zeros[::7].size)
+    with_inf = rng.normal(size=300)
+    with_inf[[3, 50, 120]] = np.inf
+    with_inf[[7, 200]] = -np.inf
+    return {
+        "random_64x512": (rng.normal(size=(64, 512)), rng.normal(size=64 * 512)),
+        "rounded_ties": (np.round(rng.normal(size=(40, 50)), 1), rng.normal(size=2000)),
+        "signed_zeros": (signed_zeros.reshape(16, 16), rng.permutation(signed_zeros)),
+        "duplicated_inf": (with_inf.reshape(10, 30), rng.normal(size=300)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_tie_cases()))
+def test_wasserstein_matches_stable_sort_reference(case):
+    current, init = _tie_cases()[case]
+    init_sorted = np.sort(init, kind="stable")
+    value, grad = nn._wasserstein_to_sorted(current, init_sorted)
+    want_value, want_grad = stable_wasserstein_to_sorted(current, init_sorted)
+    assert value == want_value
+    np.testing.assert_array_equal(grad, want_grad)
+    np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))
+
+
+def _count_argsort_kinds(monkeypatch):
+    kinds = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    return kinds
+
+
+def test_wasserstein_stable_sort_only_on_ties(monkeypatch):
+    params = make_net(8, [16, 16], 4, Activation("crelu"), seed=6)
+    reg = make_reg("wasserstein", params, lam=0.5, perturb_seed=7)
+    kinds = _count_argsort_kinds(monkeypatch)
+    regularizer_penalty(params, reg)
+    assert len(kinds) == len(params.layers)
+    assert "stable" not in kinds
+    kinds.clear()
+    w = params.layers[1].weights
+    w[0, 1] = w[3, 2]  # one tie, in one layer
+    regularizer_penalty(params, reg)
+    assert kinds.count("stable") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from trainlab import nn
 from trainlab.errors import ConfigError, NumericError, StateError
-from trainlab.nn import Layer, ParamSet
+from trainlab.nn import Activation, Layer, ParamSet, loss_grad
 from trainlab.optim import adam_step, agg_step, effective_step, init_adam, reset
+
+from conftest import (
+    make_batch,
+    make_net,
+    make_reg,
+    reference_adam_step,
+    stable_wasserstein_to_sorted,
+)
 
 
 def scalar_param(w0=1.0):
@@ -264,3 +273,36 @@ def test_determinism_bitwise():
     b = two_layer_state(steps=6, seed=21)
     np.testing.assert_array_equal(a[0].to_vector(), b[0].to_vector())
     np.testing.assert_array_equal(a[1].v.to_vector(), b[1].v.to_vector())
+
+
+# ---------------------------------------------------------------------------
+# whole training steps against the reference step
+
+
+@pytest.mark.parametrize("act_kind, reg_kind", [("crelu", "wasserstein"), ("relu", "l2")])
+def test_training_trajectory_matches_reference_step(monkeypatch, act_kind, reg_kind):
+    """50 steps of loss_grad + adam_step, bit for bit against the stable-sort
+    penalty and the reference Adam, through a per-layer LR rebind (as the
+    controller makes) and an optimizer reset."""
+    act = Activation(act_kind)
+    params = make_net(12, [16, 16], 4, act, seed=3)
+    reg = make_reg(reg_kind, params, lam=0.1, perturb_seed=4)
+    ref_params = params.copy()
+    state = init_adam(params, eta=1e-2)
+    ref_state = init_adam(ref_params, eta=1e-2)
+    for step in range(50):
+        if step == 20:
+            etas = {"fc1": 2e-2, "fc2": 5e-3, "fc3": 1e-2}
+            state.eta, ref_state.eta = dict(etas), dict(etas)
+        if step == 35:
+            state, ref_state = reset(state), reset(ref_state)
+        batch = make_batch(12, 4, 32, seed=step)
+        adam_step(state, params, loss_grad(params, act, batch, reg).grads)
+        with monkeypatch.context() as mp:
+            mp.setattr(nn, "_wasserstein_to_sorted", stable_wasserstein_to_sorted)
+            ref_grads = loss_grad(ref_params, act, batch, reg).grads
+        reference_adam_step(ref_state, ref_params, ref_grads)
+        np.testing.assert_array_equal(params.vector, ref_params.vector)
+        np.testing.assert_array_equal(state.m.vector, ref_state.m.vector)
+        np.testing.assert_array_equal(state.v.vector, ref_state.v.vector)
+    assert state.t == ref_state.t == 15
