@@ -17,17 +17,25 @@ The top eigenvalue comes from a Lanczos three-term recurrence that stores
 no basis (Ghorbani et al., arXiv:1901.10159).  After each product it takes
 the largest-magnitude Ritz value of the tridiagonal matrix, keeping its
 sign, and stops once that value's residual is small relative to it.
+
+The first layer sees the data only through the batch ``X`` (B x d).  When
+d > B, its directions with ``X dW^T = 0`` are eigenvectors of eigenvalue
+``c1``, the layer's penalty curvature, and ``H`` maps the rest of the
+space into itself.  The solve then runs in that rest, the batch's row
+space (``row_space``): from ``X^T = QR``, the first layer's weights become
+``(out, B)`` and its input ``R^T``, so the first layer's share of a product
+costs B x B x out instead of B x d x out, exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, NumericError
+from .errors import CapacityError, ConfigError
 from .nn import (
     Activation,
     Batch,
@@ -37,6 +45,7 @@ from .nn import (
     Sweep,
     _act_backward,
     _act_tangent,
+    check_finite,
     sweep,
 )
 
@@ -82,7 +91,11 @@ def hvp(
     """H @ v for the Hessian of the full (loss + regularizer) objective.
 
     ``base`` is ``nn.sweep(params, act, batch, reg)``, built here when not
-    given; callers making many products at one point pass it in.
+    given; callers making many products at one point pass it in.  The
+    product takes its layout from ``v``; it reads the first layer's weights
+    only for that layer's penalty curvature, so a ``base`` whose first-layer
+    input is ``R^T`` and a ``v`` whose first-layer block is ``(out, B)`` give
+    the product in the batch's row space (see ``row_space``).
     """
     if not np.any(v.vector):
         raise ValueError("hvp probe vector must be nonzero")
@@ -101,7 +114,7 @@ def hvp(
     p = base.probs
     rd = p * (rz - np.sum(p * rz, axis=1, keepdims=True)) / p.shape[0]
     # R-backward: phi'' = 0, so each layer's output-gradient tangent is linear in rd
-    out = params.like(np.empty(params.n_params))
+    out = v.like(np.empty(v.n_params))
     for i in range(last, -1, -1):
         lay, dv, o = params.layers[i], v.layers[i], out.layers[i]
         np.matmul(rd.T, base.layer_inputs[i], out=o.weights)
@@ -114,8 +127,7 @@ def hvp(
         if i > 0:
             r_dx = rd @ lay.weights + base.out_grads[i] @ dv.weights
             rd = _act_backward(act, base.preacts[i - 1], r_dx)
-    if not np.all(np.isfinite(out.vector)):
-        raise NumericError("non-finite Hessian-vector product")
+    check_finite(out, "non-finite Hessian-vector product")
     return out
 
 
@@ -133,6 +145,24 @@ def _top_ritz(alphas: list[float], betas: list[float]) -> tuple[float, float]:
     evals, evecs = np.linalg.eigh(T)
     j = int(np.argmax(np.abs(evals)))
     return float(evals[j]), float(evecs[-1, j])
+
+
+def row_space(params: ParamSet, base: Sweep) -> tuple[ParamSet, Sweep]:
+    """Coordinates of the batch's row space for the first layer.
+
+    With the batch ``X`` (B x d) factored once as ``X^T = QR``, a first-layer
+    direction ``N Q^T`` (``N`` is ``(out, B)``) enters the loss only through
+    ``X Q N^T = R^T N^T``.  Returns a layout whose first-layer weights are
+    ``(out, B)`` (its values unused) and ``base`` with ``R^T`` as the first
+    layer's input; ``hvp`` over the two maps ``(N, rest)`` to the first-layer
+    block ``M`` and the rest of ``H (N Q^T, rest)``, whose first-layer block
+    is ``M Q^T``.  Only ``R`` is computed.
+    """
+    first = params.layers[0]
+    r = np.linalg.qr(base.layer_inputs[0].T, mode="r")
+    first_row = Layer(first.layer_id, np.zeros((first.weights.shape[0], r.shape[0])), first.bias)
+    layout = ParamSet([first_row] + params.layers[1:])
+    return layout, replace(base, layer_inputs=[r.T] + base.layer_inputs[1:])
 
 
 def top_eigenvalue(
@@ -155,19 +185,31 @@ def top_eigenvalue(
     tolerance on the eigenvalue.  Only the last two Lanczos vectors are kept.
     Every product reads ``base`` (``nn.sweep`` at ``params``), built here
     when not given.
+
+    When the first layer's input width d exceeds the batch size B, the
+    recurrence runs in ``row_space`` coordinates, where the first layer's
+    products cost B x B x out instead of B x d x out, and the start vector
+    is drawn there.  The first-layer directions it leaves out (those with
+    ``X dW^T = 0``) are eigenvectors with eigenvalue ``c1``, that layer's
+    penalty curvature, so theta is returned unless ``|theta| < c1``, and
+    then ``c1`` with residual 0.
     """
     if base is None:
         base = sweep(params, act, batch, reg)
+    layout, c1 = params, 0.0
+    if base.layer_inputs[0].shape[1] > base.layer_inputs[0].shape[0]:
+        layout, base = row_space(params, base)
+        c1 = _penalty_curvature(reg, params.layers[0])
     stop = math.sqrt(probe.tol)
     rng = np.random.default_rng(probe.seed)
-    v = rng.standard_normal(params.n_params)
+    v = rng.standard_normal(layout.n_params)
     v /= np.linalg.norm(v)
     v_prev = np.zeros_like(v)
     alphas: list[float] = []
     betas: list[float] = []
     beta = 0.0
     for k in range(1, probe.power_iters + 1):
-        w = hvp(params, act, batch, reg, params.like(v), base).vector
+        w = hvp(params, act, batch, reg, layout.like(v), base).vector
         alpha = float(v @ w)
         w -= alpha * v
         w -= beta * v_prev
@@ -175,12 +217,15 @@ def top_eigenvalue(
         alphas.append(alpha)
         theta, s_last = _top_ritz(alphas, betas)
         residual = abs(beta * s_last)
-        if beta == 0.0 or residual <= stop * abs(theta):
-            return TopEigen(theta, True, k, residual)
+        converged = beta == 0.0 or residual <= stop * abs(theta)
+        if converged:
+            break
         betas.append(beta)
         w /= beta
         v_prev, v = v, w
-    return TopEigen(theta, False, probe.power_iters, residual)
+    if abs(theta) < c1:
+        return TopEigen(c1, converged, k, 0.0)
+    return TopEigen(theta, converged, k, residual)
 
 
 def exact_hessian(

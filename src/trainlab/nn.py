@@ -1,14 +1,16 @@
 """Dense MLP with explicit forward/backward passes.
 
 All gradients are computed by hand (no autodiff framework).  ``sweep`` is
-the one reverse pass: the forward pass, the loss with its finite check, the
-penalty gradient and each layer's output gradient, last layer first.  The
-batch gradient (``loss_grad``), the probe's per-layer gradient noise
-(``probe_grads``) and every R-op Hessian-vector product
-(``curvature.hvp``) are built from it, so a probe runs it once.  The noise
-is in factored form: a dense layer's per-sample gradient is the outer
-product of its output gradient and its input, so each layer's per-sample
-variance needs only those B rows, never a B x n_params tensor.
+the one reverse pass: the forward pass, each layer's output gradient (last
+layer first) and the batch gradient, each layer's ``d^T x`` written
+straight into one buffer and the penalty's gradient then added in place,
+with the loss's finite check.  The batch gradient (``loss_grad``), the
+probe's per-layer gradient noise (``probe_grads``) and every R-op
+Hessian-vector product (``curvature.hvp``) are built from it, so a probe
+runs it once.  The noise is in factored form: a dense layer's per-sample
+gradient is the outer product of its output gradient and its input, so
+each layer's per-sample variance needs only those B rows, never a
+B x n_params tensor.
 Materialized per-sample gradients (``per_sample_grads``, ``mean_params``)
 are kept as test oracles for it and are not on the run path.
 
@@ -147,6 +149,22 @@ def param_norm(ps: ParamSet) -> float:
     return float(np.linalg.norm(ps.vector))
 
 
+def check_finite(ps: ParamSet, message: str) -> None:
+    """Raise NumericError(message) naming the first layer of ``ps`` that holds
+    a non-finite entry.
+
+    One dot product clears the common case: ``v . v`` is finite whenever
+    every entry is, and only when it is not (a non-finite entry, or finite
+    entries large enough to overflow it) are the layers scanned.
+    """
+    v = ps.vector
+    if np.isfinite(np.dot(v, v)):
+        return
+    for lid in ps.layer_ids():
+        if not np.all(np.isfinite(ps.segment(lid))):
+            raise NumericError(message, layer_id=lid)
+
+
 def mean_params(grads: Sequence[ParamSet]) -> ParamSet:
     """Arithmetic mean of a list of ParamSet-shaped values."""
     if not grads:
@@ -283,9 +301,15 @@ def _wasserstein_to_sorted(current: np.ndarray, init_sorted: np.ndarray):
     return value, grad_flat.reshape(current.shape)
 
 
-def regularizer_penalty(params: ParamSet, reg: Regularizer) -> tuple[float, ParamSet]:
-    """Penalty value and its exact gradient (weights only; biases unpenalized)."""
-    grads = zeros_like(params)
+def regularizer_penalty(
+    params: ParamSet, reg: Regularizer, out: ParamSet | None = None
+) -> tuple[float, ParamSet]:
+    """Penalty value and its exact gradient (weights only; biases unpenalized).
+
+    The gradient is added in place into ``out`` (a fresh zero ParamSet when
+    not given), which is returned.
+    """
+    grads = zeros_like(params) if out is None else out
     if reg.kind == "none" or reg.lam == 0.0:
         return 0.0, grads
     value = 0.0
@@ -435,23 +459,15 @@ class Sweep:
     layer_inputs: list[np.ndarray]  # (B, in) per layer
     preacts: list[np.ndarray]  # (B, width) per hidden layer
     out_grads: list[np.ndarray]  # (B, out) per layer: dL/d(its output), 1/B included
-    penalty_grads: ParamSet
+    grads: ParamSet  # the batch gradient, penalty included
 
 
-def sweep(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> Sweep:
-    """Forward pass, loss, penalty gradient and the reverse sweep of each
-    layer's output gradient, last layer first.
-
-    Raises NumericError on a non-finite loss.
-    """
+def _reverse_sweep(params: ParamSet, act: Activation, batch: Batch) -> Sweep:
+    """The forward pass, each layer's output gradient (last layer first) and
+    the data loss's batch gradient, ``d^T x`` written straight into one
+    buffer.  The penalty is not in ``loss`` or ``grads`` yet."""
     logits, preacts, layer_inputs = _forward(params, act, batch.inputs)
     losses, probs = _softmax_stats(logits, batch.labels)
-    reg_value, reg_grads = regularizer_penalty(params, reg)
-    loss = float(np.mean(losses)) + reg_value
-    if not np.isfinite(loss):
-        raise NumericError(
-            f"non-finite loss {loss}", layer_id=_first_nonfinite_layer(params, preacts, logits)
-        )
     B = batch.size
     d = probs.copy()  # the mean cross-entropy's slope (softmax - one-hot) / B
     d[np.arange(B), batch.labels] -= 1.0
@@ -460,16 +476,34 @@ def sweep(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> 
     for i in range(len(params.layers) - 1, 0, -1):
         d = _act_backward(act, preacts[i - 1], d @ params.layers[i].weights)
         out_grads.insert(0, d)
-    return Sweep(loss, logits, probs, layer_inputs, preacts, out_grads, reg_grads)
+    grads = params.like(np.empty(params.n_params))
+    for x, d, g in zip(layer_inputs, out_grads, grads.layers):
+        np.matmul(d.T, x, out=g.weights)
+        np.sum(d, axis=0, out=g.bias)
+    return Sweep(float(np.mean(losses)), logits, probs, layer_inputs, preacts, out_grads, grads)
 
 
-def _data_grads(params: ParamSet, sw: Sweep) -> ParamSet:
-    """The batch gradient of the data loss (no penalty): ``d^T x`` per layer."""
-    grads = zeros_like(params)
-    for x, d, g in zip(sw.layer_inputs, sw.out_grads, grads.layers):
-        g.weights += d.T @ x
-        g.bias += d.sum(axis=0)
-    return grads
+def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep) -> None:
+    """Adds the penalty to ``sw.loss`` and its gradient to ``sw.grads`` in
+    place; raises NumericError on a non-finite loss."""
+    reg_value, _ = regularizer_penalty(params, reg, out=sw.grads)
+    sw.loss += reg_value
+    if not np.isfinite(sw.loss):
+        raise NumericError(
+            f"non-finite loss {sw.loss}",
+            layer_id=_first_nonfinite_layer(params, sw.preacts, sw.logits),
+        )
+
+
+def sweep(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> Sweep:
+    """Forward pass, the reverse sweep of each layer's output gradient, and
+    the loss with its batch gradient, penalty included.
+
+    Raises NumericError on a non-finite loss.
+    """
+    sw = _reverse_sweep(params, act, batch)
+    _add_penalty(params, reg, sw)
+    return sw
 
 
 @dataclass
@@ -482,9 +516,7 @@ class LossGrad:
 def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> LossGrad:
     """Mean cross-entropy plus regularizer penalty, with its exact gradient."""
     sw = sweep(params, act, batch, reg)
-    grads = _data_grads(params, sw)
-    grads.vector += sw.penalty_grads.vector
-    return LossGrad(sw.loss, grads, sw.logits)
+    return LossGrad(sw.loss, sw.grads, sw.logits)
 
 
 @dataclass
@@ -503,23 +535,23 @@ def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularize
     ``||g_i||^2 = ||d_i||^2 (||x_i||^2 + 1)`` and the layer's variance is
     ``(1/B) sum_i ||g_i||^2 - ||g_bar||^2``.  The penalty adds the same vector
     to every ``g_i`` and cancels from the variance; ``g_bar`` in that formula
-    is the data part alone.  This equals ``minibatch_grad_variance`` over
-    ``per_sample_grads`` up to a relative rounding error of about
-    eps * (1 + alpha_g* / B).  A single sample gives exactly 0, and a
-    negative rounding result is clamped to 0.  Memory is O(B * width).
+    is the data part alone, read before the penalty is added.  This equals
+    ``minibatch_grad_variance`` over ``per_sample_grads`` up to a relative
+    rounding error of about eps * (1 + alpha_g* / B).  A single sample gives
+    exactly 0, and a negative rounding result is clamped to 0.  Memory is
+    O(B * width).
     """
-    sw = sweep(params, act, batch, reg)
-    grads = _data_grads(params, sw)
+    sw = _reverse_sweep(params, act, batch)
     B = batch.size
     sigma_sq = {}
     for lid, x, d in zip(params.layer_ids(), sw.layer_inputs, sw.out_grads):
         # d holds d_i / B, so (1/B) sum_i ||g_i||^2 = B * sum_i ||d||^2 (||x_i||^2 + 1)
         x_sq = np.einsum("bi,bi->b", x, x) + 1.0
         mean_sq = B * float(np.einsum("bo,bo->b", d, d) @ x_sq)
-        g = grads.segment(lid)
+        g = sw.grads.segment(lid)
         sigma_sq[lid] = 0.0 if B == 1 else max(mean_sq - float(np.vdot(g, g)), 0.0)
-    grads.vector += sw.penalty_grads.vector
-    return ProbeGrads(grads, sigma_sq, sw)
+    _add_penalty(params, reg, sw)
+    return ProbeGrads(sw.grads, sigma_sq, sw)
 
 
 def per_sample_grads(

@@ -16,8 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StateError
-from .nn import GLOBAL_SCOPE, ParamSet, zeros_like
+from .errors import ConfigError, StateError
+from .nn import GLOBAL_SCOPE, ParamSet, check_finite, zeros_like
 
 
 @dataclass
@@ -72,10 +72,8 @@ def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
     order in two scratch rows kept on ``state``, so the update allocates no
     parameter-sized array.
     """
+    check_finite(grads, "non-finite gradient")
     g = grads.vector
-    if not np.all(np.isfinite(g)):
-        bad = next(lid for lid in grads.layer_ids() if not np.all(np.isfinite(grads.segment(lid))))
-        raise NumericError("non-finite gradient", layer_id=bad)
     if state.work is None:
         state.work = np.empty((2, g.size))
     step, denom = state.work

@@ -12,7 +12,7 @@ from trainlab.curvature import (
     hvp,
     top_eigenvalue,
 )
-from trainlab.errors import CapacityError
+from trainlab.errors import CapacityError, NumericError
 from trainlab.nn import (
     Activation,
     Batch,
@@ -269,6 +269,124 @@ def test_top_eigenvalue_stores_no_basis():
     print(f"{res.iterations} products, peak {peak / vector_bytes:.1f} parameter vectors")
     assert res.iterations > 16
     assert peak < 16 * vector_bytes
+
+
+# ---------------------------------------------------------------------------
+# the first layer in the batch's row space (input width d > batch size B)
+
+WIDE_D, WIDE_B = 9, 5
+
+
+def wide_net(act, reg_kind, seed):
+    params = make_net(WIDE_D, 6, 3, act, seed=seed)
+    batch = make_batch(WIDE_D, 3, WIDE_B, seed=seed)
+    return params, batch, make_reg(reg_kind, params, perturb_seed=seed)
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
+def test_row_space_top_eigenvalue_matches_dense_eig(act, reg_kind):
+    params, batch, reg = wide_net(act, reg_kind, seed=31)
+    eigs = np.linalg.eigvalsh(exact_hessian(params, act, batch, reg))
+    dense_top = eigs[np.argmax(np.abs(eigs))]
+    res = top_eigenvalue(params, act, batch, reg, CurvatureProbe(power_iters=300, tol=1e-16, seed=4))
+    assert res.converged
+    assert abs(res.lambda_max - dense_top) <= 1e-8 * abs(dense_top)
+
+
+def _lift(params, v_row, q):
+    """The full-space direction whose first-layer block is N Q^T."""
+    first = v_row.layers[0].weights @ q.T
+    return params.like(np.concatenate([first.ravel(), v_row.vector[v_row.layers[0].weights.size :]]))
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
+def test_row_space_product_is_the_full_product(act, reg_kind):
+    """With the first-layer block of v written as N Q^T (X^T = QR, reduced),
+    the row-space product, its first-layer block times Q^T, is H v."""
+    params, batch, reg = wide_net(act, reg_kind, seed=32)
+    base = sweep(params, act, batch, reg)
+    layout, row_base = curvature_mod.row_space(params, base)
+    q, r = np.linalg.qr(batch.inputs.T)
+    np.testing.assert_array_equal(row_base.layer_inputs[0], r.T)
+    assert layout.layers[0].weights.shape == (6, WIDE_B)
+    rng = np.random.default_rng(32)
+    for _ in range(3):
+        v_row = layout.like(rng.standard_normal(layout.n_params))
+        got = hvp(params, act, batch, reg, v_row, row_base)
+        want = hvp(params, act, batch, reg, _lift(params, v_row, q), base).vector
+        assert rel_err(_lift(params, got, q).vector, want) <= 1e-12
+
+
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
+def test_direction_orthogonal_to_the_batch_is_a_penalty_eigenvector(reg_kind):
+    """A first-layer direction P with X P^T = 0 (zero elsewhere) gives
+    H v = c1 v: 2 lam for L2, 2 lam / n for the Wasserstein penalty of the
+    n-entry first layer, 0 without a penalty."""
+    act = Activation("relu")
+    params, batch, reg = wide_net(act, reg_kind, seed=33)
+    q, _ = np.linalg.qr(batch.inputs.T)
+    rng = np.random.default_rng(33)
+    first = params.layers[0].weights
+    p = rng.standard_normal(first.shape)
+    p -= (p @ q) @ q.T
+    assert np.max(np.abs(batch.inputs @ p.T)) <= 1e-12
+    v = params.like(np.zeros(params.n_params))
+    v.layers[0].weights[...] = p
+    c1 = {"none": 0.0, "l2": 2.0 * reg.lam, "wasserstein": 2.0 * reg.lam / first.size}[reg_kind]
+    got = hvp(params, act, batch, reg, v).vector
+    assert np.linalg.norm(got - c1 * v.vector) <= 1e-12 * np.linalg.norm(v.vector)
+
+
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
+def test_complement_eigenvalue_guard(reg_kind):
+    """On a saturated net the data Hessian is zero, so the row-space operator
+    is c1 on the first layer's weights and zero on its biases.  A one-product
+    solve's Ritz value c1 ||v_w||^2 is below c1; the complement's eigenvalue
+    c1 is returned (exact, residual 0).  Without a penalty c1 is 0 and the
+    Ritz value stands."""
+    params = ParamSet([Layer("fc1", np.zeros((2, 3)), np.array([1000.0, -1000.0]))])
+    batch = Batch(np.ones((2, 3)), np.array([0, 0]))
+    reg = make_reg(reg_kind, params, lam=0.25)
+    res = top_eigenvalue(params, LIN, batch, reg, CurvatureProbe(power_iters=1, seed=2))
+    c1 = {"none": 0.0, "l2": 0.5, "wasserstein": 0.5 / 6}[reg_kind]
+    assert res.iterations == 1
+    assert res.converged == (c1 == 0.0)  # a zero operator is an invariant subspace at once
+    assert res.lambda_max == c1
+    if c1 > 0.0:
+        assert res.residual == 0.0
+
+
+@pytest.mark.parametrize("d, shape", [(WIDE_D, (6, WIDE_B)), (4, (6, 4))])
+def test_every_product_is_made_in_the_row_space_layout(monkeypatch, d, shape):
+    """A probe with d > B makes every product with an (out, B) first layer;
+    with d <= B, with the (out, d) one."""
+    params = make_net(d, 6, 3, RELU, seed=34)
+    batch = make_batch(d, 3, WIDE_B, seed=34)
+    shapes = []
+    real = curvature_mod.hvp
+
+    def recording(params, act, batch, reg, v, base=None):
+        shapes.append(v.layers[0].weights.shape)
+        return real(params, act, batch, reg, v, base)
+
+    monkeypatch.setattr(curvature_mod, "hvp", recording)
+    res = top_eigenvalue(params, RELU, batch, NONE, CurvatureProbe(power_iters=50, tol=1e-12, seed=3))
+    assert len(shapes) == res.iterations > 1
+    assert set(shapes) == {shape}
+
+
+def test_hvp_rejects_a_nonfinite_product():
+    """A NaN in the direction's first layer reaches every block of the
+    product; the error names the first layer."""
+    params = make_net(3, 4, 2, RELU, seed=35)
+    batch = make_batch(3, 2, 5, seed=35)
+    v = random_direction(params, 35)
+    v.layers[0].bias[0] = np.nan
+    with pytest.raises(NumericError) as exc:
+        hvp(params, RELU, batch, NONE, v)
+    assert exc.value.layer_id == "fc1"
 
 
 @pytest.mark.parametrize("workload", ["desk_l2_scheduled", "desk_crelu_w2_train"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trainlab.errors import ConfigError
+from trainlab.errors import ConfigError, NumericError
 from trainlab.metrics import minibatch_grad_variance
 from trainlab import nn
 from trainlab.nn import (
@@ -287,6 +287,78 @@ def test_wasserstein_stable_sort_only_on_ties(monkeypatch):
     w[0, 1] = w[3, 2]  # one tie, in one layer
     regularizer_penalty(params, reg)
     assert kinds.count("stable") == 1
+
+
+@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
+def test_loss_grad_is_data_gradient_plus_penalty_bit_for_bit(reg_kind):
+    """The gradient written in one buffer against the data gradient and the
+    penalty's gradient summed as separate vectors."""
+    act = Activation("relu")
+    params = make_net(6, [7, 5], 4, act, seed=12)
+    batch = make_batch(6, 4, 11, seed=12)
+    reg = make_reg(reg_kind, params, perturb_seed=12)
+    sw = nn.sweep(params, act, batch, reg)
+    data = zeros_like(params)
+    for x, d, g in zip(sw.layer_inputs, sw.out_grads, data.layers):
+        g.weights += d.T @ x
+        g.bias += d.sum(axis=0)
+    value, penalty = regularizer_penalty(params, reg)
+    lg = loss_grad(params, act, batch, reg)
+    np.testing.assert_array_equal(lg.grads.vector, data.vector + penalty.vector)
+    assert lg.loss == float(np.mean(nn._softmax_stats(sw.logits, batch.labels)[0])) + value
+
+
+def test_one_penalty_call_per_sweep(monkeypatch):
+    """loss_grad, probe_grads and sweep each evaluate the penalty once."""
+    act = Activation("crelu")
+    params = make_net(4, 6, 3, act, seed=13)
+    batch = make_batch(4, 3, 8, seed=13)
+    reg = make_reg("wasserstein", params, perturb_seed=13)
+    calls = []
+    real = nn.regularizer_penalty
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "regularizer_penalty", counting)
+    for fn in (loss_grad, probe_grads, nn.sweep):
+        calls.clear()
+        fn(params, act, batch, reg)
+        assert len(calls) == 1, fn.__name__
+
+
+def test_regularizer_penalty_adds_into_out():
+    params = make_net(3, 4, 2, Activation("relu"), seed=14)
+    reg = make_reg("l2", params)
+    _, alone = regularizer_penalty(params, reg)
+    start = np.random.default_rng(14).normal(size=params.n_params)
+    out = params.like(start.copy())
+    _, got = regularizer_penalty(params, reg, out=out)
+    assert got is out
+    np.testing.assert_array_equal(out.vector, start + alone.vector)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("layer", [0, 1, 2])
+def test_check_finite_names_the_layer(bad, layer):
+    params = make_net(3, [4, 4], 2, Activation("relu"), seed=15)
+    params.layers[layer].bias[1] = bad
+    with pytest.raises(NumericError) as exc:
+        nn.check_finite(params, "bad entry")
+    assert exc.value.layer_id == params.layer_ids()[layer]
+    assert str(exc.value) == "bad entry"
+
+
+def test_check_finite_passes_huge_finite_entries():
+    """1e200 squared overflows the dot product; the scan then finds no
+    non-finite entry."""
+    params = make_net(3, [4, 4], 2, Activation("relu"), seed=16)
+    params.vector[:] = 1e200
+    params.vector[::2] *= -1.0
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(params.vector, params.vector))
+        nn.check_finite(params, "bad entry")
 
 
 # ---------------------------------------------------------------------------

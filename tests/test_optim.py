@@ -86,6 +86,38 @@ def test_nonfinite_grads_identify_layer():
     assert exc.value.layer_id == "fc2"
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("layer", ["fc1", "fc2"])
+def test_nonfinite_entry_names_its_layer(bad, layer):
+    """One non-finite entry, in either layer, fails the step naming that
+    layer; the state and parameters are left as they were."""
+    params = ParamSet(
+        [Layer("fc1", np.ones((2, 3)), np.zeros(2)), Layer("fc2", np.ones((1, 2)), np.zeros(1))]
+    )
+    state = init_adam(params)
+    grads = grads_like(params, [0.5, 0.5])
+    grads.layers[params.layer_ids().index(layer)].weights[0, 1] = bad
+    before = params.to_vector()
+    with pytest.raises(NumericError) as exc:
+        adam_step(state, params, grads)
+    assert exc.value.layer_id == layer
+    assert state.t == 0
+    np.testing.assert_array_equal(params.vector, before)
+
+
+def test_huge_finite_gradient_is_not_rejected():
+    """Entries of 1e200 overflow the dot product the finite check tries first;
+    the entry-by-entry scan then finds every entry finite, and the step runs."""
+    params = ParamSet(
+        [Layer("fc1", np.ones((2, 3)), np.zeros(2)), Layer("fc2", np.ones((1, 2)), np.zeros(1))]
+    )
+    state = init_adam(params)
+    grads = grads_like(params, [1e200, -1e200])
+    with np.errstate(over="ignore"):
+        adam_step(state, params, grads)
+    assert state.t == 1
+
+
 def two_layer_state(eta=None, steps=3, seed=0):
     rng = np.random.default_rng(seed)
     params = ParamSet(
