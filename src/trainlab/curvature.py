@@ -3,10 +3,10 @@
 The product ``H v`` is Pearlmutter's R-op (*Fast exact multiplication by
 the Hessian*, 1994): the directional derivative of the hand-written
 gradient.  Everything it shares across directions at one parameter point
-(the forward pass, the softmax and each layer's output gradient) is the
-``nn.sweep`` the gradient is built from, made once per point; a probe hands
-its noise pass's sweep to ``top_eigenvalue``.  A product is then one
-R-forward and one R-backward pass.  The activations are piecewise linear,
+(the forward pass, the softmax and each layer's output gradient) is in the
+``Sweep`` that ``nn.loss_grad`` gives there, made once per point; a probe
+hands its noise pass's ``Sweep`` to ``top_eigenvalue``.  A product is then
+one R-forward and one R-backward pass.  The activations are piecewise linear,
 so ``phi''`` is zero almost everywhere and the product is exact away from
 the kinks.  The penalties' Hessians are multiples of the identity on the
 weights: ``2 lam`` for L2 and ``2 lam / n`` for the Wasserstein penalty of
@@ -46,11 +46,8 @@ from .nn import (
     _act_backward,
     _act_tangent,
     check_finite,
-    sweep,
+    loss_grad,
 )
-
-# Off the product path, but bound here: bench/tracing.py wraps this name in this module.
-from .nn import loss_grad  # noqa: F401
 
 EXACT_HESSIAN_MAX_PARAMS = 2000
 
@@ -90,7 +87,7 @@ def hvp(
 ) -> ParamSet:
     """H @ v for the Hessian of the full (loss + regularizer) objective.
 
-    ``base`` is ``nn.sweep(params, act, batch, reg)``, built here when not
+    ``base`` is ``loss_grad(params, act, batch, reg)``, built here when not
     given; callers making many products at one point pass it in.  The
     product takes its layout from ``v``; it reads the first layer's weights
     only for that layer's penalty curvature, so a ``base`` whose first-layer
@@ -100,7 +97,7 @@ def hvp(
     if not np.any(v.vector):
         raise ValueError("hvp probe vector must be nonzero")
     if base is None:
-        base = sweep(params, act, batch, reg)
+        base = loss_grad(params, act, batch, reg)
     last = len(params.layers) - 1
     # R-forward: the tangent of each layer's input (zero for the data) and of the logits
     r_inputs: list[np.ndarray | None] = [None]
@@ -183,7 +180,7 @@ def top_eigenvalue(
     0 (an invariant subspace, as for a zero Hessian).  A Ritz value's error
     is about (residual / |theta|)^2, so ``probe.tol`` stays a relative
     tolerance on the eigenvalue.  Only the last two Lanczos vectors are kept.
-    Every product reads ``base`` (``nn.sweep`` at ``params``), built here
+    Every product reads ``base`` (``loss_grad`` at ``params``), built here
     when not given.
 
     When the first layer's input width d exceeds the batch size B, the
@@ -195,7 +192,7 @@ def top_eigenvalue(
     then ``c1`` with residual 0.
     """
     if base is None:
-        base = sweep(params, act, batch, reg)
+        base = loss_grad(params, act, batch, reg)
     layout, c1 = params, 0.0
     if base.layer_inputs[0].shape[1] > base.layer_inputs[0].shape[0]:
         layout, base = row_space(params, base)
@@ -243,7 +240,7 @@ def exact_hessian(
     n = params.n_params
     if n > EXACT_HESSIAN_MAX_PARAMS:
         raise CapacityError(f"{n} parameters exceeds exact-Hessian guard {EXACT_HESSIAN_MAX_PARAMS}")
-    base = sweep(params, act, batch, reg)
+    base = loss_grad(params, act, batch, reg)
     H = np.empty((n, n))
     e = np.zeros(n)
     for j in range(n):

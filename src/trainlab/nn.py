@@ -1,16 +1,16 @@
 """Dense MLP with explicit forward/backward passes.
 
-All gradients are computed by hand (no autodiff framework).  ``sweep`` is
-the one reverse pass: the forward pass, each layer's output gradient (last
-layer first) and the batch gradient, each layer's ``d^T x`` written
-straight into one buffer and the penalty's gradient then added in place,
-with the loss's finite check.  The batch gradient (``loss_grad``), the
-probe's per-layer gradient noise (``probe_grads``) and every R-op
-Hessian-vector product (``curvature.hvp``) are built from it, so a probe
-runs it once.  The noise is in factored form: a dense layer's per-sample
-gradient is the outer product of its output gradient and its input, so
-each layer's per-sample variance needs only those B rows, never a
-B x n_params tensor.
+All gradients are computed by hand (no autodiff framework).  ``loss_grad``
+is the one pass and ``Sweep`` its one result: the forward pass, each
+layer's output gradient (last layer first) and the batch gradient, each
+layer's ``d^T x`` written straight into one buffer and the penalty's
+gradient then added in place, with the loss's finite check.  The training
+step reads its loss, gradient and logits; the probe's per-layer gradient
+noise (``probe_grads``) and every R-op Hessian-vector product
+(``curvature.hvp``) read the rest, so a probe runs the pass once.  The
+noise is in factored form: a dense layer's per-sample gradient is the
+outer product of its output gradient and its input, so each layer's
+per-sample variance needs only those B rows, never a B x n_params tensor.
 Materialized per-sample gradients (``per_sample_grads``, ``mean_params``)
 are kept as test oracles for it and are not on the run path.
 
@@ -231,15 +231,12 @@ def _act_tangent(act: Activation, z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """The activation's directional derivative at ``z`` along ``dz`` (phi'(z) dz).
 
     Every activation is piecewise linear, so this is exact away from the
-    kinks and ``phi''`` is zero there.
+    kinks and ``phi''`` is zero there.  Only CReLU's Jacobian is not square;
+    every other one is diagonal, so its tangent is its backward pass.
     """
-    if act.kind == "relu":
-        return dz * (z > 0.0)
-    if act.kind == "leaky_relu":
-        return dz * np.where(z > 0.0, 1.0, act.slope)
     if act.kind == "crelu":
         return np.concatenate([dz * (z > 0.0), -dz * (z < 0.0)], axis=-1)
-    return dz
+    return _act_backward(act, z, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +438,7 @@ def _softmax_stats(logits: np.ndarray, labels: np.ndarray):
     return losses, expz / denom
 
 
-def _first_nonfinite_layer(params: ParamSet, preacts, logits) -> str:
+def _first_nonfinite_layer(params: ParamSet, preacts) -> str:
     for lay, z in zip(params.layers, preacts):
         if not np.all(np.isfinite(z)):
             return lay.layer_id
@@ -450,8 +447,9 @@ def _first_nonfinite_layer(params: ParamSet, preacts, logits) -> str:
 
 @dataclass
 class Sweep:
-    """One forward pass and one reverse sweep at a parameter point: what the
-    gradient, the per-layer noise and every Hessian-vector product there share."""
+    """What ``loss_grad`` gives: one forward pass and one reverse sweep at a
+    parameter point, which the gradient, the per-layer noise and every
+    Hessian-vector product there share."""
 
     loss: float  # mean cross-entropy plus penalty
     logits: np.ndarray  # (B, C)
@@ -489,15 +487,13 @@ def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep) -> None:
     reg_value, _ = regularizer_penalty(params, reg, out=sw.grads)
     sw.loss += reg_value
     if not np.isfinite(sw.loss):
-        raise NumericError(
-            f"non-finite loss {sw.loss}",
-            layer_id=_first_nonfinite_layer(params, sw.preacts, sw.logits),
-        )
+        layer_id = _first_nonfinite_layer(params, sw.preacts)
+        raise NumericError(f"non-finite loss {sw.loss}", layer_id=layer_id)
 
 
-def sweep(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> Sweep:
-    """Forward pass, the reverse sweep of each layer's output gradient, and
-    the loss with its batch gradient, penalty included.
+def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> Sweep:
+    """Mean cross-entropy plus regularizer penalty, with its exact gradient,
+    and everything the pass made on the way (see ``Sweep``).
 
     Raises NumericError on a non-finite loss.
     """
@@ -507,28 +503,14 @@ def sweep(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> 
 
 
 @dataclass
-class LossGrad:
-    loss: float
-    grads: ParamSet
-    logits: np.ndarray
-
-
-def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> LossGrad:
-    """Mean cross-entropy plus regularizer penalty, with its exact gradient."""
-    sw = sweep(params, act, batch, reg)
-    return LossGrad(sw.loss, sw.grads, sw.logits)
-
-
-@dataclass
 class ProbeGrads:
-    grads: ParamSet  # the batch gradient, penalty included, as loss_grad gives it
     sigma_sq: dict[str, float]  # per layer: (1/B) sum_i ||g_i - g_bar||^2
-    sweep: Sweep  # the pass both came from; its preacts feed the diagnostics
+    sweep: Sweep  # the loss_grad pass it is read from: grads, diagnostics, eigensolve base
 
 
 def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> ProbeGrads:
-    """Batch gradient and each layer's per-sample gradient variance, from one
-    ``sweep`` that the probe's eigensolve and diagnostics then reuse.
+    """Each layer's per-sample gradient variance and the ``loss_grad`` pass it
+    is read from, which the probe's eigensolve and diagnostics then reuse.
 
     Sample i's gradient of a dense layer is ``d_i x_i^T`` for the weights and
     ``d_i`` for the bias (``d_i`` its output gradient, ``x_i`` its input), so
@@ -551,7 +533,7 @@ def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularize
         g = sw.grads.segment(lid)
         sigma_sq[lid] = 0.0 if B == 1 else max(mean_sq - float(np.vdot(g, g)), 0.0)
     _add_penalty(params, reg, sw)
-    return ProbeGrads(sw.grads, sigma_sq, sw)
+    return ProbeGrads(sigma_sq, sw)
 
 
 def per_sample_grads(
@@ -568,9 +550,7 @@ def per_sample_grads(
     losses, probs = _softmax_stats(logits, batch.labels)
     reg_value, reg_grads = regularizer_penalty(params, reg)
     if not np.isfinite(float(np.mean(losses)) + reg_value):
-        raise NumericError(
-            "non-finite loss", layer_id=_first_nonfinite_layer(params, preacts, logits)
-        )
+        raise NumericError("non-finite loss", layer_id=_first_nonfinite_layer(params, preacts))
     B = batch.size
     d = probs.copy()
     d[np.arange(B), batch.labels] -= 1.0  # per-sample dlogits, no 1/B

@@ -3,15 +3,17 @@
 Runs vanilla / reset-at-task / scheduled modes over a task stream.  Metric
 probes fire at log intervals and, in scheduled mode, at the controller's own
 decision interval; every probe writes one record, so every decision is
-logged.  A probe makes one forward pass and one reverse sweep (``nn.sweep``,
-through ``probe_grads``), and everything it measures reads that sweep: the
-per-layer gradient variance in factored form, the diagnostics and every R-op
-product of the Lanczos solve for the top Hessian eigenvalue; window
-statistics and threshold reports follow.  When the
-eigensolve runs out its product budget, the record is flagged
-``sharpness_unconverged``, its eigenvalue is kept out of the volatility
-windows (the bounds read each window as it stands) and a decision on it
-holds every layer.
+logged.  The training step is one ``nn.loss_grad`` pass, dropped once Adam
+and the accuracy have read it.  ``_probe`` takes a probe to its record's
+cells: one ``loss_grad`` pass (through ``probe_grads``) that every
+measurement reads (the factored per-layer gradient variance, the
+diagnostics and every R-op product of the Lanczos solve for the top Hessian
+eigenvalue), the window statistics and threshold reports, all at the
+learning rates from before any decision, then the controller's decision on
+a decision step.  When the eigensolve runs out its product budget, the
+record is flagged ``sharpness_unconverged``, its eigenvalue is kept out of
+the volatility windows (the bounds read each window as it stands) and a
+decision on it holds every layer.
 Probes draw no randomness from the training streams, so a run's parameter
 trajectory is identical with probes on or off.
 
@@ -32,8 +34,6 @@ from .curvature import CurvatureProbe, top_eigenvalue
 from .errors import ConfigError, NumericError
 from .metrics import (
     BoundConfig,
-    Diagnostics,
-    ThresholdReport,
     WindowStats,
     build_report,
     diagnostics,
@@ -123,6 +123,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class LayerMetrics:
+    """One layer's log cells: the ``ThresholdReport`` values of the same
+    names, and the learning rate and decision after the probe's decision."""
+
     alpha: float
     alpha_g_star: float
     alpha_vol_star: float
@@ -151,16 +154,22 @@ class MetricRecord:
     flags: tuple[str, ...] = ()
 
 
-# The log schema: each layer's cells, and the record's global cells (those
-# between train_accuracy and layers), in field order.
-LAYER_FIELDS = tuple(f.name for f in fields(LayerMetrics))
-_RECORD_FIELDS = [f.name for f in fields(MetricRecord)]
+# The log schema, from the record's fields: each layer's cells, the record's
+# global cells (those between train_accuracy and layers), and each cell's type.
+_LAYER_TYPES = {f.name: f.type for f in fields(LayerMetrics)}
+_RECORD_TYPES = {f.name: f.type for f in fields(MetricRecord)}
+LAYER_FIELDS = tuple(_LAYER_TYPES)
+_RECORD_FIELDS = list(_RECORD_TYPES)
 GLOBAL_FIELDS = tuple(
     _RECORD_FIELDS[_RECORD_FIELDS.index("train_accuracy") + 1 : _RECORD_FIELDS.index("layers")]
 )
+# a layer's cells taken from its ThresholdReport by name; the controller gives the other two
+_REPORT_CELLS = tuple(f for f in LAYER_FIELDS if f not in ("eta", "decision"))
 # the cells of a layer that a record does not cover (an abort record), by field type
 _ABSENT_CELL = {"float": math.nan, "str": ABSENT, "bool": False}
-_ABSENT_LAYER = LayerMetrics(**{f.name: _ABSENT_CELL[f.type] for f in fields(LayerMetrics)})
+_ABSENT_LAYER = LayerMetrics(**{name: _ABSENT_CELL[t] for name, t in _LAYER_TYPES.items()})
+# a log cell's parser, by field type: a bool cell is 1 or 0, the flags stay one string
+_PARSE_CELL = {"int": int, "float": float, "str": str, "bool": "1".__eq__, "tuple[str, ...]": str}
 
 
 @dataclass
@@ -198,43 +207,65 @@ def build_regularizer(model: ModelConfig, init_snapshot: ParamSet) -> Regularize
 # metric probe
 
 
-@dataclass
-class ProbeResult:
-    reports: list[ThresholdReport]
-    lambda_max: float
-    lambda_bar: float
-    sigma_mb_sq: float
-    diag: Diagnostics
-    sharpness_converged: bool
+def _probe(
+    cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state, windows,
+    *, is_decide: bool, total_steps: int,
+) -> dict:
+    """One probe at ``step``, taken to its record: every ``MetricRecord``
+    field from ``lambda_max`` on, as keyword arguments.
 
-
-def _probe(cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state, windows):
+    One ``probe_grads`` pass feeds the noise, the eigensolve and the
+    diagnostics.  Every global cell and every report reads the state as the
+    probe found it.  On a decision step the controller then acts on the
+    reports, and each layer's ``eta`` and ``decision`` cells read its result.
+    """
     pg = probe_grads(params, act, batch, reg)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
     eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep)
-    lam = eig.lambda_max
+    lam, grads = eig.lambda_max, pg.sweep.grads
     lam_bar = normalized_sharpness(lam, agg_step(state, GLOBAL_SCOPE))
     reports = []
     for lid in params.layer_ids():
-        g = pg.grads.segment(lid)
         if eig.converged:
             snapshot = push_and_stats(windows[lid], normalized_sharpness(lam, agg_step(state, lid)))
         else:  # a solve that ran out its budget adds no sample to the window
             snapshot = window_stats(windows[lid])
-        reports.append(
-            build_report(
-                lid,
-                effective_step(state, lid),
-                float(np.vdot(g, g)),
-                pg.sigma_sq[lid],
-                snapshot,
-                batch.size,
-                cfg.bounds,
-            )
-        )
-    sigma_global = sum(pg.sigma_sq.values())
-    diag = diagnostics(params, pg.grads, pg.sweep.preacts)
-    return ProbeResult(reports, lam, lam_bar, sigma_global, diag, eig.converged)
+        g = grads.segment(lid)
+        alpha, g_sq = effective_step(state, lid), float(np.vdot(g, g))
+        rep = build_report(lid, alpha, g_sq, pg.sigma_sq[lid], snapshot, batch.size, cfg.bounds)
+        reports.append(rep)
+    diag = diagnostics(params, grads, pg.sweep.preacts)
+    labels, clamped = {}, frozenset()
+    if is_decide and not eig.converged:
+        # an eigensolve that ran out its budget gives no sharpness to act on
+        labels = dict.fromkeys(params.layer_ids(), HELD)
+    elif is_decide:
+        dec = decide(reports, step, total_steps, state.eta, cfg.controller)
+        state.eta, labels, clamped = dec.etas, dec.labels, dec.clamped
+    layers: dict[str, LayerMetrics] = {}
+    flags: list[str] = []
+    for rep in reports:
+        lid = rep.layer_id
+        shared = {f: getattr(rep, f) for f in _REPORT_CELLS}
+        layers[lid] = LayerMetrics(**shared, eta=state.eta[lid], decision=labels.get(lid, ABSENT))
+        flags.extend(f"{lid}:{f}" for f in rep.flags)
+        if lid in clamped:
+            flags.append(f"{lid}:eta_clamped")
+    if not diag.ratio_defined:
+        flags.append("ratio_undefined")
+    if not eig.converged:
+        flags.append("sharpness_unconverged")
+    return dict(
+        lambda_max=lam,
+        lambda_bar=lam_bar,
+        sigma_mb_sq=sum(pg.sigma_sq.values()),
+        weight_norm=diag.weight_norm,
+        grad_norm=diag.grad_norm,
+        grad_param_ratio=diag.grad_param_ratio,
+        use=diag.unit_sign_entropy,
+        layers=layers,
+        flags=tuple(flags),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,57 +325,32 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
             ep_sum, ep_n = 0.0, 0
             for batch in batches(view, epoch, cfg.stream):
                 global_step += 1
-                is_decide = (
-                    cfg.mode == "scheduled"
-                    and global_step % cfg.controller.interval_k == 0
-                )
-                probe = None
+                is_decide = cfg.mode == "scheduled" and global_step % cfg.controller.interval_k == 0
+                cells = None
                 try:
-                    lg = loss_grad(params, act, batch, reg)
-                    adam_step(state, params, lg.grads)
+                    sw = loss_grad(params, act, batch, reg)
+                    adam_step(state, params, sw.grads)
+                    acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
+                    del sw  # the probe makes its own pass; holding this one too adds to the peak
                     if is_decide or global_step % cfg.log_interval == 0:
-                        probe = _probe(
-                            cfg, seed, global_step, params, act, batch, reg, state, windows
+                        cells = _probe(
+                            cfg, seed, global_step, params, act, batch, reg, state, windows,
+                            is_decide=is_decide, total_steps=total_steps,
                         )
                 except NumericError as err:
                     result.aborted = True
                     result.abort_message = str(err)
-                    result.records.append(
-                        _error_record(seed, task_i, epoch, global_step, err)
-                    )
+                    result.records.append(_error_record(seed, task_i, epoch, global_step, err))
                     result.final_params, result.final_state = params, state
                     return result
-                acc = float(np.mean(np.argmax(lg.logits, axis=1) == batch.labels))
                 acc_sum += acc
                 acc_n += 1
                 ep_sum += acc
                 ep_n += 1
-                if probe is None:
+                if cells is None:
                     continue
-                decision_labels: dict[str, str] = {}
-                clamped: frozenset[str] = frozenset()
-                if is_decide and not probe.sharpness_converged:
-                    # an eigensolve that ran out its budget gives no sharpness to act on
-                    decision_labels = dict.fromkeys(layer_ids, HELD)
-                elif is_decide:
-                    dec = decide(
-                        probe.reports, global_step, total_steps, state.eta, cfg.controller
-                    )
-                    state.eta = dec.etas
-                    decision_labels = dec.labels
-                    clamped = dec.clamped
                 result.records.append(
-                    _build_record(
-                        seed,
-                        task_i,
-                        epoch,
-                        global_step,
-                        acc_sum / acc_n,
-                        probe,
-                        state,
-                        decision_labels,
-                        clamped,
-                    )
+                    MetricRecord(seed, task_i, epoch, global_step, acc_sum / acc_n, **cells)
                 )
                 acc_sum, acc_n = 0.0, 0
             if epoch == cfg.stream.epochs_per_task - 1 and ep_n > 0:
@@ -352,46 +358,6 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
         result.per_task_accuracy.append(task_final_acc)
     result.final_params, result.final_state = params, state
     return result
-
-
-def _build_record(seed, task, epoch, step, train_acc, probe: ProbeResult, state, labels, clamped):
-    flags: list[str] = []
-    layer_metrics: dict[str, LayerMetrics] = {}
-    for rep in probe.reports:
-        lid = rep.layer_id
-        layer_metrics[lid] = LayerMetrics(
-            alpha=rep.alpha,
-            alpha_g_star=rep.alpha_g_star,
-            alpha_vol_star=rep.alpha_vol_star,
-            alpha_tilde_star=rep.alpha_tilde_star,
-            vol=rep.vol,
-            eta=state.eta[lid],
-            decision=labels.get(lid, ABSENT),
-            crossed=rep.crossed,
-        )
-        flags.extend(f"{lid}:{f}" for f in rep.flags)
-        if lid in clamped:
-            flags.append(f"{lid}:eta_clamped")
-    if not probe.diag.ratio_defined:
-        flags.append("ratio_undefined")
-    if not probe.sharpness_converged:
-        flags.append("sharpness_unconverged")
-    return MetricRecord(
-        seed=seed,
-        task=task,
-        epoch=epoch,
-        step=step,
-        train_accuracy=train_acc,
-        lambda_max=probe.lambda_max,
-        lambda_bar=probe.lambda_bar,
-        sigma_mb_sq=probe.sigma_mb_sq,
-        weight_norm=probe.diag.weight_norm,
-        grad_norm=probe.diag.grad_norm,
-        grad_param_ratio=probe.diag.grad_param_ratio,
-        use=probe.diag.unit_sign_entropy,
-        layers=layer_metrics,
-        flags=tuple(flags),
-    )
 
 
 def _error_record(seed, task, epoch, step, err: NumericError) -> MetricRecord:
@@ -462,26 +428,22 @@ def read_log(path) -> tuple[list[dict], list[str]]:
     if not lines:
         raise ConfigError(f"empty metric log {path}")
     header = lines[0].split(",")
+    parsers = []
     layer_ids: list[str] = []
     for col in header:
-        if col.endswith(".alpha"):
-            layer_ids.append(col[: -len(".alpha")])
+        lid, _, name = col.rpartition(".")
+        ftype = _LAYER_TYPES.get(name) if lid else _RECORD_TYPES.get(col)
+        if ftype not in _PARSE_CELL:
+            raise ConfigError(f"unknown metric log column {col!r}")
+        parsers.append(_PARSE_CELL[ftype])
+        if name == LAYER_FIELDS[0] and lid:
+            layer_ids.append(lid)
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
             raise ConfigError(f"malformed log line with {len(parts)} fields, expected {len(header)}")
-        row: dict = {}
-        for col, val in zip(header, parts):
-            if col in ("seed", "task", "epoch", "step"):
-                row[col] = int(val)
-            elif col == "flags" or col.endswith(".decision"):
-                row[col] = val
-            elif col.endswith(".crossed"):
-                row[col] = val == "1"
-            else:
-                row[col] = float(val)
-        rows.append(row)
+        rows.append({col: parse(val) for col, parse, val in zip(header, parsers, parts)})
     return rows, layer_ids
 
 

@@ -23,7 +23,6 @@ from trainlab.nn import (
     loss_grad,
     param_dot,
     probe_grads,
-    sweep,
 )
 
 from conftest import (
@@ -228,7 +227,7 @@ def test_top_eigenvalue_reads_a_caller_built_sweep_bit_for_bit(act, reg_kind):
     probe = CurvatureProbe(power_iters=40, tol=1e-10, seed=5)
     own = top_eigenvalue(params, act, batch, reg, probe)
     assert own.iterations > 1
-    for base in (sweep(params, act, batch, reg), probe_grads(params, act, batch, reg).sweep):
+    for base in (loss_grad(params, act, batch, reg), probe_grads(params, act, batch, reg).sweep):
         assert top_eigenvalue(params, act, batch, reg, probe, base=base) == own
 
 
@@ -306,7 +305,7 @@ def test_row_space_product_is_the_full_product(act, reg_kind):
     """With the first-layer block of v written as N Q^T (X^T = QR, reduced),
     the row-space product, its first-layer block times Q^T, is H v."""
     params, batch, reg = wide_net(act, reg_kind, seed=32)
-    base = sweep(params, act, batch, reg)
+    base = loss_grad(params, act, batch, reg)
     layout, row_base = curvature_mod.row_space(params, base)
     q, r = np.linalg.qr(batch.inputs.T)
     np.testing.assert_array_equal(row_base.layer_inputs[0], r.T)

@@ -297,19 +297,18 @@ def test_loss_grad_is_data_gradient_plus_penalty_bit_for_bit(reg_kind):
     params = make_net(6, [7, 5], 4, act, seed=12)
     batch = make_batch(6, 4, 11, seed=12)
     reg = make_reg(reg_kind, params, perturb_seed=12)
-    sw = nn.sweep(params, act, batch, reg)
+    sw = loss_grad(params, act, batch, reg)
     data = zeros_like(params)
     for x, d, g in zip(sw.layer_inputs, sw.out_grads, data.layers):
         g.weights += d.T @ x
         g.bias += d.sum(axis=0)
     value, penalty = regularizer_penalty(params, reg)
-    lg = loss_grad(params, act, batch, reg)
-    np.testing.assert_array_equal(lg.grads.vector, data.vector + penalty.vector)
-    assert lg.loss == float(np.mean(nn._softmax_stats(sw.logits, batch.labels)[0])) + value
+    np.testing.assert_array_equal(sw.grads.vector, data.vector + penalty.vector)
+    assert sw.loss == float(np.mean(nn._softmax_stats(sw.logits, batch.labels)[0])) + value
 
 
 def test_one_penalty_call_per_sweep(monkeypatch):
-    """loss_grad, probe_grads and sweep each evaluate the penalty once."""
+    """loss_grad and probe_grads each evaluate the penalty once."""
     act = Activation("crelu")
     params = make_net(4, 6, 3, act, seed=13)
     batch = make_batch(4, 3, 8, seed=13)
@@ -322,7 +321,7 @@ def test_one_penalty_call_per_sweep(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nn, "regularizer_penalty", counting)
-    for fn in (loss_grad, probe_grads, nn.sweep):
+    for fn in (loss_grad, probe_grads):
         calls.clear()
         fn(params, act, batch, reg)
         assert len(calls) == 1, fn.__name__
@@ -444,7 +443,7 @@ def test_probe_grads_match_materialized_oracle(act, reg_kind):
             else:
                 assert value > 0.0
         want_g = loss_grad(params, act, batch, reg).grads.vector
-        np.testing.assert_array_equal(pg.grads.vector, want_g)
+        np.testing.assert_array_equal(pg.sweep.grads.vector, want_g)
         want = forward(params, act, batch).hidden_preacts
         assert len(pg.sweep.preacts) == len(want)
         for z, w in zip(pg.sweep.preacts, want):

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import trainlab.curvature as curvature_mod
 import trainlab.nn as nn_mod
 import trainlab.runner as runner_mod
 from trainlab.errors import ConfigError, NumericError
-from trainlab.metrics import BoundConfig
+from trainlab.metrics import BoundConfig, push_and_stats
 from trainlab.nn import Activation, Regularizer, loss_grad
 from trainlab.optim import adam_step, init_adam
 from trainlab.runner import (
@@ -285,8 +286,10 @@ def test_probe_makes_one_forward_pass_and_one_penalty_evaluation(monkeypatch, re
     monkeypatch.setattr(
         curvature_mod, "hvp", lambda *a, **kw: products.append(1) or real_hvp(*a, **kw)
     )
-    probe = runner_mod._probe(cfg, 0, 1, params, act, batch, reg, state, windows)
-    assert probe.sharpness_converged and len(products) > 1
+    cells = runner_mod._probe(
+        cfg, 0, 1, params, act, batch, reg, state, windows, is_decide=False, total_steps=1
+    )
+    assert "sharpness_unconverged" not in cells["flags"] and len(products) > 1
     assert calls == {"_forward": 1, "regularizer_penalty": 1}
 
 
@@ -313,9 +316,72 @@ def test_unconverged_probe_adds_no_window_sample(monkeypatch):
     cfg = tiny_config(power_iters=100)
     params, act, batch, reg, state = _probe_inputs(cfg)
     windows = made[-1]
-    probe = runner_mod._probe(cfg, 0, 1, params, act, batch, reg, state, windows)
-    assert probe.sharpness_converged
+    cells = runner_mod._probe(
+        cfg, 0, 1, params, act, batch, reg, state, windows, is_decide=False, total_steps=1
+    )
+    assert "sharpness_unconverged" not in cells["flags"]
     assert all(len(ws._queue) == 1 for ws in windows.values())
+
+
+def test_decision_leaves_the_probed_cells():
+    """A decision that moves eta changes a record's eta and decision cells
+    alone: every global cell (lambda_bar included, which reads eta) and every
+    other per-layer cell is what the same probe gives off a decision step."""
+    ctl = ControllerConfig(
+        interval_k=1, gamma=1.0, abs_floor=0.0, warm_phase_frac=1.0, timid_frac=0.999
+    )
+    cfg = tiny_config(mode="scheduled", controller=ctl, power_iters=100)
+    params, act, batch, reg, state = _probe_inputs(cfg)
+    windows = runner_mod._fresh_windows(cfg, params.layer_ids())
+    for ws in windows.values():  # one sample each, so the probe's own arms the window
+        push_and_stats(ws, 1.0)
+    state_off, windows_off = copy.deepcopy(state), copy.deepcopy(windows)
+    probe_inputs = (cfg, 0, 1, params, act, batch, reg)
+    on = runner_mod._probe(*probe_inputs, state, windows, is_decide=True, total_steps=100)
+    off = runner_mod._probe(*probe_inputs, state_off, windows_off, is_decide=False, total_steps=100)
+    assert state.eta != state_off.eta
+    for name in runner_mod.GLOBAL_FIELDS:
+        assert on[name] == off[name], name
+    assert on["flags"] == off["flags"]
+    for lid, lm in on["layers"].items():
+        lm_off = off["layers"][lid]
+        assert lm.decision in ("cooled", "warmed") and lm_off.decision == "-"
+        assert lm.eta == state.eta[lid] and lm_off.eta == state_off.eta[lid]
+        for name in runner_mod.LAYER_FIELDS:
+            if name not in ("eta", "decision"):
+                assert getattr(lm, name) == getattr(lm_off, name), (lid, name)
+
+
+def test_bench_record_checks_pass_where_eta_moves(tmp_path):
+    """The benchmark's bound and learning-rate checks hold on a scheduled log
+    whose controller both cools and warms."""
+    from conftest import load_bench_module
+
+    checks = load_bench_module("checks")
+    cfg = tiny_config(
+        mode="scheduled",
+        controller=ControllerConfig(interval_k=2, gamma=0.5, warm_phase_frac=0.5),
+        stream=StreamConfig(
+            source=SyntheticSource(n=64, d=6, classes=3, seed=0),
+            subsample_n=64,
+            tasks=3,
+            epochs_per_task=20,
+            batch_size=16,
+            base_seed=0,
+        ),
+        optimizer=OptimConfig(eta=1e-2),
+        power_iters=100,
+    )
+    res = run_seed(cfg, seed=0)
+    assert not res.aborted
+    path = tmp_path / "metrics.csv"
+    write_log(res.records, res.layer_ids, path)
+    rows = checks.read_log_rows(path)
+    decisions = [row[f"{lid}.decision"] for row in rows for lid in res.layer_ids]
+    assert "cooled" in decisions and "warmed" in decisions
+    got = checks.record_checks(cfg, cfg.stream.subsample_n, res.layer_ids, rows)
+    failed = [c for c in got if not c.ok]
+    assert len(got) > 4 * len(rows) and not failed, failed[:3]
 
 
 def test_materialized_per_sample_oracle_is_off_the_run_path(monkeypatch):
@@ -341,7 +407,9 @@ def test_probe_holds_no_per_sample_gradient_tensor():
     one_buffer = batch.size * params.n_params * 8
     tracemalloc.start()
     try:
-        runner_mod._probe(cfg, 0, 1, params, act, batch, reg, state, windows)
+        runner_mod._probe(
+            cfg, 0, 1, params, act, batch, reg, state, windows, is_decide=False, total_steps=1
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -391,6 +459,19 @@ def test_log_header_is_the_record_schema():
         "grad_norm,grad_param_ratio,use,fc1.alpha,fc1.alpha_g_star,fc1.alpha_vol_star,"
         "fc1.alpha_tilde_star,fc1.vol,fc1.eta,fc1.decision,fc1.crossed,flags"
     )
+
+
+def test_read_log_types_cells_by_field_and_rejects_unknown_columns(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("seed,step,use,fc1.alpha,fc1.decision,fc1.crossed,flags\n3,7,0.5,2,held,1,-\n")
+    rows, layer_ids = read_log(path)
+    assert layer_ids == ["fc1"]
+    want = {"seed": 3, "step": 7, "use": 0.5, "fc1.alpha": 2.0, "fc1.decision": "held"}
+    assert rows == [dict(want, **{"fc1.crossed": True, "flags": "-"})]
+    assert [type(v) for v in rows[0].values()] == [int, int, float, float, str, bool, str]
+    path.write_text("seed,fc1.alpha,fc1.bogus,flags\n3,2,0.5,-\n")
+    with pytest.raises(ConfigError, match="fc1.bogus"):
+        read_log(path)
 
 
 def test_write_log_byte_identical(tmp_path):
