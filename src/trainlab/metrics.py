@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -293,19 +293,18 @@ class LotPrediction(NamedTuple):
 def _step_crossed(entry) -> bool:
     if isinstance(entry, Mapping):
         return any(bool(v) for v in entry.values())
-    if isinstance(entry, (bool, np.bool_, int)):
+    if isinstance(entry, (bool, np.bool_)):
         return bool(entry)
-    if isinstance(entry, Iterable):
-        return any(bool(v) for v in entry)
-    return bool(entry)
+    raise TypeError(f"a crossing entry is a bool or a layer -> bool mapping, not {entry!r}")
 
 
 def predict_lot(crossing_flags: Sequence, window: int) -> LotPrediction:
     """Per-task fraction of steps where any layer crosses its combined bound.
 
-    ``crossing_flags`` is one entry per step (a bool, or per-layer booleans);
-    consecutive groups of ``window`` steps form one task (a shorter trailing
-    group is kept).  Also reports the run-level fraction over all steps.
+    ``crossing_flags`` is one entry per step: a bool, or a mapping of layer
+    id to bool (any other entry raises TypeError).  Consecutive groups of
+    ``window`` steps form one task (a shorter trailing group is kept).  Also
+    reports the run-level fraction over all steps.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")

@@ -7,6 +7,9 @@ preconditioning summaries the diagnostics are built on:
     eta / ((1 - beta1^t) * (sqrt(vhat) + eps));
   - ``agg_step``: the aggregate scale eta / (RMS(sqrt(vhat)) + eps), where
     RMS(sqrt(vhat)) = sqrt(mean(vhat)).
+
+``reset`` is ``init_adam`` again at the initial per-layer rates, so a reset
+state passes the same checks as a new one.
 """
 
 from __future__ import annotations
@@ -29,13 +32,9 @@ class AdamState:
     beta2: float
     eps: float
     eta: dict[str, float]
-    initial_eta: dict[str, float] = field(default_factory=dict)
+    initial_eta: dict[str, float]  # what reset restores
     # two n_params scratch rows for adam_step, made on its first call
     work: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.initial_eta:
-            self.initial_eta = dict(self.eta)
 
 
 def check_adam(etas: Iterable[float], beta1: float, beta2: float, eps: float) -> None:
@@ -60,7 +59,8 @@ def init_adam(
     if sorted(eta_map) != sorted(ids):
         raise ConfigError("per-layer learning-rate map does not match the layer ids")
     check_adam(eta_map.values(), beta1, beta2, eps)
-    return AdamState(zeros_like(params), zeros_like(params), 0, beta1, beta2, eps, eta_map)
+    m, v = zeros_like(params), zeros_like(params)
+    return AdamState(m, v, 0, beta1, beta2, eps, eta_map, dict(eta_map))
 
 
 def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
@@ -126,13 +126,4 @@ def agg_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
 
 def reset(state: AdamState) -> AdamState:
     """Fresh state: zero moments, t=0, base LRs restored to their initial values."""
-    return AdamState(
-        zeros_like(state.m),
-        zeros_like(state.v),
-        0,
-        state.beta1,
-        state.beta2,
-        state.eps,
-        dict(state.initial_eta),
-        dict(state.initial_eta),
-    )
+    return init_adam(state.m, state.initial_eta, state.beta1, state.beta2, state.eps)

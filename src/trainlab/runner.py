@@ -18,14 +18,17 @@ Probes draw no randomness from the training streams, so a run's parameter
 trajectory is identical with probes on or off.
 
 Logs are append-only delimited text: one header line declaring the column
-order, then one record per line with floats at 17 significant digits, so two
-runs of the same config and seed produce byte-identical files.
+order, then one record per line with ints in full and floats at 17
+significant digits, so two runs of the same config and seed produce
+byte-identical files.  The columns walk the record's fields: its scalar
+fields (every ``MetricRecord`` field but ``layers`` and ``flags``), each
+layer's ``LayerMetrics`` fields, then the flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +41,6 @@ from .metrics import (
     build_report,
     diagnostics,
     normalized_sharpness,
-    predict_lot,
     push_and_stats,
     window_stats,
 )
@@ -101,10 +103,10 @@ class RunConfig:
     controller: ControllerConfig | None = None
     mode: str = "vanilla"
     log_interval: int = 40
-    power_iters: int = 100
-    power_tol: float = 1e-6
-    window: int = 30
-    ema_decay: float = 0.1
+    power_iters: int = CurvatureProbe.power_iters
+    power_tol: float = CurvatureProbe.tol
+    window: int = WindowStats.capacity
+    ema_decay: float = WindowStats.ema_decay
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
@@ -155,14 +157,11 @@ class MetricRecord:
 
 
 # The log schema, from the record's fields: each layer's cells, the record's
-# global cells (those between train_accuracy and layers), and each cell's type.
+# scalar cells (every field but layers and flags), and each cell's type.
 _LAYER_TYPES = {f.name: f.type for f in fields(LayerMetrics)}
 _RECORD_TYPES = {f.name: f.type for f in fields(MetricRecord)}
 LAYER_FIELDS = tuple(_LAYER_TYPES)
-_RECORD_FIELDS = list(_RECORD_TYPES)
-GLOBAL_FIELDS = tuple(
-    _RECORD_FIELDS[_RECORD_FIELDS.index("train_accuracy") + 1 : _RECORD_FIELDS.index("layers")]
-)
+SCALAR_FIELDS = tuple(f for f in _RECORD_TYPES if f not in ("layers", "flags"))
 # a layer's cells taken from its ThresholdReport by name; the controller gives the other two
 _REPORT_CELLS = tuple(f for f in LAYER_FIELDS if f not in ("eta", "decision"))
 # the cells of a layer that a record does not cover (an abort record), by field type
@@ -196,11 +195,9 @@ class RunResult:
 
 
 def build_regularizer(model: ModelConfig, init_snapshot: ParamSet) -> Regularizer:
-    if model.regularizer == "none":
-        return Regularizer("none")
-    if model.regularizer == "l2":
-        return Regularizer("l2", model.reg_lambda)
-    return Regularizer("wasserstein", model.reg_lambda, init_snapshot.copy())
+    """The run's penalty; only the Wasserstein penalty keeps a copy of the init."""
+    snapshot = init_snapshot.copy() if model.regularizer == "wasserstein" else None
+    return Regularizer(model.regularizer, model.reg_lambda, snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +293,7 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
     )
     init_snapshot = params.copy()
     reg = build_regularizer(cfg.model, init_snapshot)
-    state = init_adam(
-        params,
-        cfg.optimizer.eta,
-        cfg.optimizer.beta1,
-        cfg.optimizer.beta2,
-        cfg.optimizer.eps,
-    )
+    state = init_adam(params, **vars(cfg.optimizer))
     layer_ids = params.layer_ids()
     windows = _fresh_windows(cfg, layer_ids)
 
@@ -340,7 +331,7 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
                 except NumericError as err:
                     result.aborted = True
                     result.abort_message = str(err)
-                    result.records.append(_error_record(seed, task_i, epoch, global_step, err))
+                    result.records.append(_error_record(err, seed, task_i, epoch, global_step))
                     result.final_params, result.final_state = params, state
                     return result
                 acc_sum += acc
@@ -360,54 +351,40 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
     return result
 
 
-def _error_record(seed, task, epoch, step, err: NumericError) -> MetricRecord:
+def _error_record(err: NumericError, *where) -> MetricRecord:
+    """The record of an aborted step: ``where`` fills the leading scalar
+    cells (seed, task, epoch, step), every other scalar cell is NaN."""
     detail = str(err).replace(",", ";").replace("\n", " ")
     flags = ["aborted:" + detail]
     if err.layer_id is not None:
         flags.append(f"aborted_layer:{err.layer_id}")
-    return MetricRecord(
-        seed=seed,
-        task=task,
-        epoch=epoch,
-        step=step,
-        train_accuracy=math.nan,
-        **dict.fromkeys(GLOBAL_FIELDS, math.nan),
-        layers={},
-        flags=tuple(flags),
-    )
+    nan_cells = dict.fromkeys(SCALAR_FIELDS[len(where) :], math.nan)
+    return MetricRecord(*where, **nan_cells, layers={}, flags=tuple(flags))
 
 
 # ---------------------------------------------------------------------------
 # log serialization
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _cell(value) -> str:
-    """One per-layer log cell: a label as is, a flag as 1/0, a number at 17 digits."""
+    """One log cell: a label as is, a flag as 1/0, an int in full, a float at 17 digits."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    return _fmt(value)
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".17g")
 
 
 def log_columns(layer_ids: Sequence[str]) -> list[str]:
-    cols = ["seed", "task", "epoch", "step", "train_accuracy"]
-    cols.extend(GLOBAL_FIELDS)
-    for lid in layer_ids:
-        cols.extend(f"{lid}.{f}" for f in LAYER_FIELDS)
-    cols.append("flags")
-    return cols
+    return [*SCALAR_FIELDS, *(f"{lid}.{f}" for lid in layer_ids for f in LAYER_FIELDS), "flags"]
 
 
 def format_log(records: Sequence[MetricRecord], layer_ids: Sequence[str]) -> str:
     lines = [",".join(log_columns(layer_ids))]
     for rec in records:
-        row = [str(rec.seed), str(rec.task), str(rec.epoch), str(rec.step), _fmt(rec.train_accuracy)]
-        row.extend(_fmt(getattr(rec, f)) for f in GLOBAL_FIELDS)
+        row = [_cell(getattr(rec, f)) for f in SCALAR_FIELDS]
         for lid in layer_ids:
             lm = rec.layers.get(lid, _ABSENT_LAYER)
             row.extend(_cell(getattr(lm, f)) for f in LAYER_FIELDS)
@@ -477,6 +454,7 @@ def summarize(rows: Sequence[dict], layer_ids: Sequence[str]) -> Summary:
     clean = [r for r in rows if not any(f.startswith("aborted") for f in r["flags"].split(";"))]
     if not clean:
         raise ConfigError("metric log contains no usable records")
+    crossed = [any(r[f"{lid}.crossed"] for lid in layer_ids) for r in clean]
     tasks = sorted({r["task"] for r in clean})
     accs: list[float] = []
     fracs: list[float] = []
@@ -485,36 +463,28 @@ def summarize(rows: Sequence[dict], layer_ids: Sequence[str]) -> Summary:
         last_epoch = max(r["epoch"] for r in trows)
         final = [r for r in trows if r["epoch"] == last_epoch]
         accs.append(sum(r["train_accuracy"] for r in final) / len(final))
-        crossed = [any(r[f"{lid}.crossed"] for lid in layer_ids) for r in trows]
-        fracs.append(predict_lot(crossed, window=len(crossed)).per_task[0])
-    all_crossed = [any(r[f"{lid}.crossed"] for lid in layer_ids) for r in clean]
-    rho_hat = predict_lot(all_crossed, window=max(len(all_crossed), 1)).rho_hat
+        task_crossed = [c for r, c in zip(clean, crossed) if r["task"] == t]
+        fracs.append(sum(task_crossed) / len(task_crossed))
+    rho_hat = sum(crossed) / len(crossed)
 
     lo_a, hi_a = min(accs), max(accs)
     lo_f, hi_f = min(fracs), max(fracs)
     degenerate = hi_f == lo_f or hi_a == lo_a
-    scaled = []
-    for f in fracs:
-        if degenerate:
-            scaled.append(0.5 * (lo_a + hi_a))
-        else:
-            scaled.append(lo_a + (f - lo_f) * (hi_a - lo_a) / (hi_f - lo_f))
-    per_task = [
-        TaskSummary(t, a, f, s) for t, a, f, s in zip(tasks, accs, fracs, scaled)
-    ]
+    if degenerate:
+        scaled = [0.5 * (lo_a + hi_a)] * len(fracs)
+    else:
+        scaled = [lo_a + (f - lo_f) * (hi_a - lo_a) / (hi_f - lo_f) for f in fracs]
+    per_task = [TaskSummary(*cells) for cells in zip(tasks, accs, fracs, scaled)]
     return Summary(per_task, rho_hat, degenerate)
 
 
 def format_summary(summary: Summary) -> str:
     lines = [
-        f"# rho_hat={_fmt(summary.rho_hat)}",
-        f"# scale_degenerate={1 if summary.scale_degenerate else 0}",
-        "task,accuracy,crossing_fraction,scaled_prediction",
+        f"# rho_hat={_cell(summary.rho_hat)}",
+        f"# scale_degenerate={_cell(summary.scale_degenerate)}",
+        ",".join(f.name for f in fields(TaskSummary)),
     ]
-    for ts in summary.per_task:
-        lines.append(
-            f"{ts.task},{_fmt(ts.accuracy)},{_fmt(ts.crossing_fraction)},{_fmt(ts.scaled_prediction)}"
-        )
+    lines.extend(",".join(map(_cell, astuple(ts))) for ts in summary.per_task)
     return "\n".join(lines) + "\n"
 
 
@@ -526,5 +496,5 @@ def write_summary(summary: Summary, path) -> None:
 def format_accuracy(result: SeedResult) -> str:
     lines = ["task,accuracy"]
     for t, a in enumerate(result.per_task_accuracy):
-        lines.append(f"{t},{_fmt(a)}")
+        lines.append(f"{t},{_cell(a)}")
     return "\n".join(lines) + "\n"

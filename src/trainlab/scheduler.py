@@ -37,6 +37,8 @@ class ControllerConfig:
             raise ConfigError(f"need 0 < cool < 1 < warm, got {self.cool}, {self.warm}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not self.eta_max > 0.0:
+            raise ConfigError(f"eta_max must be > 0, got {self.eta_max}")
         if self.eta_min > self.eta_max:
             raise ConfigError(f"eta_min {self.eta_min} > eta_max {self.eta_max}")
         if self.interval_k < 1:

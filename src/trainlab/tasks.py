@@ -24,6 +24,7 @@ from .rng import stream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+IDX_CLASSES = 10
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ class SyntheticSource:
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.classes < 2:
             raise ConfigError("synthetic source needs n >= 1, d >= 1, classes >= 2")
+        if not self.separation >= 0.0:
+            raise ConfigError(f"separation must be >= 0, got {self.separation}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ def load_idx(images_path: str, labels_path: str) -> RawDataset:
     """Parse big-endian IDX image/label files into a raw dataset.
 
     Validates the magic numbers (0x00000803 images, 0x00000801 labels), the
-    dimension records, and exact byte counts; failures carry the offending
-    byte offset.
+    dimension records, exact byte counts and that every label is a class in
+    [0, 10); failures carry the offending byte offset.
     """
     img = _read_file(images_path)
     if len(img) < 16:
@@ -137,7 +140,14 @@ def load_idx(images_path: str, labels_path: str) -> RawDataset:
             f"image count {n_img} != label count {n_lab}", offset=4
         )
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8)
-    return RawDataset(images, labels, 10)
+    bad = np.flatnonzero(labels >= IDX_CLASSES)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(
+            f"{labels_path}: label {labels[i]} at index {i} is not below {IDX_CLASSES}",
+            offset=8 + i,
+        )
+    return RawDataset(images, labels, IDX_CLASSES)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import pytest
 
@@ -305,6 +306,47 @@ def test_cli_summarize_missing_log_exits_2(tmp_path):
         main(["summarize", "--log", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "s.csv")])
         == EXIT_CONFIG
     )
+
+
+def _idx_files(tmp_path, labels):
+    """Plain IDX files with one 2x2 image per label (at most 64 labels)."""
+    images = tmp_path / "images.idx"
+    images.write_bytes(
+        struct.pack(">IIII", 0x00000803, len(labels), 2, 2) + bytes(range(4 * len(labels)))
+    )
+    label_file = tmp_path / "labels.idx"
+    label_file.write_bytes(struct.pack(">II", 0x00000801, len(labels)) + bytes(labels))
+    return [f"--stream.mnist.images={images}", f"--stream.mnist.labels={label_file}"]
+
+
+@pytest.mark.parametrize("setting", ["eta_max", "separation", "idx_label"])
+def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
+    """A setting the program cannot run on stops with one error line and
+    exit code 2, before any training step."""
+    overrides = {
+        # eta_min=-1 keeps eta_min <= eta_max; the run decides every 2 steps on
+        # converged sharpness
+        "eta_max": [
+            "--mode",
+            "scheduled",
+            "--controller.interval_k=2",
+            "--power_iters=100",
+            "--controller.eta_min=-1",
+            "--controller.eta_max=0",
+        ],
+        "separation": ["--stream.synthetic.separation=-1"],
+        "idx_label": [
+            "--stream.source=mnist_idx",
+            "--stream.randomize_frac=0.5",
+            *_idx_files(tmp_path, [3] * 50 + [12] + [4] * 13),
+        ],
+    }[setting]
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_config(tmp_path), "--out", str(out), *overrides])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_cli_rejects_mnist_without_paths():

@@ -365,6 +365,14 @@ def test_predict_lot_partial_trailing_task():
         predict_lot(flags, window=0)
 
 
+def test_predict_lot_reads_bools_and_mappings_only():
+    pred = predict_lot([np.bool_(True), {"fc1": np.bool_(False), "fc2": False}], window=1)
+    assert pred.per_task == [1.0, 0.0]
+    for entry in (1, 0, [True], (False,), None, "crossed"):
+        with pytest.raises(TypeError, match="crossing entry"):
+            predict_lot([True, entry], window=2)
+
+
 # ---------------------------------------------------------------------------
 # threshold report assembly
 

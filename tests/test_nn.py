@@ -360,6 +360,20 @@ def test_check_finite_passes_huge_finite_entries():
         nn.check_finite(params, "bad entry")
 
 
+@pytest.mark.parametrize("layer_id", ["fc1", "fc2"])
+def test_nonfinite_loss_names_the_first_nonfinite_layer(layer_id):
+    """An inf weight makes the loss non-finite.  Every pass names the first
+    layer with a non-finite pre-activation, or the read-out when none has."""
+    params = make_net(3, [4], 2, Activation("relu"), seed=17)
+    params.layers[params.layer_ids().index(layer_id)].weights[:] = np.inf
+    batch = make_batch(3, 2, 5, seed=17)
+    with np.errstate(all="ignore"):
+        for pass_ in (loss_grad, probe_grads, per_sample_grads):
+            with pytest.raises(NumericError, match="non-finite loss") as exc:
+                pass_(params, Activation("relu"), batch, NONE)
+            assert exc.value.layer_id == layer_id, pass_.__name__
+
+
 # ---------------------------------------------------------------------------
 # the flat parameter layout
 

@@ -132,6 +132,9 @@ def test_config_validation():
         ControllerConfig(gamma=0.0)
     with pytest.raises(ConfigError):
         ControllerConfig(eta_min=1.0, eta_max=0.1)
+    for eta_max in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ConfigError, match="eta_max"):
+            ControllerConfig(eta_min=-1.0, eta_max=eta_max)
 
 
 # ---------------------------------------------------------------------------

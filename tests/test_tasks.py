@@ -103,6 +103,36 @@ def test_load_idx_count_mismatch(idx_pair):
         load_idx(ip, lp)
 
 
+def test_load_idx_bad_image_magic(idx_pair):
+    img = struct.pack(">IIII", 0x00000801, 2, 28, 28) + bytes(2 * 784)
+    ip, lp = idx_pair(img, idx_labels_bytes([1, 2]))
+    with pytest.raises(FormatError, match="bad image magic") as exc:
+        load_idx(ip, lp)
+    assert exc.value.offset == 0
+
+
+def test_load_idx_truncated_label_header(idx_pair):
+    ip, lp = idx_pair(idx_images_bytes(n=2), idx_labels_bytes([1, 2])[:5])
+    with pytest.raises(FormatError, match="truncated IDX header") as exc:
+        load_idx(ip, lp)
+    assert exc.value.offset == 5
+
+
+def test_load_idx_label_byte_count_mismatch(idx_pair):
+    # the header declares 2 labels; 1 byte follows it
+    ip, lp = idx_pair(idx_images_bytes(n=2), idx_labels_bytes([1, 2])[:-1])
+    with pytest.raises(FormatError, match="expected 10 bytes, found 9") as exc:
+        load_idx(ip, lp)
+    assert exc.value.offset == 9
+
+
+def test_load_idx_rejects_labels_outside_the_ten_classes(idx_pair):
+    ip, lp = idx_pair(idx_images_bytes(n=4), idx_labels_bytes([9, 0, 12, 10]))
+    with pytest.raises(FormatError, match="label 12 at index 2") as exc:
+        load_idx(ip, lp)
+    assert exc.value.offset == 8 + 2
+
+
 # ---------------------------------------------------------------------------
 # prepare
 
@@ -265,6 +295,13 @@ def test_synthetic_separation_scales_cluster_distance():
         return np.linalg.norm(m0 - m1)
 
     assert cluster_gap(far) > 10 * cluster_gap(near)
+
+
+@pytest.mark.parametrize("separation", [-1.0, -1e-12, float("nan")])
+def test_synthetic_separation_must_be_nonnegative(separation):
+    with pytest.raises(ConfigError, match="separation"):
+        SyntheticSource(separation=separation)
+    assert synthesize(SyntheticSource(n=4, d=2, classes=2, separation=0.0)).images.shape == (4, 2)
 
 
 def test_stream_config_validation():
