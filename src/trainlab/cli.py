@@ -3,6 +3,11 @@
     trainlab run --config cfg.txt [--mode scheduled] [--seed 0] [--out DIR] [--key=value ...]
     trainlab summarize --log metrics_seed0.csv --out summary.csv
 
+``run`` writes each seed's ``metrics_seed{S}.csv`` and ``accuracy_seed{S}.csv``
+when that seed ends, so a crash loses only the running seed.  ``meta.txt``
+holds the settings and data statistics, then an ``aborted.seed{S}=`` line per
+aborted seed.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric abort in some seed.
 """
 
@@ -15,7 +20,8 @@ import sys
 
 from .config import build_run_config, config_lines, parse_config_text
 from .errors import ConfigError, DegenerateDataError, FormatError, TrainlabError
-from .runner import format_accuracy, read_log, run, summarize, write_log, write_summary
+from .runner import format_accuracy, read_log, run_seed, summarize, write_log, write_summary
+from .tasks import load_source, prepare
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
 
@@ -65,25 +71,32 @@ def _cmd_run(args, extras: list[str]) -> int:
         values["seeds"] = str(args.seed)
     cfg = build_run_config(values)
 
-    result = run(cfg)
+    base = prepare(load_source(cfg.stream), cfg.stream)
     os.makedirs(args.out, exist_ok=True)
-    meta = config_lines(cfg) + [
-        f"data.mean={result.base.mean!r}",
-        f"data.std={result.base.std!r}",
-        "normalization=global-scalar",
-    ]
-    for sr in result.seed_results:
-        write_log(sr.records, sr.layer_ids, os.path.join(args.out, f"metrics_seed{sr.seed}.csv"))
-        with open(os.path.join(args.out, f"accuracy_seed{sr.seed}.csv"), "w", newline="\n") as fh:
-            fh.write(format_accuracy(sr))
+    data = [f"data.mean={base.mean!r}", f"data.std={base.std!r}", "normalization=global-scalar"]
+    _write(args.out, "meta.txt", _lines(config_lines(cfg) + data))
+    aborted = []
+    for seed in cfg.seeds:  # a seed's files are on disk before the next seed starts
+        sr = run_seed(cfg, seed, base)
+        write_log(sr.records, sr.layer_ids, os.path.join(args.out, f"metrics_seed{seed}.csv"))
+        _write(args.out, f"accuracy_seed{seed}.csv", format_accuracy(sr))
         status = f"aborted: {sr.abort_message}" if sr.aborted else "ok"
         final = sr.per_task_accuracy[-1] if sr.per_task_accuracy else float("nan")
-        print(f"seed {sr.seed}: {status}, tasks={len(sr.per_task_accuracy)}, final_accuracy={final:.4f}")
+        tasks = len(sr.per_task_accuracy)
+        print(f"seed {seed}: {status}, tasks={tasks}, final_accuracy={final:.4f}", flush=True)
         if sr.aborted:
-            meta.append(f"aborted.seed{sr.seed}={sr.abort_message}")
-    with open(os.path.join(args.out, "meta.txt"), "w", newline="\n") as fh:
-        fh.write("\n".join(meta) + "\n")
-    return EXIT_NUMERIC if result.aborted else EXIT_OK
+            aborted.append(f"aborted.seed{seed}={sr.abort_message}")
+    _write(args.out, "meta.txt", _lines(aborted), mode="a")
+    return EXIT_NUMERIC if aborted else EXIT_OK
+
+
+def _lines(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _write(out_dir: str, name: str, text: str, mode: str = "w") -> None:
+    with open(os.path.join(out_dir, name), mode, newline="\n") as fh:
+        fh.write(text)
 
 
 def _cmd_summarize(args) -> int:

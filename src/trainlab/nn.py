@@ -243,6 +243,14 @@ def _act_tangent(act: Activation, z: np.ndarray, dz: np.ndarray) -> np.ndarray:
 # regularizers
 
 
+def check_regularizer(kind: str, lam: float) -> None:
+    """Raise ConfigError unless ``kind`` is a known penalty and ``lam`` is finite and >= 0."""
+    if kind not in REGULARIZER_KINDS:
+        raise ConfigError(f"unknown regularizer {kind!r}")
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError(f"regularizer coefficient must be finite and >= 0, got {lam}")
+
+
 @dataclass
 class Regularizer:
     kind: str = "none"
@@ -250,10 +258,7 @@ class Regularizer:
     init_snapshot: ParamSet | None = None
 
     def __post_init__(self):
-        if self.kind not in REGULARIZER_KINDS:
-            raise ConfigError(f"unknown regularizer {self.kind!r}")
-        if self.lam < 0.0:
-            raise ConfigError(f"regularizer coefficient must be >= 0, got {self.lam}")
+        check_regularizer(self.kind, self.lam)
         if self.kind == "wasserstein":
             if self.init_snapshot is None:
                 raise ConfigError("wasserstein regularizer requires an init snapshot")

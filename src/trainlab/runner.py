@@ -1,16 +1,17 @@
-"""Experiment orchestration: training loops, metric probes, log files.
+"""Experiment orchestration: one seed's training loop, metric probes, log files.
 
-Runs vanilla / reset-at-task / scheduled modes over a task stream.  Metric
-probes fire at log intervals and, in scheduled mode, at the controller's own
-decision interval; every probe writes one record, so every decision is
-logged.  The training step is one ``nn.loss_grad`` pass, dropped once Adam
-and the accuracy have read it.  ``_probe`` takes a probe to its record's
-cells: one ``loss_grad`` pass (through ``probe_grads``) that every
-measurement reads (the factored per-layer gradient variance, the
-diagnostics and every R-op product of the Lanczos solve for the top Hessian
-eigenvalue), the window statistics and threshold reports, all at the
-learning rates from before any decision, then the controller's decision on
-a decision step.  When the eigensolve runs out its product budget, the
+``run_seed`` runs one seed in vanilla / reset-at-task / scheduled mode over a
+task stream and returns its records; a caller that runs several seeds
+prepares the dataset once (``prepare(load_source(...))``) and passes it to
+each.  Metric probes fire at log intervals and, in scheduled mode, at the
+controller's own decision interval; every probe writes one record, so every
+decision is logged.  The training step is one ``nn.loss_grad`` pass, dropped
+once Adam and the accuracy have read it.  ``_probe`` takes a probe to its
+record's cells: one ``loss_grad`` pass (through ``probe_grads``) that every
+measurement reads (the factored per-layer gradient variance, the diagnostics
+and every R-op product of the Lanczos solve for the top Hessian eigenvalue),
+the window statistics and threshold reports, all at the learning rates from
+before any decision, then the controller's decision on a decision step.  When the eigensolve runs out its product budget, the
 record is flagged ``sharpness_unconverged``, its eigenvalue is kept out of
 the volatility windows (the bounds read each window as it stands) and a
 decision on it holds every layer.
@@ -46,10 +47,10 @@ from .metrics import (
 )
 from .nn import (
     GLOBAL_SCOPE,
-    REGULARIZER_KINDS,
     Activation,
     ParamSet,
     Regularizer,
+    check_regularizer,
     init_mlp,
     loss_grad,
     probe_grads,
@@ -77,10 +78,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden_width < 1:
             raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if self.regularizer not in REGULARIZER_KINDS:
-            raise ConfigError(f"unknown regularizer {self.regularizer!r}")
-        if self.reg_lambda < 0.0:
-            raise ConfigError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
+        check_regularizer(self.regularizer, self.reg_lambda)
 
 
 @dataclass(frozen=True)
@@ -183,17 +181,6 @@ class SeedResult:
     final_state: AdamState | None = None
 
 
-@dataclass
-class RunResult:
-    config: RunConfig
-    base: BaseDataset
-    seed_results: list[SeedResult]
-
-    @property
-    def aborted(self) -> bool:
-        return any(r.aborted for r in self.seed_results)
-
-
 def build_regularizer(model: ModelConfig, init_snapshot: ParamSet) -> Regularizer:
     """The run's penalty; only the Wasserstein penalty keeps a copy of the init."""
     snapshot = init_snapshot.copy() if model.regularizer == "wasserstein" else None
@@ -267,13 +254,6 @@ def _probe(
 
 # ---------------------------------------------------------------------------
 # the training loop
-
-
-def run(cfg: RunConfig) -> RunResult:
-    """Execute every configured seed over the shared prepared dataset."""
-    base = prepare(load_source(cfg.stream), cfg.stream)
-    results = [run_seed(cfg, seed, base) for seed in cfg.seeds]
-    return RunResult(cfg, base, results)
 
 
 def _fresh_windows(cfg: RunConfig, layer_ids) -> dict[str, WindowStats]:

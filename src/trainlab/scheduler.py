@@ -9,6 +9,7 @@ fraction of the run.  All changes are clamped to a configured LR range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -39,8 +40,10 @@ class ControllerConfig:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
         if not self.eta_max > 0.0:
             raise ConfigError(f"eta_max must be > 0, got {self.eta_max}")
-        if self.eta_min > self.eta_max:
-            raise ConfigError(f"eta_min {self.eta_min} > eta_max {self.eta_max}")
+        if not self.eta_min <= self.eta_max:  # a NaN eta_min would switch the lower clamp off
+            raise ConfigError(f"need eta_min <= eta_max, got {self.eta_min}, {self.eta_max}")
+        if math.isnan(self.abs_floor):  # alpha > nan is never true, so nothing would cool
+            raise ConfigError("abs_floor must be a number, got nan")
         if self.interval_k < 1:
             raise ConfigError(f"interval_k must be >= 1, got {self.interval_k}")
         if not 0.0 <= self.warm_phase_frac <= 1.0:

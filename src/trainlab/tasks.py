@@ -107,8 +107,9 @@ def load_idx(images_path: str, labels_path: str) -> RawDataset:
     """Parse big-endian IDX image/label files into a raw dataset.
 
     Validates the magic numbers (0x00000803 images, 0x00000801 labels), the
-    dimension records, exact byte counts and that every label is a class in
-    [0, 10); failures carry the offending byte offset.
+    dimension records (an image has at least one row and one column), exact
+    byte counts and that every label is a class in [0, 10); failures carry
+    the offending byte offset.
     """
     img = _read_file(images_path)
     if len(img) < 16:
@@ -116,6 +117,9 @@ def load_idx(images_path: str, labels_path: str) -> RawDataset:
     magic, n_img, rows, cols = struct.unpack(">IIII", img[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise FormatError(f"{images_path}: bad image magic 0x{magic:08x}", offset=0)
+    for offset, name, size in ((8, "row", rows), (12, "column", cols)):
+        if size == 0:
+            raise FormatError(f"{images_path}: image {name} count is 0", offset=offset)
     expected = 16 + n_img * rows * cols
     if len(img) != expected:
         raise FormatError(

@@ -1,5 +1,7 @@
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +9,7 @@ import trainlab.cli as cli_mod
 from trainlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from trainlab.config import KEYS, build_run_config, config_lines, parse_config_text
 from trainlab.errors import ConfigError
-from trainlab.runner import RunResult, SeedResult, read_log
+from trainlab.runner import SeedResult, read_log
 from trainlab.tasks import MnistSource, SyntheticSource
 
 from conftest import REPO, load_bench_module
@@ -97,12 +99,42 @@ def test_build_run_config_rejects_bad_types():
         ("optimizer.beta1", "1"),
         ("optimizer.beta2", "-0.1"),
         ("optimizer.eps", "0"),
+        ("model.hidden_width", "0"),
+        ("model.regularizer", "l1"),
+        ("model.reg_lambda", "-1e-3"),
+        ("model.reg_lambda", "nan"),
+        ("model.reg_lambda", "inf"),
+        ("bounds.kappa", "0"),
+        ("bounds.beta", "1.5"),
+        ("bounds.delta", "1"),
+        ("log_interval", "0"),
+        ("seeds", ""),
+        ("stream.tasks", "0"),
+        ("stream.source", "cifar"),
     ],
 )
 def test_build_run_config_rejects_bad_settings(key, value):
     """A setting the run cannot use fails when the config is built, before any data loads."""
     values = parse_config_text(TINY_CONFIG)
     values[key] = value
+    with pytest.raises(ConfigError):
+        build_run_config(values)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("controller.interval_k", "0"),
+        ("controller.warm_phase_frac", "1.5"),
+        ("controller.timid_frac", "1"),
+        ("controller.abs_floor", "nan"),
+        ("controller.eta_min", "nan"),
+    ],
+)
+def test_build_run_config_rejects_bad_controller_settings(key, value):
+    """The controller, built in scheduled mode only, checks its settings then."""
+    values = parse_config_text(TINY_CONFIG)
+    values.update({"mode": "scheduled", key: value})
     with pytest.raises(ConfigError):
         build_run_config(values)
 
@@ -282,23 +314,62 @@ def test_cli_malformed_override_exits_2(tmp_path):
 def test_cli_numeric_abort_exits_3(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path)
 
-    class FakeBase:
-        mean, std = 0.0, 1.0
-
-    def fake_run(cfg):
-        sr = SeedResult(
-            seed=0,
+    def fake_run_seed(cfg, seed, base):
+        return SeedResult(
+            seed=seed,
             layer_ids=["fc1", "fc2"],
             records=[],
             per_task_accuracy=[0.5],
             aborted=True,
             abort_message="synthetic",
         )
-        return RunResult(cfg, FakeBase(), [sr])
 
-    monkeypatch.setattr(cli_mod, "run", fake_run)
+    monkeypatch.setattr(cli_mod, "run_seed", fake_run_seed)
     code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert code == EXIT_NUMERIC
+
+
+def test_cli_crash_keeps_the_files_of_earlier_seeds(tmp_path, monkeypatch):
+    """Each seed's files are written when it ends: a crash in the second seed
+    propagates and leaves the first seed's files, byte-identical to a one-seed
+    run's, beside meta.txt's settings."""
+    cfg_path = write_config(tmp_path)
+    alone, out = tmp_path / "alone", tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(alone)]) == EXIT_OK
+    real_run_seed = cli_mod.run_seed
+
+    def crashing(cfg, seed, base):
+        if seed == 1:
+            raise RuntimeError("worker lost")
+        return real_run_seed(cfg, seed, base)
+
+    monkeypatch.setattr(cli_mod, "run_seed", crashing)
+    with pytest.raises(RuntimeError, match="worker lost"):
+        main(["run", "--config", cfg_path, "--out", str(out), "--seeds=0,1"])
+    for name in ("metrics_seed0.csv", "accuracy_seed0.csv"):
+        assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+    assert not (out / "metrics_seed1.csv").exists()
+    meta = (out / "meta.txt").read_text().splitlines()
+    cfg = build_run_config(parse_config_text(TINY_CONFIG + "\nseeds=0,1"))
+    assert meta[: len(config_lines(cfg))] == config_lines(cfg)
+    assert meta[-1] == "normalization=global-scalar"
+
+
+def test_cli_entry_point_in_a_subprocess(tmp_path):
+    """``python -m trainlab.cli`` runs the entry point: exit 0 and the three
+    output files, and exit 2 on an unknown key."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    cmd = [sys.executable, "-m", "trainlab.cli", "run", "--config", write_config(tmp_path)]
+    out = tmp_path / "out"
+    done = subprocess.run([*cmd, "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("seed 0: ok, tasks=2, ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "accuracy_seed0.csv", "meta.txt", "metrics_seed0.csv"
+    ]
+    bad = subprocess.run([*cmd, "--bogus.key=1"], env=env, capture_output=True, text=True)
+    assert bad.returncode == EXIT_CONFIG
+    assert bad.stderr.startswith("error: unknown config key")
 
 
 def test_cli_summarize_missing_log_exits_2(tmp_path):
@@ -308,18 +379,32 @@ def test_cli_summarize_missing_log_exits_2(tmp_path):
     )
 
 
-def _idx_files(tmp_path, labels):
-    """Plain IDX files with one 2x2 image per label (at most 64 labels)."""
-    images = tmp_path / "images.idx"
+def _idx_files(tmp_path, labels, rows=2):
+    """Plain IDX files with one rows x 2 image per label (at most 64 labels),
+    named by their row count."""
+    images = tmp_path / f"images{rows}.idx"
     images.write_bytes(
-        struct.pack(">IIII", 0x00000803, len(labels), 2, 2) + bytes(range(4 * len(labels)))
+        struct.pack(">IIII", 0x00000803, len(labels), rows, 2)
+        + bytes(range(2 * rows * len(labels)))
     )
-    label_file = tmp_path / "labels.idx"
+    label_file = tmp_path / f"labels{rows}.idx"
     label_file.write_bytes(struct.pack(">II", 0x00000801, len(labels)) + bytes(labels))
     return [f"--stream.mnist.images={images}", f"--stream.mnist.labels={label_file}"]
 
 
-@pytest.mark.parametrize("setting", ["eta_max", "separation", "idx_label"])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "eta_max",
+        "separation",
+        "idx_label",
+        "idx_zero_rows",
+        "reg_lambda_nan",
+        "reg_lambda_inf",
+        "abs_floor_nan",
+        "eta_min_nan",
+    ],
+)
 def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
     """A setting the program cannot run on stops with one error line and
     exit code 2, before any training step."""
@@ -340,6 +425,16 @@ def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
             "--stream.randomize_frac=0.5",
             *_idx_files(tmp_path, [3] * 50 + [12] + [4] * 13),
         ],
+        "idx_zero_rows": [
+            "--stream.source=mnist_idx",
+            *_idx_files(tmp_path, [3] * 64, rows=0),
+        ],
+        # a run on these would abort at its first step with a non-finite loss
+        "reg_lambda_nan": ["--model.regularizer=l2", "--model.reg_lambda=nan"],
+        "reg_lambda_inf": ["--model.regularizer=l2", "--model.reg_lambda=inf"],
+        # a NaN floor would switch cooling off, a NaN eta_min the lower clamp
+        "abs_floor_nan": ["--mode", "scheduled", "--controller.abs_floor=nan"],
+        "eta_min_nan": ["--mode", "scheduled", "--controller.eta_min=nan"],
     }[setting]
     out = tmp_path / "out"
     code = main(["run", "--config", write_config(tmp_path), "--out", str(out), *overrides])

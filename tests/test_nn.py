@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,12 @@ def test_wasserstein_permutation_invariant_nonnegative(rng):
 def test_wasserstein_shape_mismatch():
     with pytest.raises(ConfigError):
         wasserstein_penalty(np.zeros((2, 2)), np.zeros((4,)))
+
+
+@pytest.mark.parametrize("kind, lam", [("l1", 0.1), ("l2", -1e-3), ("l2", math.nan), ("none", math.inf)])
+def test_regularizer_rejects_unknown_kinds_and_unusable_coefficients(kind, lam):
+    with pytest.raises(ConfigError):
+        Regularizer(kind, lam)
 
 
 def test_regularizer_presorted_snapshot_matches_per_call_penalty():

@@ -8,6 +8,8 @@ import pytest
 import trainlab.curvature as curvature_mod
 import trainlab.nn as nn_mod
 import trainlab.runner as runner_mod
+from trainlab.cli import EXIT_NUMERIC, main
+from trainlab.config import config_lines
 from trainlab.errors import ConfigError, NumericError
 from trainlab.metrics import BoundConfig, push_and_stats
 from trainlab.nn import Activation, Regularizer, loss_grad
@@ -19,7 +21,6 @@ from trainlab.runner import (
     format_log,
     log_columns,
     read_log,
-    run,
     run_seed,
     summarize,
     write_log,
@@ -174,15 +175,13 @@ def test_probes_are_side_effect_free():
 
 def test_run_determinism_byte_identical_logs():
     cfg = tiny_config(mode="scheduled", interval_k=2, seeds=(0,))
-    a = run(cfg)
-    b = run(cfg)
-    log_a = format_log(a.seed_results[0].records, a.seed_results[0].layer_ids)
-    log_b = format_log(b.seed_results[0].records, b.seed_results[0].layer_ids)
-    assert log_a == log_b
-    assert a.seed_results[0].per_task_accuracy == b.seed_results[0].per_task_accuracy
+    a = run_seed(cfg, seed=0)
+    b = run_seed(cfg, seed=0)
+    assert format_log(a.records, a.layer_ids) == format_log(b.records, b.layer_ids)
+    assert a.per_task_accuracy == b.per_task_accuracy
 
 
-def test_numeric_abort_partial_log_other_seeds_continue(monkeypatch):
+def test_numeric_abort_partial_log_other_seeds_continue(monkeypatch, tmp_path):
     real_step = runner_mod.adam_step
     tripped = {"done": False}
 
@@ -193,18 +192,20 @@ def test_numeric_abort_partial_log_other_seeds_continue(monkeypatch):
         return real_step(state, params, grads)
 
     monkeypatch.setattr(runner_mod, "adam_step", sabotaged)
-    cfg = tiny_config(seeds=(0, 1))
-    res = run(cfg)
-    first, second = res.seed_results
-    assert first.aborted and not second.aborted
-    assert res.aborted
-    assert first.abort_message == "synthetic blow-up"
-    assert first.records, "abort must leave an error record"
-    last = first.records[-1]
-    assert any(f.startswith("aborted") for f in last.flags)
-    assert any(f == "aborted_layer:fc1" for f in last.flags)
-    assert math.isnan(last.train_accuracy)
-    assert len(second.per_task_accuracy) == 2
+    cfg_path, out = tmp_path / "cfg.txt", tmp_path / "out"
+    cfg_path.write_text("\n".join(config_lines(tiny_config(seeds=(0, 1)))))
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_NUMERIC
+    meta = (out / "meta.txt").read_text().splitlines()
+    assert [ln for ln in meta if ln.startswith("aborted.")] == ["aborted.seed0=synthetic blow-up"]
+    first, _ = read_log(out / "metrics_seed0.csv")
+    assert first, "abort must leave an error record"
+    last_flags = first[-1]["flags"].split(";")
+    assert any(f.startswith("aborted") for f in last_flags)
+    assert "aborted_layer:fc1" in last_flags
+    assert math.isnan(first[-1]["train_accuracy"])
+    second, _ = read_log(out / "metrics_seed1.csv")
+    assert not any(row["flags"].startswith("aborted") for row in second)
+    assert len((out / "accuracy_seed1.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_probe_abort_leaves_the_same_error_record(monkeypatch):
@@ -251,6 +252,19 @@ def test_unconverged_probe_holds_every_layer():
     assert res.final_state.eta == {"fc1": 0.05, "fc2": 0.05}
 
 
+def test_warming_into_eta_max_is_flagged_clamped():
+    """The controller warms a layer whose step sits far below its bound; at
+    eta_max = eta that warming is clamped, and the record says so."""
+    ctl = ControllerConfig(interval_k=2, warm_phase_frac=1.0, eta_max=1e-3)
+    res = run_seed(tiny_config(mode="scheduled", controller=ctl, power_iters=100), seed=0)
+    assert not res.aborted
+    clamped = [rec for rec in res.records if "fc1:eta_clamped" in rec.flags]
+    assert clamped
+    for rec in clamped:
+        assert rec.layers["fc1"].decision == "warmed" and rec.layers["fc1"].eta == 1e-3
+    assert res.final_state.eta["fc1"] == 1e-3
+
+
 def _probe_inputs(cfg, reg_kind="l2"):
     act = Activation("relu")
     params = make_net(6, 8, 3, act, seed=2)
@@ -291,6 +305,18 @@ def test_probe_makes_one_forward_pass_and_one_penalty_evaluation(monkeypatch, re
     )
     assert "sharpness_unconverged" not in cells["flags"] and len(products) > 1
     assert calls == {"_forward": 1, "regularizer_penalty": 1}
+
+
+def test_probe_at_zero_parameters_flags_the_ratio_undefined():
+    cfg = tiny_config(power_iters=100)
+    params, act, batch, reg, state = _probe_inputs(cfg)
+    params.vector[...] = 0.0
+    windows = runner_mod._fresh_windows(cfg, params.layer_ids())
+    cells = runner_mod._probe(
+        cfg, 0, 1, params, act, batch, reg, state, windows, is_decide=False, total_steps=1
+    )
+    assert "ratio_undefined" in cells["flags"]
+    assert cells["weight_norm"] == 0.0 and cells["grad_param_ratio"] == 0.0
 
 
 def test_unconverged_probe_adds_no_window_sample(monkeypatch):
@@ -474,6 +500,16 @@ def test_read_log_types_cells_by_field_and_rejects_unknown_columns(tmp_path):
         read_log(path)
 
 
+def test_read_log_rejects_an_empty_file_and_a_short_line(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("")
+    with pytest.raises(ConfigError, match="empty metric log"):
+        read_log(path)
+    path.write_text("seed,step,flags\n3,7,-\n3,8\n")
+    with pytest.raises(ConfigError, match="2 fields, expected 3"):
+        read_log(path)
+
+
 def test_write_log_byte_identical(tmp_path):
     cfg = tiny_config()
     res = run_seed(cfg, seed=2)
@@ -558,3 +594,9 @@ def test_summarize_skips_aborted_records():
     s = summarize(rows, ["fc1"])
     assert len(s.per_task) == 2
     assert not math.isnan(s.per_task[-1].accuracy)
+
+
+def test_summarize_rejects_a_log_of_aborted_records_only():
+    rows = [dict(row, flags="aborted:boom") for row in synthetic_rows([[1, 0]], accs=[0.7])]
+    with pytest.raises(ConfigError, match="no usable records"):
+        summarize(rows, ["fc1"])

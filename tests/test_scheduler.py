@@ -135,6 +135,11 @@ def test_config_validation():
     for eta_max in (0.0, -1e-3, float("nan")):
         with pytest.raises(ConfigError, match="eta_max"):
             ControllerConfig(eta_min=-1.0, eta_max=eta_max)
+    with pytest.raises(ConfigError, match="eta_min"):
+        ControllerConfig(eta_min=float("nan"))
+    with pytest.raises(ConfigError, match="abs_floor"):
+        ControllerConfig(abs_floor=float("nan"))
+    ControllerConfig(eta_min=-1.0, abs_floor=-1.0)  # negative bounds stay legal
 
 
 # ---------------------------------------------------------------------------

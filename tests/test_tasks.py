@@ -111,6 +111,17 @@ def test_load_idx_bad_image_magic(idx_pair):
     assert exc.value.offset == 0
 
 
+@pytest.mark.parametrize("rows, cols, offset", [(0, 28, 8), (28, 0, 12)], ids=["rows", "cols"])
+def test_load_idx_zero_image_dimension(idx_pair, rows, cols, offset):
+    """A zero row or column count is rejected at its dimension record, not
+    loaded as images without pixels."""
+    img = struct.pack(">IIII", 0x00000803, 300, rows, cols)
+    ip, lp = idx_pair(img, idx_labels_bytes([1] * 300))
+    with pytest.raises(FormatError, match="count is 0") as exc:
+        load_idx(ip, lp)
+    assert exc.value.offset == offset
+
+
 def test_load_idx_truncated_label_header(idx_pair):
     ip, lp = idx_pair(idx_images_bytes(n=2), idx_labels_bytes([1, 2])[:5])
     with pytest.raises(FormatError, match="truncated IDX header") as exc:
