@@ -8,7 +8,7 @@ when that seed ends, so a crash loses only the running seed.  ``meta.txt``
 holds the settings and data statistics, then an ``aborted.seed{S}=`` line per
 aborted seed.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric abort in some seed.
+Exit codes: 0 success, 2 configuration, input or file error, 3 numeric abort in some seed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import re
 import sys
 
 from .config import build_run_config, config_lines, parse_config_text
-from .errors import ConfigError, DegenerateDataError, FormatError, TrainlabError
-from .runner import format_accuracy, read_log, run_seed, summarize, write_log, write_summary
+from .errors import ConfigError, NumericError, TrainlabError
+from .runner import format_accuracy, format_summary, read_log, run_seed, summarize, write_log
 from .tasks import load_source, prepare
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
@@ -59,11 +59,8 @@ def _collect_overrides(extras: list[str]) -> dict[str, str]:
 def _cmd_run(args, extras: list[str]) -> int:
     values: dict[str, str] = {}
     if args.config:
-        try:
-            with open(args.config, "r") as fh:
-                values.update(parse_config_text(fh.read()))
-        except OSError as err:
-            raise ConfigError(f"cannot read config {args.config}: {err}") from None
+        with open(args.config, "r") as fh:
+            values.update(parse_config_text(fh.read()))
     values.update(_collect_overrides(extras))
     if args.mode is not None:
         values["mode"] = args.mode
@@ -74,19 +71,20 @@ def _cmd_run(args, extras: list[str]) -> int:
     base = prepare(load_source(cfg.stream), cfg.stream)
     os.makedirs(args.out, exist_ok=True)
     data = [f"data.mean={base.mean!r}", f"data.std={base.std!r}", "normalization=global-scalar"]
-    _write(args.out, "meta.txt", _lines(config_lines(cfg) + data))
+    meta = os.path.join(args.out, "meta.txt")
+    _write(meta, _lines(config_lines(cfg) + data))
     aborted = []
     for seed in cfg.seeds:  # a seed's files are on disk before the next seed starts
         sr = run_seed(cfg, seed, base)
         write_log(sr.records, sr.layer_ids, os.path.join(args.out, f"metrics_seed{seed}.csv"))
-        _write(args.out, f"accuracy_seed{seed}.csv", format_accuracy(sr))
+        _write(os.path.join(args.out, f"accuracy_seed{seed}.csv"), format_accuracy(sr))
         status = f"aborted: {sr.abort_message}" if sr.aborted else "ok"
         final = sr.per_task_accuracy[-1] if sr.per_task_accuracy else float("nan")
         tasks = len(sr.per_task_accuracy)
         print(f"seed {seed}: {status}, tasks={tasks}, final_accuracy={final:.4f}", flush=True)
         if sr.aborted:
             aborted.append(f"aborted.seed{seed}={sr.abort_message}")
-    _write(args.out, "meta.txt", _lines(aborted), mode="a")
+    _write(meta, _lines(aborted), mode="a")
     return EXIT_NUMERIC if aborted else EXIT_OK
 
 
@@ -94,15 +92,15 @@ def _lines(lines: list[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _write(out_dir: str, name: str, text: str, mode: str = "w") -> None:
-    with open(os.path.join(out_dir, name), mode, newline="\n") as fh:
+def _write(path: str, text: str, mode: str = "w") -> None:
+    with open(path, mode, newline="\n") as fh:
         fh.write(text)
 
 
 def _cmd_summarize(args) -> int:
     rows, layer_ids = read_log(args.log)
     summary = summarize(rows, layer_ids)
-    write_summary(summary, args.out)
+    _write(args.out, format_summary(summary))
     print(f"wrote {args.out}: {len(summary.per_task)} tasks, rho_hat={summary.rho_hat:.6f}")
     return EXIT_OK
 
@@ -114,12 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args, extras)
         return _cmd_summarize(args)
-    except (ConfigError, FormatError, DegenerateDataError, FileNotFoundError) as err:
+    except (TrainlabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TrainlabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC if isinstance(err, NumericError) else EXIT_CONFIG
 
 
 def entrypoint() -> None:

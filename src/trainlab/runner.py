@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import CurvatureProbe, top_eigenvalue
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .metrics import (
     BoundConfig,
     WindowStats,
@@ -58,7 +58,7 @@ from .nn import (
 from .optim import AdamState, adam_step, agg_step, check_adam, effective_step, init_adam, reset
 from .rng import derive_seed, stream
 from .scheduler import HELD, ControllerConfig, decide
-from .tasks import BaseDataset, StreamConfig, batches, load_source, make_task, prepare, steps_per_epoch
+from .tasks import BaseDataset, StreamConfig, batches, load_source, prepare, steps_per_epoch, task_labels
 
 # Off the run path, but bound here: bench/tracing.py wraps these names in this module.
 from .metrics import minibatch_grad_variance  # noqa: F401
@@ -119,6 +119,8 @@ class RunConfig:
         WindowStats(self.window, self.ema_decay)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {','.join(map(str, self.seeds))}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ _REPORT_CELLS = tuple(f for f in LAYER_FIELDS if f not in ("eta", "decision"))
 _ABSENT_CELL = {"float": math.nan, "str": ABSENT, "bool": False}
 _ABSENT_LAYER = LayerMetrics(**{name: _ABSENT_CELL[t] for name, t in _LAYER_TYPES.items()})
 # a log cell's parser, by field type: a bool cell is 1 or 0, the flags stay one string
-_PARSE_CELL = {"int": int, "float": float, "str": str, "bool": "1".__eq__, "tuple[str, ...]": str}
+_BOOL_CELL = {"1": True, "0": False}
+_PARSE_CELL = {"int": int, "float": float, "str": str, "bool": _BOOL_CELL.__getitem__, "tuple[str, ...]": str}
 
 
 @dataclass
@@ -290,11 +293,11 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
             params = init_snapshot.copy()
             state = reset(state)
             windows = _fresh_windows(cfg, layer_ids)
-        view = make_task(base, task_i, cfg.stream)
+        labels = task_labels(base, task_i, cfg.stream)
         task_final_acc = 0.0
         for epoch in range(cfg.stream.epochs_per_task):
             ep_sum, ep_n = 0.0, 0
-            for batch in batches(view, epoch, cfg.stream):
+            for batch in batches(base.inputs, labels, task_i, epoch, cfg.stream):
                 global_step += 1
                 is_decide = cfg.mode == "scheduled" and global_step % cfg.controller.interval_k == 0
                 cells = None
@@ -381,10 +384,10 @@ def write_log(records: Sequence[MetricRecord], layer_ids: Sequence[str], path) -
 def read_log(path) -> tuple[list[dict], list[str]]:
     """Parse a metric log back into row dicts plus the layer-id list."""
     with open(path, "r") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ConfigError(f"empty metric log {path}")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     parsers = []
     layer_ids: list[str] = []
     for col in header:
@@ -396,11 +399,17 @@ def read_log(path) -> tuple[list[dict], list[str]]:
         if name == LAYER_FIELDS[0] and lid:
             layer_ids.append(lid)
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ConfigError(f"malformed log line with {len(parts)} fields, expected {len(header)}")
-        rows.append({col: parse(val) for col, parse, val in zip(header, parsers, parts)})
+            raise ConfigError(f"{path}: line {lineno} has {len(parts)} fields, expected {len(header)}")
+        row = {}
+        for col, parse, val in zip(header, parsers, parts):
+            try:
+                row[col] = parse(val)
+            except (KeyError, ValueError):
+                raise FormatError(f"{path}: line {lineno}, column {col!r}: cannot parse {val!r}") from None
+        rows.append(row)
     return rows, layer_ids
 
 
@@ -466,11 +475,6 @@ def format_summary(summary: Summary) -> str:
     ]
     lines.extend(",".join(map(_cell, astuple(ts))) for ts in summary.per_task)
     return "\n".join(lines) + "\n"
-
-
-def write_summary(summary: Summary, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(format_summary(summary))
 
 
 def format_accuracy(result: SeedResult) -> str:

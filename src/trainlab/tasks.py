@@ -13,6 +13,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -81,14 +82,6 @@ class BaseDataset:
     n_classes: int
     mean: float
     std: float
-    indices: np.ndarray  # subsample rows taken from the raw dataset
-
-
-@dataclass(frozen=True)
-class TaskView:
-    task_index: int
-    inputs: np.ndarray  # reference to BaseDataset.inputs (never copied)
-    labels: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +92,10 @@ def _read_file(path: str) -> bytes:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] == b"\x1f\x8b":  # gzip-compressed IDX
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as err:
+            raise FormatError(f"{path}: corrupt gzip data ({err})") from None
     return data
 
 
@@ -179,7 +175,7 @@ def load_source(cfg: StreamConfig) -> RawDataset:
 
 
 # ---------------------------------------------------------------------------
-# preparation and task construction
+# preparation, task labels and batches
 
 
 def prepare(raw: RawDataset, cfg: StreamConfig) -> BaseDataset:
@@ -195,14 +191,15 @@ def prepare(raw: RawDataset, cfg: StreamConfig) -> BaseDataset:
         raise ConfigError(f"subsample_n {cfg.subsample_n} exceeds dataset size {n_total}")
     rng = stream(cfg.base_seed, "subsample")
     indices = rng.choice(n_total, size=cfg.subsample_n, replace=False)
-    x = raw.images[indices].astype(np.float64)
+    x = raw.images[indices].astype(np.float64, copy=False)  # one copy, normalized in place
     mean = float(np.mean(x))
     std = float(np.std(x))
     if std == 0.0:
         raise DegenerateDataError("zero pixel standard deviation; cannot normalize")
-    inputs = (x - mean) / std
+    x -= mean
+    x /= std
     labels = raw.labels[indices].astype(np.int64)
-    return BaseDataset(inputs, labels, raw.n_classes, mean, std, indices)
+    return BaseDataset(x, labels, raw.n_classes, mean, std)
 
 
 def task_labels(base: BaseDataset, task_index: int, cfg: StreamConfig) -> np.ndarray:
@@ -222,18 +219,18 @@ def task_labels(base: BaseDataset, task_index: int, cfg: StreamConfig) -> np.nda
     return labels
 
 
-def make_task(base: BaseDataset, task_index: int, cfg: StreamConfig) -> TaskView:
-    return TaskView(task_index, base.inputs, task_labels(base, task_index, cfg))
-
-
 def steps_per_epoch(n: int, batch_size: int) -> int:
     return math.ceil(n / batch_size)
 
 
-def batches(view: TaskView, epoch: int, cfg: StreamConfig) -> Iterator[Batch]:
-    """Deterministic shuffled minibatches; the final partial batch is kept."""
-    n = view.inputs.shape[0]
-    order = stream(cfg.base_seed, "batches", view.task_index, epoch).permutation(n)
+def batches(
+    inputs: np.ndarray, labels: np.ndarray, task_index: int, epoch: int, cfg: StreamConfig
+) -> Iterator[Batch]:
+    """One task epoch's shuffled minibatches over the shared input matrix;
+    the order is seeded by (base_seed, task_index, epoch) and the final
+    partial batch is kept."""
+    n = inputs.shape[0]
+    order = stream(cfg.base_seed, "batches", task_index, epoch).permutation(n)
     for start in range(0, n, cfg.batch_size):
         sel = order[start : start + cfg.batch_size]
-        yield Batch(view.inputs[sel], view.labels[sel])
+        yield Batch(inputs[sel], labels[sel])

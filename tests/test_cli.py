@@ -1,3 +1,4 @@
+import gzip
 import os
 import struct
 import subprocess
@@ -109,6 +110,7 @@ def test_build_run_config_rejects_bad_types():
         ("bounds.delta", "1"),
         ("log_interval", "0"),
         ("seeds", ""),
+        ("seeds", "0,1,0"),
         ("stream.tasks", "0"),
         ("stream.source", "cifar"),
     ],
@@ -355,19 +357,26 @@ def test_cli_crash_keeps_the_files_of_earlier_seeds(tmp_path, monkeypatch):
     assert meta[-1] == "normalization=global-scalar"
 
 
+def _run_subprocess(args, env_extra=None):
+    """``python -m trainlab.cli *args`` with one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env.update(env_extra or {})
+    cmd = [sys.executable, "-m", "trainlab.cli", *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+
 def test_cli_entry_point_in_a_subprocess(tmp_path):
     """``python -m trainlab.cli`` runs the entry point: exit 0 and the three
     output files, and exit 2 on an unknown key."""
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    cmd = [sys.executable, "-m", "trainlab.cli", "run", "--config", write_config(tmp_path)]
+    cmd = ["run", "--config", write_config(tmp_path)]
     out = tmp_path / "out"
-    done = subprocess.run([*cmd, "--out", str(out)], env=env, capture_output=True, text=True)
+    done = _run_subprocess([*cmd, "--out", str(out)])
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.startswith("seed 0: ok, tasks=2, ")
     assert sorted(p.name for p in out.iterdir()) == [
         "accuracy_seed0.csv", "meta.txt", "metrics_seed0.csv"
     ]
-    bad = subprocess.run([*cmd, "--bogus.key=1"], env=env, capture_output=True, text=True)
+    bad = _run_subprocess([*cmd, "--bogus.key=1"])
     assert bad.returncode == EXIT_CONFIG
     assert bad.stderr.startswith("error: unknown config key")
 
@@ -377,6 +386,60 @@ def test_cli_summarize_missing_log_exits_2(tmp_path):
         main(["summarize", "--log", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "s.csv")])
         == EXIT_CONFIG
     )
+
+
+SUMMARY_LOG = "seed,task,epoch,step,train_accuracy,fc1.crossed,flags\n0,0,0,2,{acc},1,-\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "run_out_is_a_file",
+        "run_repeated_seed",
+        "run_corrupt_gzip",
+        "summarize_log_is_a_dir",
+        "summarize_out_is_a_dir",
+        "summarize_unparsable_cell",
+    ],
+)
+def test_cli_input_and_file_errors_exit_2(tmp_path, case):
+    """A file the program cannot read or write, or an input it cannot
+    parse, stops the command with exit code 2 and one error line."""
+    cfg = write_config(tmp_path)
+    log = tmp_path / "metrics.csv"
+    log.write_text(SUMMARY_LOG.format(acc="abc" if case == "summarize_unparsable_cell" else "0.5"))
+    a_file = tmp_path / "taken"
+    a_file.write_text("")
+    images = tmp_path / "images.gz"
+    images.write_bytes(gzip.compress(b"\0" * 64)[:20])
+    args = {
+        "run_out_is_a_file": ["run", "--config", cfg, "--out", str(a_file)],
+        "run_repeated_seed": ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seeds=0,0"],
+        "run_corrupt_gzip": [
+            "run", "--config", cfg, "--out", str(tmp_path / "o"), "--stream.source=mnist_idx",
+            f"--stream.mnist.images={images}", f"--stream.mnist.labels={images}",
+        ],
+        "summarize_log_is_a_dir": ["summarize", "--log", str(tmp_path), "--out", str(a_file)],
+        "summarize_out_is_a_dir": ["summarize", "--log", str(log), "--out", str(tmp_path)],
+        "summarize_unparsable_cell": ["summarize", "--log", str(log), "--out", str(a_file)],
+    }[case]
+    done = _run_subprocess(args)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_run_replays_byte_identically_across_processes(tmp_path):
+    """Two processes with different string-hash seeds write the same bytes."""
+    cfg = write_config(tmp_path)
+    outs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"out{hash_seed}"
+        done = _run_subprocess(["run", "--config", cfg, "--out", str(out)], {"PYTHONHASHSEED": hash_seed})
+        assert done.returncode == EXIT_OK, done.stderr
+        outs.append(out)
+    for name in ("metrics_seed0.csv", "accuracy_seed0.csv", "meta.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def _idx_files(tmp_path, labels, rows=2):

@@ -22,7 +22,7 @@ from trainlab.nn import (
     wasserstein_penalty,
     zeros_like,
 )
-from trainlab.tasks import StreamConfig, SyntheticSource, batches, load_source, make_task, prepare
+from trainlab.tasks import StreamConfig, SyntheticSource, batches, load_source, prepare, task_labels
 
 from conftest import (
     ACTIVATIONS,
@@ -438,7 +438,8 @@ def _short_final_batch():
     """The trailing batch of a real epoch: 53 samples in batches of 16 leave 5."""
     cfg = StreamConfig(SyntheticSource(n=60, d=4, classes=5, seed=3), subsample_n=53,
                        tasks=1, epochs_per_task=1, batch_size=16, base_seed=3)
-    *_, last = batches(make_task(prepare(load_source(cfg), cfg), 0, cfg), 0, cfg)
+    base = prepare(load_source(cfg), cfg)
+    *_, last = batches(base.inputs, task_labels(base, 0, cfg), 0, 0, cfg)
     assert last.size == 5
     return last
 

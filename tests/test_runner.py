@@ -10,7 +10,7 @@ import trainlab.nn as nn_mod
 import trainlab.runner as runner_mod
 from trainlab.cli import EXIT_NUMERIC, main
 from trainlab.config import config_lines
-from trainlab.errors import ConfigError, NumericError
+from trainlab.errors import ConfigError, FormatError, NumericError
 from trainlab.metrics import BoundConfig, push_and_stats
 from trainlab.nn import Activation, Regularizer, loss_grad
 from trainlab.optim import adam_step, init_adam
@@ -507,6 +507,19 @@ def test_read_log_rejects_an_empty_file_and_a_short_line(tmp_path):
         read_log(path)
     path.write_text("seed,step,flags\n3,7,-\n3,8\n")
     with pytest.raises(ConfigError, match="2 fields, expected 3"):
+        read_log(path)
+
+
+@pytest.mark.parametrize(
+    "column, cell", [("use", "abc"), ("step", "7.5"), ("fc1.crossed", "yes")]
+)
+def test_read_log_names_the_line_and_column_of_an_unparsable_cell(tmp_path, column, cell):
+    path = tmp_path / "metrics.csv"
+    good = {"step": "7", "use": "0.5", "fc1.alpha": "2", "fc1.crossed": "1", "flags": "-"}
+    header = ",".join(good)
+    bad = ",".join(cell if col == column else val for col, val in good.items())
+    path.write_text(f"{header}\n{','.join(good.values())}\n\n{bad}\n")
+    with pytest.raises(FormatError, match=f"line 4, column '{column}': cannot parse '{cell}'"):
         read_log(path)
 
 

@@ -1,17 +1,19 @@
 import gzip
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from trainlab.errors import ConfigError, DegenerateDataError, FormatError
+from trainlab.rng import stream
 from trainlab.tasks import (
     MnistSource,
+    RawDataset,
     StreamConfig,
     SyntheticSource,
     batches,
     load_idx,
-    make_task,
     prepare,
     steps_per_epoch,
     synthesize,
@@ -72,6 +74,22 @@ def test_load_idx_gzip_transparent(idx_pair, tmp_path):
     lp.write_bytes(gzip.compress(idx_labels_bytes([0, 1, 2])))
     raw = load_idx(str(ip), str(lp))
     assert raw.images.shape == (3, 784)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped_byte", "bad_crc"])
+def test_load_idx_corrupt_gzip_names_the_file(idx_pair, tmp_path, damage):
+    _, lp = idx_pair(idx_images_bytes(n=3), idx_labels_bytes([0, 1, 2]))
+    data = bytearray(gzip.compress(idx_images_bytes(n=3)))
+    if damage == "truncated":
+        data = data[: len(data) // 2]
+    elif damage == "flipped_byte":
+        data[len(data) // 2] ^= 0xFF  # inside the deflate stream
+    else:
+        data[-8] ^= 0x01  # the CRC-32 trailer
+    bad = tmp_path / "images.gz"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=re.escape(f"{bad}: corrupt gzip data")):
+        load_idx(str(bad), lp)
 
 
 def test_load_idx_wrong_magic(idx_pair):
@@ -169,8 +187,33 @@ def test_prepare_subsample_deterministic():
     raw = synthesize(cfg.source)
     a = prepare(raw, cfg)
     b = prepare(raw, cfg)
-    np.testing.assert_array_equal(a.indices, b.indices)
     np.testing.assert_array_equal(a.inputs, b.inputs)
+
+
+class _MadeArrays(np.ndarray):
+    """An ndarray that records the shape and dtype of every array made from it."""
+
+    made: list = []
+
+    def __array_finalize__(self, obj):
+        _MadeArrays.made.append((self.shape, self.dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_prepare_normalizes_one_copy_in_place(dtype):
+    """prepare makes one float64 copy of the subsample and normalizes it in
+    place: the only other n x d float64 array is np.std's temporary.  The
+    bits are those of (x - mean) / std."""
+    src = SyntheticSource(n=300, d=5, classes=3, seed=2)
+    cfg = StreamConfig(source=src, subsample_n=200, tasks=1, epochs_per_task=1)
+    raw = synthesize(src)
+    images = np.clip(raw.images * 20 + 128, 0, 255).astype(dtype)
+    _MadeArrays.made = []
+    base = prepare(RawDataset(images.view(_MadeArrays), raw.labels, raw.n_classes), cfg)
+    assert _MadeArrays.made.count(((200, 5), np.dtype(np.float64))) == 2, _MadeArrays.made
+    rows = stream(cfg.base_seed, "subsample").choice(src.n, cfg.subsample_n, replace=False)
+    x = images[rows].astype(np.float64)
+    assert np.array_equal(base.inputs, (x - base.mean) / base.std)
 
 
 def test_prepare_subsample_too_large():
@@ -235,8 +278,8 @@ def test_task_index_out_of_range():
 def test_batches_partial_final_batch():
     cfg = synth_cfg(subsample_n=5, batch_size=2)
     base = prepare(synthesize(cfg.source), cfg)
-    view = make_task(base, 0, cfg)
-    sizes = [b.size for b in batches(view, 0, cfg)]
+    labels = task_labels(base, 0, cfg)
+    sizes = [b.size for b in batches(base.inputs, labels, 0, 0, cfg)]
     assert sizes == [2, 2, 1]
     assert steps_per_epoch(5, 2) == 3
 
@@ -244,9 +287,9 @@ def test_batches_partial_final_batch():
 def test_batches_deterministic_replay():
     cfg = synth_cfg()
     base = prepare(synthesize(cfg.source), cfg)
-    view = make_task(base, 1, cfg)
-    a = [b.inputs.copy() for b in batches(view, 3, cfg)]
-    b = [b.inputs for b in batches(view, 3, cfg)]
+    labels = task_labels(base, 1, cfg)
+    a = [b.inputs.copy() for b in batches(base.inputs, labels, 1, 3, cfg)]
+    b = [b.inputs for b in batches(base.inputs, labels, 1, 3, cfg)]
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
 
@@ -255,9 +298,8 @@ def test_batches_partition_exact():
     cfg = synth_cfg(subsample_n=33, batch_size=8)
     base = prepare(synthesize(cfg.source), cfg)
     base_rows = {tuple(row) for row in base.inputs}
-    view = make_task(base, 0, cfg)
     seen = []
-    for b in batches(view, 0, cfg):
+    for b in batches(base.inputs, task_labels(base, 0, cfg), 0, 0, cfg):
         seen.extend(tuple(row) for row in b.inputs)
     assert len(seen) == 33
     assert set(seen) == base_rows
@@ -266,11 +308,10 @@ def test_batches_partition_exact():
 def test_batches_differ_across_epochs_and_tasks():
     cfg = synth_cfg()
     base = prepare(synthesize(cfg.source), cfg)
-    v0 = make_task(base, 0, cfg)
-    v1 = make_task(base, 1, cfg)
-    e0 = next(iter(batches(v0, 0, cfg))).inputs
-    e1 = next(iter(batches(v0, 1, cfg))).inputs
-    t1 = next(iter(batches(v1, 0, cfg))).inputs
+    l0, l1 = task_labels(base, 0, cfg), task_labels(base, 1, cfg)
+    e0 = next(batches(base.inputs, l0, 0, 0, cfg)).inputs
+    e1 = next(batches(base.inputs, l0, 0, 1, cfg)).inputs
+    t1 = next(batches(base.inputs, l1, 1, 0, cfg)).inputs
     assert not np.array_equal(e0, e1)
     assert not np.array_equal(e0, t1)
 
@@ -282,9 +323,12 @@ def test_batches_differ_across_epochs_and_tasks():
 def test_inputs_shared_across_tasks():
     cfg = synth_cfg()
     base = prepare(synthesize(cfg.source), cfg)
-    views = [make_task(base, t, cfg) for t in range(cfg.tasks)]
-    for v in views:
-        assert v.inputs is base.inputs  # same storage, never copied
+    before = base.inputs.copy()
+    rows = {tuple(row) for row in before}
+    for t in range(cfg.tasks):  # every task's batches are rows of the one input matrix
+        for b in batches(base.inputs, task_labels(base, t, cfg), t, 0, cfg):
+            assert {tuple(row) for row in b.inputs} <= rows
+    np.testing.assert_array_equal(base.inputs, before)  # and no task writes to it
 
 
 def test_synthetic_deterministic():
