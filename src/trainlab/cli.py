@@ -5,8 +5,9 @@
 
 ``run`` writes each seed's ``metrics_seed{S}.csv`` and ``accuracy_seed{S}.csv``
 when that seed ends, so a crash loses only the running seed.  ``meta.txt``
-holds the settings and data statistics, then an ``aborted.seed{S}=`` line per
-aborted seed.
+holds the settings, the numpy version and BLAS thread variables the log's
+bytes depend on, the data statistics, then an ``aborted.seed{S}=`` line per
+aborted seed.  ``run`` refuses an ``--out`` that already holds a ``meta.txt``.
 
 Exit codes: 0 success, 2 configuration, input or file error, 3 numeric abort in some seed.
 """
@@ -18,9 +19,11 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .config import build_run_config, config_lines, parse_config_text
 from .errors import ConfigError, NumericError, TrainlabError
-from .runner import format_accuracy, format_summary, read_log, run_seed, summarize, write_log
+from .runner import format_accuracy, format_summary, read_log, read_text, run_seed, summarize, write_log
 from .tasks import load_source, prepare
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
@@ -28,6 +31,7 @@ _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -59,20 +63,22 @@ def _collect_overrides(extras: list[str]) -> dict[str, str]:
 def _cmd_run(args, extras: list[str]) -> int:
     values: dict[str, str] = {}
     if args.config:
-        with open(args.config, "r") as fh:
-            values.update(parse_config_text(fh.read()))
+        values.update(parse_config_text(read_text(args.config)))
     values.update(_collect_overrides(extras))
     if args.mode is not None:
         values["mode"] = args.mode
     if args.seed is not None:
         values["seeds"] = str(args.seed)
     cfg = build_run_config(values)
+    meta = os.path.join(args.out, "meta.txt")
+    if os.path.exists(meta):
+        raise ConfigError(f"{meta} exists: --out already holds a run")
 
     base = prepare(load_source(cfg.stream), cfg.stream)
     os.makedirs(args.out, exist_ok=True)
+    env = [f"env.{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS]
     data = [f"data.mean={base.mean!r}", f"data.std={base.std!r}", "normalization=global-scalar"]
-    meta = os.path.join(args.out, "meta.txt")
-    _write(meta, _lines(config_lines(cfg) + data))
+    _write(meta, _lines(config_lines(cfg) + [f"numpy.version={np.__version__}"] + env + data))
     aborted = []
     for seed in cfg.seeds:  # a seed's files are on disk before the next seed starts
         sr = run_seed(cfg, seed, base)

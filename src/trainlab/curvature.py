@@ -8,9 +8,8 @@ gradient.  Everything it shares across directions at one parameter point
 hands its noise pass's ``Sweep`` to ``top_eigenvalue``.  A product is then
 one R-forward and one R-backward pass.  The activations are piecewise linear,
 so ``phi''`` is zero almost everywhere and the product is exact away from
-the kinks.  The penalties' Hessians are multiples of the identity on the
-weights: ``2 lam`` for L2 and ``2 lam / n`` for the Wasserstein penalty of
-an n-entry layer, whose sort permutation is fixed almost everywhere.  No
+the kinks.  The penalty's Hessian is a multiple of the identity on each
+layer's weights, which ``nn`` gives per kind (``_penalty_curvature``).  No
 penalty is evaluated inside a product.
 
 The top eigenvalue comes from a Lanczos three-term recurrence that stores
@@ -18,13 +17,12 @@ no basis (Ghorbani et al., arXiv:1901.10159).  After each product it takes
 the largest-magnitude Ritz value of the tridiagonal matrix, keeping its
 sign, and stops once that value's residual is small relative to it.
 
-The first layer sees the data only through the batch ``X`` (B x d).  When
-d > B, its directions with ``X dW^T = 0`` are eigenvectors of eigenvalue
-``c1``, the layer's penalty curvature, and ``H`` maps the rest of the
-space into itself.  The solve then runs in that rest, the batch's row
-space (``row_space``): from ``X^T = QR``, the first layer's weights become
-``(out, B)`` and its input ``R^T``, so the first layer's share of a product
-costs B x B x out instead of B x d x out, exactly.
+The first layer sees the data only through the batch ``X`` (B x d), so
+every solve runs in the batch's row space (``row_space``): from ``X^T = QR``
+the first layer's weights become ``(out, min(d, B))`` on the input ``R^T``.
+With d <= B that is a rotation.  With d > B a first-layer product costs
+B x B x out instead of B x d x out, and the directions left out (``X dW^T =
+0``) are eigenvectors of eigenvalue ``c1``, that layer's penalty curvature.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from .nn import (
     Sweep,
     _act_backward,
     _act_tangent,
+    _penalty_curvature,
     check_finite,
     loss_grad,
 )
@@ -68,15 +67,6 @@ class CurvatureProbe:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
 
 
-def _penalty_curvature(reg: Regularizer, lay: Layer) -> float:
-    """The penalty's Hessian on a layer's weights, as a multiple of the identity."""
-    if reg.kind == "none" or reg.lam == 0.0:
-        return 0.0
-    if reg.kind == "l2":
-        return 2.0 * reg.lam
-    return 2.0 * reg.lam / lay.weights.size  # wasserstein
-
-
 def hvp(
     params: ParamSet,
     act: Activation,
@@ -88,11 +78,9 @@ def hvp(
     """H @ v for the Hessian of the full (loss + regularizer) objective.
 
     ``base`` is ``loss_grad(params, act, batch, reg)``, built here when not
-    given; callers making many products at one point pass it in.  The
-    product takes its layout from ``v``; it reads the first layer's weights
-    only for that layer's penalty curvature, so a ``base`` whose first-layer
-    input is ``R^T`` and a ``v`` whose first-layer block is ``(out, B)`` give
-    the product in the batch's row space (see ``row_space``).
+    given.  The product takes its layout from ``v`` and reads the first
+    layer's weights only for its penalty curvature, so the ``row_space``
+    base and layout give the product in the batch's row space.
     """
     if not np.any(v.vector):
         raise ValueError("hvp probe vector must be nonzero")
@@ -147,13 +135,14 @@ def _top_ritz(alphas: list[float], betas: list[float]) -> tuple[float, float]:
 def row_space(params: ParamSet, base: Sweep) -> tuple[ParamSet, Sweep]:
     """Coordinates of the batch's row space for the first layer.
 
-    With the batch ``X`` (B x d) factored once as ``X^T = QR``, a first-layer
-    direction ``N Q^T`` (``N`` is ``(out, B)``) enters the loss only through
-    ``X Q N^T = R^T N^T``.  Returns a layout whose first-layer weights are
-    ``(out, B)`` (its values unused) and ``base`` with ``R^T`` as the first
-    layer's input; ``hvp`` over the two maps ``(N, rest)`` to the first-layer
-    block ``M`` and the rest of ``H (N Q^T, rest)``, whose first-layer block
-    is ``M Q^T``.  Only ``R`` is computed.
+    With the batch ``X`` (B x d) factored once as ``X^T = QR`` (``R`` is
+    k x B, k = min(d, B)), a first-layer direction ``N Q^T`` (``N`` is
+    ``(out, k)``) enters the loss only through ``X Q N^T = R^T N^T``.
+    Returns a layout whose first-layer weights are ``(out, k)`` (its values
+    unused) and ``base`` with ``R^T`` as the first layer's input; ``hvp``
+    over the two maps ``(N, rest)`` to the first-layer block ``M`` and the
+    rest of ``H (N Q^T, rest)``, whose first-layer block is ``M Q^T``.  Only
+    ``R`` is computed.
     """
     first = params.layers[0]
     r = np.linalg.qr(base.layer_inputs[0].T, mode="r")
@@ -177,26 +166,22 @@ def top_eigenvalue(
     tridiagonal matrix with the largest magnitude; its residual is
     ``|beta_k s_k|`` (``s`` its eigenvector).  The solve converges when that
     residual is at most ``sqrt(probe.tol) * |theta|`` or when ``beta_k`` is
-    0 (an invariant subspace, as for a zero Hessian).  A Ritz value's error
-    is about (residual / |theta|)^2, so ``probe.tol`` stays a relative
-    tolerance on the eigenvalue.  Only the last two Lanczos vectors are kept.
-    Every product reads ``base`` (``loss_grad`` at ``params``), built here
-    when not given.
+    0 (an invariant subspace, as for a zero Hessian).  The Ritz value's
+    error is bounded by residual^2 / gap (gap: its distance to the rest of
+    the spectrum), so with a close second eigenvalue it can exceed
+    ``probe.tol``: the tolerance sets the stop, not a guaranteed error.
+    Only the last two Lanczos vectors are kept.  Every product reads
+    ``base`` (``loss_grad`` at ``params``), built here when not given.
 
-    When the first layer's input width d exceeds the batch size B, the
-    recurrence runs in ``row_space`` coordinates, where the first layer's
-    products cost B x B x out instead of B x d x out, and the start vector
-    is drawn there.  The first-layer directions it leaves out (those with
-    ``X dW^T = 0``) are eigenvectors with eigenvalue ``c1``, that layer's
-    penalty curvature, so theta is returned unless ``|theta| < c1``, and
-    then ``c1`` with residual 0.
+    The recurrence and its start vector are in ``row_space`` coordinates.
+    When d > B the first-layer directions they leave out are eigenvectors
+    with eigenvalue ``c1``, so theta is returned unless ``|theta| < c1``,
+    and then ``c1`` with residual 0.
     """
     if base is None:
         base = loss_grad(params, act, batch, reg)
-    layout, c1 = params, 0.0
-    if base.layer_inputs[0].shape[1] > base.layer_inputs[0].shape[0]:
-        layout, base = row_space(params, base)
-        c1 = _penalty_curvature(reg, params.layers[0])
+    layout, base = row_space(params, base)
+    c1 = _penalty_curvature(reg, params.layers[0]) if layout.n_params < params.n_params else 0.0
     stop = math.sqrt(probe.tol)
     rng = np.random.default_rng(probe.seed)
     v = rng.standard_normal(layout.n_params)

@@ -263,19 +263,16 @@ class Regularizer:
             if self.init_snapshot is None:
                 raise ConfigError("wasserstein regularizer requires an init snapshot")
             # each layer's snapshot weights sorted once: the snapshot is fixed
-            self._sorted_init = [_sorted_entries(lay.weights) for lay in self.init_snapshot.layers]
+            self._sorted_init = [np.sort(w.weights, axis=None, kind="stable") for w in self.init_snapshot.layers]
 
 
-def _sorted_entries(a: np.ndarray) -> np.ndarray:
-    return np.sort(a.ravel(), kind="stable")
+def wasserstein_penalty(current: np.ndarray, init_sorted: np.ndarray) -> tuple[float, np.ndarray]:
+    """Squared 1-D Wasserstein-2 distance between the entries of ``current``
+    and a reference's entries, sorted once (``init_sorted``).
 
-
-def wasserstein_penalty(current: np.ndarray, init: np.ndarray) -> tuple[float, np.ndarray]:
-    """Squared 1-D Wasserstein-2 distance between the entries of two arrays.
-
-    value = (1/n) * sum_k (sort(current)_k - sort(init)_k)^2, gradient routed
+    value = (1/n) * sum_k (sort(current)_k - init_sorted_k)^2, gradient routed
     back through the sorting permutation of ``current``.  Zero iff the two
-    multisets of entries coincide.
+    multisets coincide.  ConfigError unless both hold n entries.
 
     Tie policy: entries of ``current`` that compare equal (``inf`` pairs and
     ``-0.0``/``0.0`` included) keep their index order in the permutation, as
@@ -283,14 +280,10 @@ def wasserstein_penalty(current: np.ndarray, init: np.ndarray) -> tuple[float, n
     permutation, so the fast default sort is used and the stable one is run
     only when a tie is found.
     """
-    if current.shape != init.shape:
-        raise ConfigError(f"shape mismatch {current.shape} vs {init.shape}")
-    return _wasserstein_to_sorted(current, _sorted_entries(init))
-
-
-def _wasserstein_to_sorted(current: np.ndarray, init_sorted: np.ndarray):
     flat = current.ravel()
     n = flat.size
+    if init_sorted.size != n:
+        raise ConfigError(f"size mismatch: {n} entries vs {init_sorted.size} sorted reference entries")
     order = np.argsort(flat)
     ranked = flat[order]
     if not np.all(ranked[1:] > ranked[:-1]):  # a tie (or a NaN): order it by index
@@ -321,16 +314,23 @@ def regularizer_penalty(
             g.weights += 2.0 * reg.lam * lay.weights
         return value, grads
     # wasserstein
-    snap = reg.init_snapshot
-    if snap.layer_ids() != params.layer_ids():
+    if reg.init_snapshot.layer_ids() != params.layer_ids():
         raise ConfigError("wasserstein snapshot layers do not match current parameters")
-    for lay, ref, ref_sorted, g in zip(params.layers, snap.layers, reg._sorted_init, grads.layers):
-        if lay.weights.shape != ref.weights.shape:
-            raise ConfigError(f"shape mismatch {lay.weights.shape} vs {ref.weights.shape}")
-        v, gw = _wasserstein_to_sorted(lay.weights, ref_sorted)
+    for lay, ref_sorted, g in zip(params.layers, reg._sorted_init, grads.layers):
+        v, gw = wasserstein_penalty(lay.weights, ref_sorted)
         value += reg.lam * v
         g.weights += reg.lam * gw
     return value, grads
+
+
+def _penalty_curvature(reg: Regularizer, lay: Layer) -> float:
+    """The penalty's Hessian on a layer's weights, a multiple of the identity: ``2 lam``
+    for L2, ``2 lam / n`` for the Wasserstein penalty of n entries (its sort is locally fixed)."""
+    if reg.kind == "l2":
+        return 2.0 * reg.lam
+    if reg.kind == "wasserstein":
+        return 2.0 * reg.lam / lay.weights.size
+    return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -381,10 +381,18 @@ def write_log(records: Sequence[MetricRecord], layer_ids: Sequence[str], path) -
         fh.write(format_log(records, layer_ids))
 
 
+def read_text(path) -> str:
+    """A text file's contents; FormatError naming the file if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{path}: not UTF-8 text at byte {err.start}", offset=err.start) from None
+
+
 def read_log(path) -> tuple[list[dict], list[str]]:
     """Parse a metric log back into row dicts plus the layer-id list."""
-    with open(path, "r") as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
     if not lines:
         raise ConfigError(f"empty metric log {path}")
     header = lines[0][1].split(",")

@@ -80,9 +80,9 @@ def fd_hvp(params, act, batch, reg, v, h):
     return (up - down) / (2.0 * h)
 
 
-def stable_wasserstein_to_sorted(current, init_sorted):
+def stable_wasserstein_penalty(current, init_sorted):
     """The Wasserstein penalty through one stable argsort on every call: the
-    reference for ``nn._wasserstein_to_sorted``, whose fast sort must give the
+    reference for ``nn.wasserstein_penalty``, whose fast sort must give the
     same value, gradient and gradient signs (ties ordered by index)."""
     flat = current.ravel()
     n = flat.size

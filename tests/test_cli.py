@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import trainlab.cli as cli_mod
@@ -244,7 +245,10 @@ def write_config(tmp_path, text=TINY_CONFIG):
     return str(p)
 
 
-def test_cli_run_and_summarize(tmp_path, capsys):
+def test_cli_run_and_summarize(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     cfg_path = write_config(tmp_path)
     out_dir = tmp_path / "out"
     code = main(["run", "--config", cfg_path, "--out", str(out_dir)])
@@ -252,9 +256,13 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     log_path = out_dir / "metrics_seed0.csv"
     assert log_path.exists()
     assert (out_dir / "accuracy_seed0.csv").exists()
-    meta = (out_dir / "meta.txt").read_text()
+    meta = (out_dir / "meta.txt").read_text().splitlines()
     assert "normalization=global-scalar" in meta
-    assert "data.mean=" in meta
+    assert any(line.startswith("data.mean=") for line in meta)
+    env = ["env.OPENBLAS_NUM_THREADS=1", "env.OMP_NUM_THREADS=unset", "env.MKL_NUM_THREADS=2"]
+    assert [f"numpy.version={np.__version__}", *env] == [
+        line for line in meta if line.startswith(("numpy.", "env."))
+    ]
 
     summary_path = tmp_path / "summary.csv"
     code = main(["summarize", "--log", str(log_path), "--out", str(summary_path)])
@@ -357,6 +365,20 @@ def test_cli_crash_keeps_the_files_of_earlier_seeds(tmp_path, monkeypatch):
     assert meta[-1] == "normalization=global-scalar"
 
 
+def test_cli_run_refuses_an_out_dir_that_holds_a_run(tmp_path):
+    """A second run into a directory with a meta.txt exits 2 with one error
+    line naming that file, and leaves every file there as it was."""
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--seeds=0,1"]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    done = _run_subprocess(["run", "--config", cfg_path, "--out", str(out), "--seeds=0"])
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert str(out / "meta.txt") in done.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def _run_subprocess(args, env_extra=None):
     """``python -m trainlab.cli *args`` with one BLAS thread."""
     env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
@@ -400,6 +422,8 @@ SUMMARY_LOG = "seed,task,epoch,step,train_accuracy,fc1.crossed,flags\n0,0,0,2,{a
         "summarize_log_is_a_dir",
         "summarize_out_is_a_dir",
         "summarize_unparsable_cell",
+        "run_config_not_utf8",
+        "summarize_log_not_utf8",
     ],
 )
 def test_cli_input_and_file_errors_exit_2(tmp_path, case):
@@ -408,6 +432,8 @@ def test_cli_input_and_file_errors_exit_2(tmp_path, case):
     cfg = write_config(tmp_path)
     log = tmp_path / "metrics.csv"
     log.write_text(SUMMARY_LOG.format(acc="abc" if case == "summarize_unparsable_cell" else "0.5"))
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"\xff" + TINY_CONFIG.encode())
     a_file = tmp_path / "taken"
     a_file.write_text("")
     images = tmp_path / "images.gz"
@@ -422,11 +448,16 @@ def test_cli_input_and_file_errors_exit_2(tmp_path, case):
         "summarize_log_is_a_dir": ["summarize", "--log", str(tmp_path), "--out", str(a_file)],
         "summarize_out_is_a_dir": ["summarize", "--log", str(log), "--out", str(tmp_path)],
         "summarize_unparsable_cell": ["summarize", "--log", str(log), "--out", str(a_file)],
+        "run_config_not_utf8": ["run", "--config", str(not_utf8), "--out", str(tmp_path / "o")],
+        "summarize_log_not_utf8": ["summarize", "--log", str(not_utf8), "--out", str(a_file)],
     }[case]
     done = _run_subprocess(args)
     assert done.returncode == EXIT_CONFIG, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert "Traceback" not in done.stderr
+    if case.endswith("not_utf8"):
+        assert f"{not_utf8}: not UTF-8 text at byte 0" in done.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_replays_byte_identically_across_processes(tmp_path):

@@ -376,6 +376,60 @@ def test_every_product_is_made_in_the_row_space_layout(monkeypatch, d, shape):
     assert set(shapes) == {shape}
 
 
+@pytest.mark.parametrize("in_dim, hidden, n_classes, seed", [(2, 10, 3, 101), (7, 7, 3, 111)])
+def test_a_probe_with_d_at_most_b_solves_through_row_space(monkeypatch, in_dim, hidden, n_classes, seed):
+    """Criterion 3's shapes (B = 8, d <= 7): the solve factors the batch once
+    through row_space, and every product reads the base it returns, with the
+    first layer's (out, d) shape."""
+    params = make_net(in_dim, hidden, n_classes, RELU, seed=seed)
+    batch = make_batch(in_dim, n_classes, 8, seed=seed)
+    bases, products = [], []
+    real_row_space, real_hvp = curvature_mod.row_space, curvature_mod.hvp
+
+    def recording_row_space(params, base):
+        out = real_row_space(params, base)
+        bases.append(out[1])
+        return out
+
+    def recording_hvp(params, act, batch, reg, v, base=None):
+        products.append((v.layers[0].weights.shape, base))
+        return real_hvp(params, act, batch, reg, v, base)
+
+    monkeypatch.setattr(curvature_mod, "row_space", recording_row_space)
+    monkeypatch.setattr(curvature_mod, "hvp", recording_hvp)
+    res = top_eigenvalue(params, RELU, batch, NONE, CurvatureProbe(power_iters=100, seed=1))
+    assert len(bases) == 1
+    assert bases[0].layer_inputs[0].shape == (8, in_dim)
+    assert len(products) == res.iterations > 1
+    assert all(shape == (hidden, in_dim) and base is bases[0] for shape, base in products)
+
+
+def duplicated_rows_batch(in_dim, n_classes, distinct, B, seed):
+    """A batch of ``distinct`` random rows repeated in order up to B rows:
+    rank ``distinct``, so the QR's R has numerically zero trailing rows."""
+    rows = make_batch(in_dim, n_classes, distinct, seed=seed).inputs
+    labels = np.random.default_rng(seed).integers(0, n_classes, size=B)
+    return Batch(np.resize(rows, (B, in_dim)), labels)
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("reg_kind", ["l2", "wasserstein"])
+@pytest.mark.parametrize("in_dim, B", [(4, 8), (WIDE_D, WIDE_B)], ids=["d_le_b", "d_gt_b"])
+def test_rank_deficient_batch_top_eigenvalue_matches_dense_eig(act, reg_kind, in_dim, B):
+    """A batch with duplicated rows gives row_space an R whose trailing rows
+    are numerically zero; the solve still returns the dense top eigenvalue."""
+    params = make_net(in_dim, 6, 3, act, seed=36)
+    batch = duplicated_rows_batch(in_dim, 3, 2, B, seed=36)
+    reg = make_reg(reg_kind, params, perturb_seed=36)
+    r = np.linalg.qr(batch.inputs.T, mode="r")
+    assert np.max(np.abs(r[2:])) <= 1e-12 * np.max(np.abs(r))
+    eigs = np.linalg.eigvalsh(exact_hessian(params, act, batch, reg))
+    dense_top = eigs[np.argmax(np.abs(eigs))]
+    res = top_eigenvalue(params, act, batch, reg, CurvatureProbe(power_iters=300, tol=1e-16, seed=4))
+    assert res.converged
+    assert abs(res.lambda_max - dense_top) <= 1e-8 * abs(dense_top)
+
+
 def test_hvp_rejects_a_nonfinite_product():
     """A NaN in the direction's first layer reaches every block of the
     product; the error names the first layer."""

@@ -31,7 +31,7 @@ from conftest import (
     make_net,
     make_reg,
     rel_err,
-    stable_wasserstein_to_sorted,
+    stable_wasserstein_penalty,
 )
 
 NONE = Regularizer("none")
@@ -179,22 +179,26 @@ def test_per_sample_mean_matches_batch_gradient(B, reg_kind):
 # wasserstein penalty
 
 
+def _sorted(a):
+    return np.sort(a, axis=None, kind="stable")
+
+
 def test_wasserstein_identity_zero():
     w = np.arange(6.0).reshape(2, 3)
-    value, grad = wasserstein_penalty(w, w.copy())
+    value, grad = wasserstein_penalty(w, _sorted(w))
     assert value == 0.0
     np.testing.assert_array_equal(grad, np.zeros_like(w))
 
 
 def test_wasserstein_singleton_hand_value():
-    value, grad = wasserstein_penalty(np.array([[0.0]]), np.array([[1.0]]))
+    value, grad = wasserstein_penalty(np.array([[0.0]]), np.array([1.0]))
     assert value == pytest.approx(1.0)
     assert grad[0, 0] == pytest.approx(-2.0)
 
 
 def test_wasserstein_grad_matches_finite_differences(rng):
     cur = rng.normal(size=(4, 4))
-    ref = rng.normal(size=(4, 4))
+    ref = _sorted(rng.normal(size=(4, 4)))
     _, grad = wasserstein_penalty(cur, ref)
     h = 1e-6
     fd = np.zeros_like(cur)
@@ -210,19 +214,21 @@ def test_wasserstein_grad_matches_finite_differences(rng):
 def test_wasserstein_permutation_invariant_nonnegative(rng):
     cur = rng.normal(size=12)
     ref = rng.normal(size=12)
-    v0, _ = wasserstein_penalty(cur, ref)
+    v0, _ = wasserstein_penalty(cur, _sorted(ref))
     for _ in range(5):
-        v1, _ = wasserstein_penalty(rng.permutation(cur), rng.permutation(ref))
+        v1, _ = wasserstein_penalty(rng.permutation(cur), _sorted(rng.permutation(ref)))
         assert v1 == pytest.approx(v0, rel=1e-12)
         assert v1 >= 0.0
     # zero iff sorted arrays equal
-    v2, _ = wasserstein_penalty(rng.permutation(ref), ref)
+    v2, _ = wasserstein_penalty(rng.permutation(ref), _sorted(ref))
     assert v2 == pytest.approx(0.0, abs=1e-30)
 
 
 def test_wasserstein_shape_mismatch():
+    """Only the entry counts must agree; a reference of another size is refused."""
+    assert wasserstein_penalty(np.zeros((2, 2)), np.zeros(4))[0] == 0.0
     with pytest.raises(ConfigError):
-        wasserstein_penalty(np.zeros((2, 2)), np.zeros((4,)))
+        wasserstein_penalty(np.zeros((2, 2)), np.zeros(5))
 
 
 @pytest.mark.parametrize("kind, lam", [("l1", 0.1), ("l2", -1e-3), ("l2", math.nan), ("none", math.inf)])
@@ -238,7 +244,7 @@ def test_regularizer_presorted_snapshot_matches_per_call_penalty():
     value, grads = regularizer_penalty(params, reg)
     want_value = 0.0
     for lay, ref, g in zip(params.layers, reg.init_snapshot.layers, grads.layers):
-        v, gw = wasserstein_penalty(lay.weights, ref.weights)
+        v, gw = wasserstein_penalty(lay.weights, _sorted(ref.weights))
         want_value += reg.lam * v
         np.testing.assert_array_equal(g.weights, reg.lam * gw)
         np.testing.assert_array_equal(g.bias, 0.0)
@@ -264,8 +270,8 @@ def _tie_cases():
 def test_wasserstein_matches_stable_sort_reference(case):
     current, init = _tie_cases()[case]
     init_sorted = np.sort(init, kind="stable")
-    value, grad = nn._wasserstein_to_sorted(current, init_sorted)
-    want_value, want_grad = stable_wasserstein_to_sorted(current, init_sorted)
+    value, grad = wasserstein_penalty(current, init_sorted)
+    want_value, want_grad = stable_wasserstein_penalty(current, init_sorted)
     assert value == want_value
     np.testing.assert_array_equal(grad, want_grad)
     np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))

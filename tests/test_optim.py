@@ -13,7 +13,7 @@ from conftest import (
     make_net,
     make_reg,
     reference_adam_step,
-    stable_wasserstein_to_sorted,
+    stable_wasserstein_penalty,
 )
 
 
@@ -331,7 +331,7 @@ def test_training_trajectory_matches_reference_step(monkeypatch, act_kind, reg_k
         batch = make_batch(12, 4, 32, seed=step)
         adam_step(state, params, loss_grad(params, act, batch, reg).grads)
         with monkeypatch.context() as mp:
-            mp.setattr(nn, "_wasserstein_to_sorted", stable_wasserstein_to_sorted)
+            mp.setattr(nn, "wasserstein_penalty", stable_wasserstein_penalty)
             ref_grads = loss_grad(ref_params, act, batch, reg).grads
         reference_adam_step(ref_state, ref_params, ref_grads)
         np.testing.assert_array_equal(params.vector, ref_params.vector)
