@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,12 +109,6 @@ class ParamSet:
         if scope not in self._segments:
             raise ConfigError(f"unknown layer id {scope!r}")
         return self.vector[self._segments[scope]]
-
-    def per_entry(self, values: Mapping[str, float], scope: str = GLOBAL_SCOPE) -> np.ndarray:
-        """Each layer's entry of ``values`` repeated over its scoped parameters."""
-        ids = self.layer_ids() if scope == GLOBAL_SCOPE else [scope]
-        sizes = [self.segment(lid).size for lid in ids]
-        return np.repeat([float(values[lid]) for lid in ids], sizes)
 
     @property
     def n_params(self) -> int:

@@ -8,13 +8,15 @@ preconditioning summaries the diagnostics are built on:
   - ``agg_step``: the aggregate scale eta / (RMS(sqrt(vhat)) + eps), where
     RMS(sqrt(vhat)) = sqrt(mean(vhat)).
 
-``reset`` is ``init_adam`` again at the initial per-layer rates, so a reset
-state passes the same checks as a new one.
+``AdamState.eta`` is the one copy of the per-layer rates, each read as a
+scalar; the global scope's rate in ``agg_step`` is their parameter-weighted
+mean, correctly rounded, so it is exactly eta when every layer has rate eta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -32,7 +34,6 @@ class AdamState:
     beta2: float
     eps: float
     eta: dict[str, float]
-    initial_eta: dict[str, float]  # what reset restores
     # two n_params scratch rows for adam_step, made on its first call
     work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -41,10 +42,10 @@ def check_adam(etas: Iterable[float], beta1: float, beta2: float, eps: float) ->
     """Raise ConfigError unless every setting of an Adam run is usable."""
     if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
         raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-    if not eps > 0.0:
-        raise ConfigError(f"eps must be > 0, got {eps}")
-    if any(not v > 0.0 for v in etas):
-        raise ConfigError("all per-layer learning rates must be > 0")
+    if not 0.0 < eps < np.inf:
+        raise ConfigError(f"eps must be finite and > 0, got {eps}")
+    if any(not 0.0 < v < np.inf for v in etas):
+        raise ConfigError("all per-layer learning rates must be finite and > 0")
 
 
 def init_adam(
@@ -59,8 +60,7 @@ def init_adam(
     if sorted(eta_map) != sorted(ids):
         raise ConfigError("per-layer learning-rate map does not match the layer ids")
     check_adam(eta_map.values(), beta1, beta2, eps)
-    m, v = zeros_like(params), zeros_like(params)
-    return AdamState(m, v, 0, beta1, beta2, eps, eta_map, dict(eta_map))
+    return AdamState(zeros_like(params), zeros_like(params), 0, beta1, beta2, eps, eta_map)
 
 
 def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
@@ -96,6 +96,12 @@ def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
     return state, params
 
 
+def _scoped(v: ParamSet, scope: str) -> list[tuple[str, np.ndarray]]:
+    """Each layer id in ``scope`` with its segment of ``v``, in layout order."""
+    ids = v.layer_ids() if scope == GLOBAL_SCOPE else [scope]
+    return [(lid, v.segment(lid)) for lid in ids]
+
+
 def effective_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
     """Mean elementwise step multiplier over the scoped parameters.
 
@@ -105,25 +111,22 @@ def effective_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
         raise StateError("effective_step requires at least one optimizer step")
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    v_hat = state.v.segment(scope) / bc2
-    eta = state.v.per_entry(state.eta, scope)
-    return float(np.mean(eta / (bc1 * (np.sqrt(v_hat) + state.eps))))
+    mult = [
+        state.eta[lid] / (bc1 * (np.sqrt(v / bc2) + state.eps)) for lid, v in _scoped(state.v, scope)
+    ]
+    return float(np.mean(np.concatenate(mult)))
 
 
 def agg_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
     """eta / (RMS(sqrt(vhat)) + eps) over the scoped parameters.
 
-    For the global scope, eta is the parameter-weighted mean of the
-    per-layer base LRs (identical to the shared LR when none differ).
+    A layer's eta is its own rate; the global scope's is the
+    parameter-weighted mean of the per-layer rates, correctly rounded.
     """
     if state.t < 1:
         raise StateError("agg_step requires at least one optimizer step")
     bc2 = 1.0 - state.beta2**state.t
     rms = float(np.sqrt(np.mean(state.v.segment(scope) / bc2)))
-    eta = float(np.mean(state.v.per_entry(state.eta, scope)))
+    sizes = {lid: v.size for lid, v in _scoped(state.v, scope)}
+    eta = float(sum(Fraction(state.eta[lid]) * n for lid, n in sizes.items()) / sum(sizes.values()))
     return eta / (rms + state.eps)
-
-
-def reset(state: AdamState) -> AdamState:
-    """Fresh state: zero moments, t=0, base LRs restored to their initial values."""
-    return init_adam(state.m, state.initial_eta, state.beta1, state.beta2, state.eps)

@@ -12,13 +12,9 @@ import zlib
 
 import numpy as np
 
-_MASK = (1 << 63) - 1
-
 
 def _entropy(base_seed: int, tag: str, indices: tuple[int, ...]) -> list[int]:
-    ent = [int(base_seed) & _MASK, zlib.crc32(tag.encode("utf-8"))]
-    ent.extend(int(i) & _MASK for i in indices)
-    return ent
+    return [int(base_seed), zlib.crc32(tag.encode("utf-8")), *map(int, indices)]
 
 
 def stream(base_seed: int, tag: str, *indices: int) -> np.random.Generator:

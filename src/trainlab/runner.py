@@ -55,7 +55,7 @@ from .nn import (
     loss_grad,
     probe_grads,
 )
-from .optim import AdamState, adam_step, agg_step, check_adam, effective_step, init_adam, reset
+from .optim import AdamState, adam_step, agg_step, check_adam, effective_step, init_adam
 from .rng import derive_seed, stream
 from .scheduler import HELD, ControllerConfig, decide
 from .tasks import BaseDataset, StreamConfig, batches, load_source, prepare, steps_per_epoch, task_labels
@@ -121,6 +121,8 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {','.join(map(str, self.seeds))}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -267,18 +269,15 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
     if base is None:
         base = prepare(load_source(cfg.stream), cfg.stream)
     act = cfg.model.activation
-    params = init_mlp(
+    init_snapshot = init_mlp(
         base.inputs.shape[1],
         [cfg.model.hidden_width],
         base.n_classes,
         act,
         stream(seed, "init"),
     )
-    init_snapshot = params.copy()
     reg = build_regularizer(cfg.model, init_snapshot)
-    state = init_adam(params, **vars(cfg.optimizer))
-    layer_ids = params.layer_ids()
-    windows = _fresh_windows(cfg, layer_ids)
+    layer_ids = init_snapshot.layer_ids()
 
     n = base.inputs.shape[0]
     spe = steps_per_epoch(n, cfg.stream.batch_size)
@@ -289,9 +288,9 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
     acc_sum, acc_n = 0.0, 0
 
     for task_i in range(cfg.stream.tasks):
-        if task_i > 0 and cfg.mode == "reset":
+        if task_i == 0 or cfg.mode == "reset":  # a reset task starts as the first one does
             params = init_snapshot.copy()
-            state = reset(state)
+            state = init_adam(params, **vars(cfg.optimizer))
             windows = _fresh_windows(cfg, layer_ids)
         labels = task_labels(base, task_i, cfg.stream)
         task_final_acc = 0.0

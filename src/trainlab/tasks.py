@@ -45,8 +45,10 @@ class SyntheticSource:
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.classes < 2:
             raise ConfigError("synthetic source needs n >= 1, d >= 1, classes >= 2")
-        if not self.separation >= 0.0:
-            raise ConfigError(f"separation must be >= 0, got {self.separation}")
+        if not 0.0 <= self.separation < math.inf:
+            raise ConfigError(f"separation must be finite and >= 0, got {self.separation}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class StreamConfig:
             raise ConfigError("subsample_n, tasks, epochs_per_task must be >= 1")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trainlab.nn import Activation, Batch, Regularizer, init_mlp, loss_grad
+from trainlab.nn import GLOBAL_SCOPE, Activation, Batch, Regularizer, init_mlp, loss_grad
 
 ACTIVATIONS = [
     Activation("relu"),
@@ -94,6 +94,31 @@ def stable_wasserstein_penalty(current, init_sorted):
     return value, grad_flat.reshape(current.shape)
 
 
+def repeated_rates(ps, eta, scope=GLOBAL_SCOPE):
+    """Each layer's rate in ``eta`` repeated over its scoped entries of ``ps``."""
+    ids = ps.layer_ids() if scope == GLOBAL_SCOPE else [scope]
+    return np.repeat([float(eta[lid]) for lid in ids], [ps.segment(lid).size for lid in ids])
+
+
+def reference_effective_step(state, scope=GLOBAL_SCOPE):
+    """The mean elementwise multiplier over the scope's repeated rates: the
+    reference for ``optim.effective_step``, which must give the same bits."""
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    v_hat = state.v.segment(scope) / bc2
+    eta = repeated_rates(state.v, state.eta, scope)
+    return float(np.mean(eta / (bc1 * (np.sqrt(v_hat) + state.eps))))
+
+
+def reference_agg_step(state, scope=GLOBAL_SCOPE):
+    """``optim.agg_step`` with the scope's rate taken as the mean of the
+    repeated rates, which is not a layer's rate exactly (1e-3 + 4.3e-19 over
+    32,832 entries)."""
+    bc2 = 1.0 - state.beta2**state.t
+    rms = float(np.sqrt(np.mean(state.v.segment(scope) / bc2)))
+    return float(np.mean(repeated_rates(state.v, state.eta, scope))) / (rms + state.eps)
+
+
 def reference_adam_step(state, params, grads):
     """Adam with every intermediate a fresh array and the per-layer LRs
     repeated over their entries: the reference for ``optim.adam_step``.
@@ -109,7 +134,7 @@ def reference_adam_step(state, params, grads):
     v += (1.0 - state.beta2) * g**2
     m_hat = m / bc1
     v_hat = v / bc2
-    params.vector -= params.per_entry(state.eta) * m_hat / (np.sqrt(v_hat) + state.eps)
+    params.vector -= repeated_rates(params, state.eta) * m_hat / (np.sqrt(v_hat) + state.eps)
     return state, params
 
 

@@ -112,6 +112,9 @@ def test_build_run_config_rejects_bad_types():
         ("log_interval", "0"),
         ("seeds", ""),
         ("seeds", "0,1,0"),
+        ("seeds", "0,-1"),
+        ("stream.base_seed", "-1"),
+        ("stream.synthetic.seed", "-1"),
         ("stream.tasks", "0"),
         ("stream.source", "cifar"),
     ],
@@ -497,6 +500,10 @@ def _idx_files(tmp_path, labels, rows=2):
         "reg_lambda_inf",
         "abs_floor_nan",
         "eta_min_nan",
+        "negative_seed",
+        "eta_inf",
+        "eps_inf",
+        "separation_inf",
     ],
 )
 def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
@@ -529,6 +536,13 @@ def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
         # a NaN floor would switch cooling off, a NaN eta_min the lower clamp
         "abs_floor_nan": ["--mode", "scheduled", "--controller.abs_floor=nan"],
         "eta_min_nan": ["--mode", "scheduled", "--controller.eta_min=nan"],
+        # rng draws from the seed as it is, and SeedSequence takes no negative entropy
+        "negative_seed": ["--seeds=-1"],
+        # an infinite eta or separation ends in a non-finite loss, an infinite eps in a
+        # zero effective step at the first probe
+        "eta_inf": ["--optimizer.eta=inf"],
+        "eps_inf": ["--optimizer.eps=inf"],
+        "separation_inf": ["--stream.synthetic.separation=inf"],
     }[setting]
     out = tmp_path / "out"
     code = main(["run", "--config", write_config(tmp_path), "--out", str(out), *overrides])
@@ -536,6 +550,15 @@ def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_cli_huge_finite_eta_is_a_numeric_abort(tmp_path, capsys):
+    """eta = 1e308 is a usable setting that overflows in training: exit 3."""
+    with np.errstate(all="ignore"):  # the overflow is the point
+        code = main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
+                     "--optimizer.eta=1e308"])
+    assert code == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().out
 
 
 def test_cli_rejects_mnist_without_paths():

@@ -408,8 +408,6 @@ def test_layout_segments_and_scalar_layers():
                        Layer("fc2", np.full((1, 2), 3.0), np.full(1, 4.0))])
     np.testing.assert_array_equal(params.to_vector(), [1] * 6 + [2, 2, 3, 3, 4])
     np.testing.assert_array_equal(params.segment("fc2"), [3, 3, 4])
-    np.testing.assert_array_equal(params.per_entry({"fc1": 0.5, "fc2": 2.0}),
-                                  [0.5] * 8 + [2.0] * 3)
     with pytest.raises(ConfigError):
         params.segment("fc3")
 

@@ -6,13 +6,15 @@ import pytest
 from trainlab import nn
 from trainlab.errors import ConfigError, NumericError, StateError
 from trainlab.nn import Activation, Layer, ParamSet, loss_grad
-from trainlab.optim import adam_step, agg_step, effective_step, init_adam, reset
+from trainlab.optim import adam_step, agg_step, effective_step, init_adam
 
 from conftest import (
     make_batch,
     make_net,
     make_reg,
     reference_adam_step,
+    reference_agg_step,
+    reference_effective_step,
     stable_wasserstein_penalty,
 )
 
@@ -179,6 +181,47 @@ def test_effective_step_matches_elementwise_oracle():
     assert abs(effective_step(state, "global") - expected) < 1e-14
 
 
+def desk_state(eta, steps=3):
+    """Adam on the desk net (512-64-100, 32,832 + 6,500 parameters) after
+    ``steps`` updates with random gradients."""
+    params = make_net(512, 64, 100, Activation("relu"), seed=7)
+    state = init_adam(params, eta=eta)
+    rng = np.random.default_rng(8)
+    for _ in range(steps):
+        adam_step(state, params, params.like(rng.normal(size=params.n_params)))
+    return state
+
+
+@pytest.mark.parametrize("scope", ["global", "fc1", "fc2"])
+def test_effective_step_matches_repeated_rate_reference(scope):
+    """Built layer by layer from each layer's scalar rate, the multiplier is
+    the repeated-rate reference's array, so the mean has the same bits."""
+    for state in (two_layer_state(eta={"fc1": 1e-3, "fc2": 4e-3}, steps=3)[1],
+                  desk_state({"fc1": 1.3e-3, "fc2": 0.7e-3})):
+        assert effective_step(state, scope) == reference_effective_step(state, scope)
+
+
+def test_agg_step_reads_each_layer_rate_exactly():
+    state = desk_state(1e-3)
+    bc2 = 1 - state.beta2**state.t
+    for lid in ("fc1", "fc2"):
+        rms = float(np.sqrt(np.mean(state.v.segment(lid) / bc2)))
+        assert agg_step(state, lid) == state.eta[lid] / (rms + state.eps)
+    # the mean of fc1's 32,832 repeated rates is not its rate
+    assert reference_agg_step(state, "fc1") != agg_step(state, "fc1")
+
+
+def test_agg_step_global_rate_is_the_weighted_mean():
+    state = desk_state(1e-3)
+    bc2 = 1 - state.beta2**state.t
+    rms = float(np.sqrt(np.mean(state.v.vector / bc2)))
+    assert agg_step(state, "global") == 1e-3 / (rms + state.eps)  # every rate is eta: exactly eta
+    state.eta = {"fc1": 1.3e-3, "fc2": 0.7e-3}
+    eta_bar = (1.3e-3 * 32832 + 0.7e-3 * 6500) / 39332
+    assert agg_step(state, "global") == pytest.approx(eta_bar / (rms + state.eps), rel=1e-15)
+    assert agg_step(state, "global") == pytest.approx(reference_agg_step(state), rel=1e-14)
+
+
 def test_effective_step_requires_steps():
     params = scalar_param()
     state = init_adam(params)
@@ -230,20 +273,21 @@ def test_agg_step_requires_steps():
 
 
 # ---------------------------------------------------------------------------
-# reset
+# reset: init_adam again with the run's settings, as reset mode does
 
 
 def test_reset_contract():
-    params, state, _ = two_layer_state(eta={"fc1": 1e-3, "fc2": 2e-3}, steps=3)
+    etas = {"fc1": 1e-3, "fc2": 2e-3}
+    params, state, _ = two_layer_state(eta=etas, steps=3)
     state.eta["fc1"] = 5e-4  # as if a controller had cooled it
-    fresh = reset(state)
+    fresh = init_adam(params, etas)
     assert fresh.t == 0
     assert np.all(fresh.m.vector == 0.0)
     assert np.all(fresh.v.vector == 0.0)
     assert fresh.eta == {"fc1": 1e-3, "fc2": 2e-3}
     with pytest.raises(StateError):
         effective_step(fresh)
-    twice = reset(reset(state))
+    twice = init_adam(init_adam(params, etas).m, etas)
     assert twice.t == fresh.t and twice.eta == fresh.eta
 
 
@@ -253,8 +297,8 @@ def test_reset_replays_first_step():
     g = grads_like(params_a, [0.33])
     for _ in range(4):
         adam_step(state_a, params_a, g)
-    state_a = reset(state_a)
     params_a = scalar_param(1.0)
+    state_a = init_adam(params_a, eta=0.1)
     adam_step(state_a, params_a, g)
 
     params_b = scalar_param(1.0)
@@ -327,7 +371,7 @@ def test_training_trajectory_matches_reference_step(monkeypatch, act_kind, reg_k
             etas = {"fc1": 2e-2, "fc2": 5e-3, "fc3": 1e-2}
             state.eta, ref_state.eta = dict(etas), dict(etas)
         if step == 35:
-            state, ref_state = reset(state), reset(ref_state)
+            state, ref_state = init_adam(params, eta=1e-2), init_adam(ref_params, eta=1e-2)
         batch = make_batch(12, 4, 32, seed=step)
         adam_step(state, params, loss_grad(params, act, batch, reg).grads)
         with monkeypatch.context() as mp:

@@ -352,11 +352,23 @@ def test_synthetic_separation_scales_cluster_distance():
     assert cluster_gap(far) > 10 * cluster_gap(near)
 
 
-@pytest.mark.parametrize("separation", [-1.0, -1e-12, float("nan")])
+@pytest.mark.parametrize("separation", [-1.0, -1e-12, float("nan"), float("inf")])
 def test_synthetic_separation_must_be_nonnegative(separation):
     with pytest.raises(ConfigError, match="separation"):
         SyntheticSource(separation=separation)
     assert synthesize(SyntheticSource(n=4, d=2, classes=2, separation=0.0)).images.shape == (4, 2)
+
+
+def test_streams_of_large_seeds_are_not_aliased():
+    """A seed is drawn from as it is: 2**63 is not seed 0."""
+    assert not np.array_equal(stream(0, "init").random(4), stream(2**63, "init").random(4))
+
+
+def test_negative_seeds_rejected():
+    with pytest.raises(ConfigError, match="base_seed"):
+        synth_cfg(base_seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        SyntheticSource(seed=-1)
 
 
 def test_stream_config_validation():
