@@ -1,4 +1,4 @@
-"""Hessian-vector products, the top Hessian eigenvalue, and exact small-net Hessians.
+"""Hessian-vector products and the top Hessian eigenvalue.
 
 The product ``H v`` is Pearlmutter's R-op (*Fast exact multiplication by
 the Hessian*, 1994): the directional derivative of the hand-written
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import ConfigError
 from .nn import (
     Activation,
     Batch,
@@ -47,8 +47,6 @@ from .nn import (
     check_finite,
     loss_grad,
 )
-
-EXACT_HESSIAN_MAX_PARAMS = 2000
 
 
 @dataclass(frozen=True)
@@ -209,42 +207,3 @@ def top_eigenvalue(
         return TopEigen(c1, converged, k, 0.0)
     return TopEigen(theta, converged, k, residual)
 
-
-def exact_hessian(
-    params: ParamSet,
-    act: Activation,
-    batch: Batch,
-    reg: Regularizer,
-    symmetrize: bool = True,
-) -> np.ndarray:
-    """Dense Hessian assembled column by column from R-op products on basis vectors.
-
-    Guarded to small nets; symmetrized as (H + H.T)/2 unless disabled (the
-    raw matrix is useful for checking the product's self-adjointness).
-    """
-    n = params.n_params
-    if n > EXACT_HESSIAN_MAX_PARAMS:
-        raise CapacityError(f"{n} parameters exceeds exact-Hessian guard {EXACT_HESSIAN_MAX_PARAMS}")
-    base = loss_grad(params, act, batch, reg)
-    H = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        H[:, j] = hvp(params, act, batch, reg, params.like(e), base).vector
-        e[j] = 0.0
-    if symmetrize:
-        H = 0.5 * (H + H.T)
-    return H
-
-
-def effective_rank(eigs: np.ndarray, rel_threshold: float) -> int:
-    """Count of eigenvalues above ``rel_threshold`` times the top magnitude."""
-    eigs = np.asarray(eigs, dtype=np.float64)
-    if eigs.size == 0:
-        raise ValueError("empty eigenvalue list")
-    if not 0.0 < rel_threshold < 1.0:
-        raise ValueError(f"rel_threshold must be in (0, 1), got {rel_threshold}")
-    top = np.max(np.abs(eigs))
-    if top == 0.0:
-        return 0
-    return int(np.sum(np.abs(eigs) > rel_threshold * top))

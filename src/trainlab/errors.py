@@ -21,10 +21,6 @@ class StateError(TrainlabError):
     """Operation requires state the caller has not established (e.g. t >= 1)."""
 
 
-class CapacityError(TrainlabError):
-    """Input exceeds a hard size guard."""
-
-
 class FormatError(TrainlabError):
     """Malformed binary or text input; carries the byte offset when known."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -279,40 +279,6 @@ def build_report(
         armed=window.armed,
         flags=tuple(name for name, on in flags if on),
     )
-
-
-# ---------------------------------------------------------------------------
-# loss-of-trainability predictor
-
-
-class LotPrediction(NamedTuple):
-    per_task: list[float]
-    rho_hat: float
-
-
-def _step_crossed(entry) -> bool:
-    if isinstance(entry, Mapping):
-        return any(bool(v) for v in entry.values())
-    if isinstance(entry, (bool, np.bool_)):
-        return bool(entry)
-    raise TypeError(f"a crossing entry is a bool or a layer -> bool mapping, not {entry!r}")
-
-
-def predict_lot(crossing_flags: Sequence, window: int) -> LotPrediction:
-    """Per-task fraction of steps where any layer crosses its combined bound.
-
-    ``crossing_flags`` is one entry per step: a bool, or a mapping of layer
-    id to bool (any other entry raises TypeError).  Consecutive groups of
-    ``window`` steps form one task (a shorter trailing group is kept).  Also
-    reports the run-level fraction over all steps.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    crossed = [_step_crossed(e) for e in crossing_flags]
-    chunks = [crossed[start : start + window] for start in range(0, len(crossed), window)]
-    per_task = [sum(chunk) / len(chunk) for chunk in chunks]
-    rho_hat = sum(crossed) / len(crossed) if crossed else 0.0
-    return LotPrediction(per_task, rho_hat)
 
 
 # ---------------------------------------------------------------------------

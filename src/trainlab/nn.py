@@ -135,10 +135,6 @@ def zeros_like(ps: ParamSet) -> ParamSet:
     return ps.like(np.zeros_like(ps.vector))
 
 
-def param_dot(a: ParamSet, b: ParamSet) -> float:
-    return float(np.vdot(a.vector, b.vector))
-
-
 def param_norm(ps: ParamSet) -> float:
     return float(np.linalg.norm(ps.vector))
 
@@ -490,6 +486,9 @@ def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep) -> None:
         raise NumericError(f"non-finite loss {sw.loss}", layer_id=layer_id)
 
 
+# A pass that overflows ends in its loss's finite check, which raises
+# NumericError; numpy's overflow and invalid-value warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> Sweep:
     """Mean cross-entropy plus regularizer penalty, with its exact gradient,
     and everything the pass made on the way (see ``Sweep``).
@@ -507,6 +506,7 @@ class ProbeGrads:
     sweep: Sweep  # the loss_grad pass it is read from: grads, diagnostics, eigensolve base
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> ProbeGrads:
     """Each layer's per-sample gradient variance and the ``loss_grad`` pass it
     is read from, which the probe's eigensolve and diagnostics then reuse.
@@ -535,6 +535,7 @@ def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularize
     return ProbeGrads(sigma_sq, sw)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def per_sample_grads(
     params: ParamSet, act: Activation, batch: Batch, reg: Regularizer
 ) -> list[ParamSet]:

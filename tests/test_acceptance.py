@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from trainlab.curvature import CurvatureProbe, exact_hessian, hvp, top_eigenvalue
+from trainlab.curvature import CurvatureProbe, hvp, top_eigenvalue
 from trainlab.metrics import (
     BoundConfig,
     ThresholdReport,
@@ -23,7 +23,6 @@ from trainlab.metrics import (
     cantelli_cap,
     combined_bound,
     minibatch_grad_variance,
-    predict_lot,
 )
 from trainlab.nn import (
     Activation,
@@ -32,7 +31,6 @@ from trainlab.nn import (
     Regularizer,
     loss_grad,
     mean_params,
-    param_dot,
     per_sample_grads,
     probe_grads,
 )
@@ -47,7 +45,8 @@ from trainlab.runner import (
 from trainlab.scheduler import COOLED, ControllerConfig, decide
 from trainlab.tasks import StreamConfig, SyntheticSource, load_source, prepare
 
-from conftest import ACTIVATIONS, fd_gradient, make_batch, make_net, make_reg, rel_err
+from conftest import ACTIVATIONS, make_batch, make_net, make_reg, rel_err
+from oracles import exact_hessian, fd_gradient, param_dot, predict_lot
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:

@@ -554,11 +554,22 @@ def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
 
 def test_cli_huge_finite_eta_is_a_numeric_abort(tmp_path, capsys):
     """eta = 1e308 is a usable setting that overflows in training: exit 3."""
-    with np.errstate(all="ignore"):  # the overflow is the point
-        code = main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
-                     "--optimizer.eta=1e308"])
+    code = main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
+                 "--optimizer.eta=1e308"])
     assert code == EXIT_NUMERIC
     assert "non-finite" in capsys.readouterr().out
+
+
+def test_cli_numeric_abort_warns_nothing(tmp_path):
+    """With every warning an error (``python -W error``, here through
+    PYTHONWARNINGS) the overflow still ends in the abort line and exit 3,
+    not in a RuntimeWarning traceback."""
+    args = ["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
+            "--optimizer.eta=1e308"]
+    done = _run_subprocess(args, {"PYTHONWARNINGS": "error"})
+    assert done.returncode == EXIT_NUMERIC, done.stderr
+    assert done.stdout.startswith("seed 0: aborted: non-finite loss"), done.stdout
+    assert done.stderr == ""
 
 
 def test_cli_rejects_mnist_without_paths():

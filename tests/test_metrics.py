@@ -16,13 +16,13 @@ from trainlab.metrics import (
     diagnostics,
     minibatch_grad_variance,
     normalized_sharpness,
-    predict_lot,
     push_and_stats,
     window_stats,
 )
 from trainlab.nn import Activation, Layer, ParamSet, forward, per_sample_grads, zeros_like
 
 from conftest import make_batch, make_net, make_reg
+from oracles import predict_lot
 
 CFG = BoundConfig()
 

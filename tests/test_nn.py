@@ -24,15 +24,8 @@ from trainlab.nn import (
 )
 from trainlab.tasks import StreamConfig, SyntheticSource, batches, load_source, prepare, task_labels
 
-from conftest import (
-    ACTIVATIONS,
-    fd_gradient,
-    make_batch,
-    make_net,
-    make_reg,
-    rel_err,
-    stable_wasserstein_penalty,
-)
+from conftest import ACTIVATIONS, make_batch, make_net, make_reg, rel_err
+from oracles import fd_gradient, stable_wasserstein_penalty
 
 NONE = Regularizer("none")
 
@@ -381,11 +374,10 @@ def test_nonfinite_loss_names_the_first_nonfinite_layer(layer_id):
     params = make_net(3, [4], 2, Activation("relu"), seed=17)
     params.layers[params.layer_ids().index(layer_id)].weights[:] = np.inf
     batch = make_batch(3, 2, 5, seed=17)
-    with np.errstate(all="ignore"):
-        for pass_ in (loss_grad, probe_grads, per_sample_grads):
-            with pytest.raises(NumericError, match="non-finite loss") as exc:
-                pass_(params, Activation("relu"), batch, NONE)
-            assert exc.value.layer_id == layer_id, pass_.__name__
+    for pass_ in (loss_grad, probe_grads, per_sample_grads):
+        with pytest.raises(NumericError, match="non-finite loss") as exc:
+            pass_(params, Activation("relu"), batch, NONE)
+        assert exc.value.layer_id == layer_id, pass_.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,8 @@ from trainlab.errors import ConfigError, NumericError, StateError
 from trainlab.nn import Activation, Layer, ParamSet, loss_grad
 from trainlab.optim import adam_step, agg_step, effective_step, init_adam
 
-from conftest import (
-    make_batch,
-    make_net,
-    make_reg,
+from conftest import make_batch, make_net, make_reg
+from oracles import (
     reference_adam_step,
     reference_agg_step,
     reference_effective_step,

@@ -29,6 +29,7 @@ from trainlab.scheduler import ControllerConfig
 from trainlab.tasks import StreamConfig, SyntheticSource
 
 from conftest import make_batch, make_net, make_reg
+from oracles import predict_lot
 
 
 def tiny_config(**kw):
@@ -607,6 +608,30 @@ def test_summarize_skips_aborted_records():
     s = summarize(rows, ["fc1"])
     assert len(s.per_task) == 2
     assert not math.isnan(s.per_task[-1].accuracy)
+
+
+def test_summarize_matches_predict_lot_on_criterion_13_pattern():
+    """Acceptance criterion 13 plants 3 tasks x 4 records of crossings and
+    checks the window-chunked oracle; ``summarize``, which groups a log's
+    records by their task column, gives the same fractions and rho_hat."""
+    flags = [
+        {"fc1": False, "fc2": False}, {"fc1": True, "fc2": False},
+        {"fc1": False, "fc2": False}, {"fc1": False, "fc2": False},  # task 0: 1/4
+        {"fc1": False, "fc2": True}, {"fc1": True, "fc2": True},
+        {"fc1": False, "fc2": False}, {"fc1": True, "fc2": False},  # task 1: 3/4
+        {"fc1": False, "fc2": False}, {"fc1": False, "fc2": False},
+        {"fc1": False, "fc2": False}, {"fc1": False, "fc2": False},  # task 2: 0/4
+    ]
+    rows = [
+        {"seed": 0, "task": i // 4, "epoch": i % 4, "step": i + 1, "train_accuracy": 0.5,
+         "flags": "-", **{f"{lid}.crossed": c for lid, c in f.items()}}
+        for i, f in enumerate(flags)
+    ]
+    s = summarize(rows, ["fc1", "fc2"])
+    want = predict_lot(flags, window=4)
+    assert want.per_task == [0.25, 0.75, 0.0]
+    assert [t.crossing_fraction for t in s.per_task] == want.per_task
+    assert s.rho_hat == want.rho_hat == 4 / 12
 
 
 def test_summarize_rejects_a_log_of_aborted_records_only():
