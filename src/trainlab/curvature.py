@@ -15,7 +15,9 @@ penalty is evaluated inside a product.
 The top eigenvalue comes from a Lanczos three-term recurrence that stores
 no basis (Ghorbani et al., arXiv:1901.10159).  After each product it takes
 the largest-magnitude Ritz value of the tridiagonal matrix, keeping its
-sign, and stops once that value's residual is small relative to it.
+sign, and stops once that value's error bound, its squared residual over
+its gap to the other Ritz values, is within the tolerance.  The dense
+Hessian the tests check both against is in ``tests/oracles.py``.
 
 The first layer sees the data only through the batch ``X`` (B x d), so
 every solve runs in the batch's row space (``row_space``): from ``X^T = QR``
@@ -27,7 +29,6 @@ B x B x out instead of B x d x out, and the directions left out (``X dW^T =
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -52,7 +53,7 @@ from .nn import (
 @dataclass(frozen=True)
 class CurvatureProbe:
     """``power_iters`` caps the Hessian-vector products of one eigensolve;
-    ``tol`` is the relative tolerance on the eigenvalue."""
+    ``tol`` bounds the eigenvalue's relative error (see ``top_eigenvalue``)."""
 
     power_iters: int = 100
     tol: float = 1e-6
@@ -121,13 +122,16 @@ class TopEigen(NamedTuple):
     residual: float  # the Ritz residual ||H y - lambda y|| of the returned value
 
 
-def _top_ritz(alphas: list[float], betas: list[float]) -> tuple[float, float]:
-    """The largest-magnitude eigenvalue of the Lanczos tridiagonal matrix and
-    the last entry of its unit eigenvector."""
+def _top_ritz(alphas: list[float], betas: list[float]) -> tuple[float, float, float]:
+    """The largest-magnitude eigenvalue of the Lanczos tridiagonal matrix, the
+    last entry of its unit eigenvector, and its distance to the nearest other
+    eigenvalue (0 when it is the only one)."""
     T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     evals, evecs = np.linalg.eigh(T)
     j = int(np.argmax(np.abs(evals)))
-    return float(evals[j]), float(evecs[-1, j])
+    others = np.delete(evals, j)
+    gap = float(np.min(np.abs(others - evals[j]))) if others.size else 0.0
+    return float(evals[j]), float(evecs[-1, j]), gap
 
 
 def row_space(params: ParamSet, base: Sweep) -> tuple[ParamSet, Sweep]:
@@ -162,12 +166,14 @@ def top_eigenvalue(
     The start vector is a deterministic unit Gaussian from ``probe.seed``.
     Step k makes one product and gives the Ritz value theta of the k x k
     tridiagonal matrix with the largest magnitude; its residual is
-    ``|beta_k s_k|`` (``s`` its eigenvector).  The solve converges when that
-    residual is at most ``sqrt(probe.tol) * |theta|`` or when ``beta_k`` is
-    0 (an invariant subspace, as for a zero Hessian).  The Ritz value's
-    error is bounded by residual^2 / gap (gap: its distance to the rest of
-    the spectrum), so with a close second eigenvalue it can exceed
-    ``probe.tol``: the tolerance sets the stop, not a guaranteed error.
+    ``|beta_k s_k|`` (``s`` its eigenvector).  By Kato-Temple (Parlett, *The
+    Symmetric Eigenvalue Problem*, 1998) theta is within residual^2 / gap of
+    an eigenvalue, gap being its distance to the rest of the spectrum, read
+    here as its distance to the nearest other Ritz value (none, so 0, after
+    one product).  The solve converges when ``residual^2 <= probe.tol *
+    |theta| * min(|theta|, gap)``, which also keeps the residual within
+    ``sqrt(probe.tol) * |theta|``, or when ``beta_k`` is 0 (an invariant
+    subspace, as for a zero Hessian).
     Only the last two Lanczos vectors are kept.  Every product reads
     ``base`` (``loss_grad`` at ``params``), built here when not given.
 
@@ -180,7 +186,6 @@ def top_eigenvalue(
         base = loss_grad(params, act, batch, reg)
     layout, base = row_space(params, base)
     c1 = _penalty_curvature(reg, params.layers[0]) if layout.n_params < params.n_params else 0.0
-    stop = math.sqrt(probe.tol)
     rng = np.random.default_rng(probe.seed)
     v = rng.standard_normal(layout.n_params)
     v /= np.linalg.norm(v)
@@ -195,9 +200,9 @@ def top_eigenvalue(
         w -= beta * v_prev
         beta = float(np.linalg.norm(w))
         alphas.append(alpha)
-        theta, s_last = _top_ritz(alphas, betas)
+        theta, s_last, gap = _top_ritz(alphas, betas)
         residual = abs(beta * s_last)
-        converged = beta == 0.0 or residual <= stop * abs(theta)
+        converged = beta == 0.0 or residual**2 <= probe.tol * abs(theta) * min(abs(theta), gap)
         if converged:
             break
         betas.append(beta)
@@ -206,4 +211,3 @@ def top_eigenvalue(
     if abs(theta) < c1:
         return TopEigen(c1, converged, k, 0.0)
     return TopEigen(theta, converged, k, residual)
-

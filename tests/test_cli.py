@@ -102,6 +102,7 @@ def test_build_run_config_rejects_bad_types():
         ("optimizer.beta2", "-0.1"),
         ("optimizer.eps", "0"),
         ("model.hidden_width", "0"),
+        ("model.activation", "bogus"),
         ("model.regularizer", "l1"),
         ("model.reg_lambda", "-1e-3"),
         ("model.reg_lambda", "nan"),
@@ -124,6 +125,14 @@ def test_build_run_config_rejects_bad_settings(key, value):
     values = parse_config_text(TINY_CONFIG)
     values[key] = value
     with pytest.raises(ConfigError):
+        build_run_config(values)
+
+
+@pytest.mark.parametrize("slope", ["2", "-0.5", "nan"])
+def test_build_run_config_rejects_a_leaky_slope_outside_0_1(slope):
+    values = parse_config_text(TINY_CONFIG)
+    values.update({"model.activation": "leaky_relu", "model.leaky_slope": slope})
+    with pytest.raises(ConfigError, match="slope must be in"):
         build_run_config(values)
 
 

@@ -202,6 +202,22 @@ def test_top_eigenvalue_ritz_residual():
     assert abs(res.lambda_max - dense_top) <= 1e-8 * abs(dense_top)
 
 
+def test_top_eigenvalue_meets_its_tolerance_with_a_close_second_eigenvalue():
+    """The top two eigenvalues are 9% apart, so a residual of sqrt(tol) *
+    |lambda| leaves an error of about tol / 0.09: a stop on the residual
+    alone misses tol (3.6 tol here); the stop on residual^2 / gap meets it."""
+    act = Activation("crelu")
+    params = make_net(4, 4, 2, act, seed=17)
+    batch = make_batch(4, 2, 10, seed=17)
+    eigs = np.linalg.eigvalsh(exact_hessian(params, act, batch, NONE))
+    top, second = sorted(eigs, key=abs)[-1:-3:-1]
+    assert abs(top - second) < 0.1 * abs(top)
+    tol = 1e-6
+    res = top_eigenvalue(params, act, batch, NONE, CurvatureProbe(power_iters=100, tol=tol, seed=0))
+    assert res.converged
+    assert abs(res.lambda_max - top) <= tol * abs(top)
+
+
 @pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
 @pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
 def test_top_eigenvalue_reads_a_caller_built_sweep_bit_for_bit(act, reg_kind):

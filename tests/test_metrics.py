@@ -190,6 +190,8 @@ def test_alpha_vol_star_examples():
     assert alpha_vol_star(0.5, BoundConfig(kappa=2.0)).value == pytest.approx(1.0)
     # an infinite vol (a window whose EMA mean is not positive) allows no step, unflagged
     assert alpha_vol_star(math.inf, CFG) == (0.0, False)
+    with pytest.raises(ValueError):
+        alpha_vol_star(-1e-12, CFG)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +216,9 @@ def test_cantelli_examples():
     # delta -> 1 limit: cap -> 2/mu
     assert cantelli_cap(4.0, 1.0, 1 - 1e-12).value == pytest.approx(0.5, rel=1e-5)
     assert cantelli_cap(0.0, 0.0, 0.1).capped
+    for mu, sigma, delta in [(-1.0, 1.0, 0.1), (1.0, -1.0, 0.1), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)]:
+        with pytest.raises(ValueError):
+            cantelli_cap(mu, sigma, delta)
 
 
 def test_cantelli_monotonicity():
@@ -234,6 +239,9 @@ def test_combined_bound_hand_value():
     comb = combined_bound(1.0, 1.0, 1.0, 1, BoundConfig(beta=1.0))
     assert comb.sigma_tilde_sq == pytest.approx(2.0)
     assert comb.alpha_tilde_star == pytest.approx(0.5)
+    for g2, s2, vol, B in [(-1.0, 1.0, 1.0, 8), (1.0, -1.0, 1.0, 8), (1.0, 1.0, -1.0, 8), (1.0, 1.0, 1.0, 0)]:
+        with pytest.raises(ValueError):
+            combined_bound(g2, s2, vol, B, CFG)
 
 
 def test_combined_bound_monotone_in_vol():

@@ -77,6 +77,40 @@ def test_forward_shape_mismatch_is_config_error():
     batch = make_batch(5, 4, 2)
     with pytest.raises(ConfigError):
         forward(params, Activation("relu"), batch)
+    bad_bias = ParamSet([Layer("fc1", np.zeros((2, 5)), np.zeros(3))])
+    with pytest.raises(ConfigError, match="bias shape"):
+        forward(bad_bias, Activation("relu"), batch)
+    with pytest.raises(ConfigError, match="no layers"):
+        forward(ParamSet([]), Activation("relu"), batch)
+
+
+def _two_layers():
+    return [Layer("fc1", np.zeros((2, 3)), np.zeros(2)), Layer("fc2", np.zeros((1, 2)), np.zeros(1))]
+
+
+BAD_INPUTS = {
+    "paramset_duplicate_ids": lambda: ParamSet([Layer("fc1", np.zeros((2, 3)), np.zeros(2))] * 2),
+    "paramset_vector_shape": lambda: ParamSet(_two_layers(), np.zeros(10)),
+    "paramset_vector_2d": lambda: ParamSet(_two_layers(), np.zeros((1, 11))),
+    "from_vector_size": lambda: ParamSet(_two_layers()).from_vector(np.zeros(12)),
+    "batch_1d_inputs": lambda: Batch(np.zeros(3), np.zeros(3, dtype=int)),
+    "batch_label_count": lambda: Batch(np.zeros((3, 2)), np.zeros(2, dtype=int)),
+    "batch_no_rows": lambda: Batch(np.zeros((0, 2)), np.zeros(0, dtype=int)),
+    "penalty_snapshot_layers": lambda: regularizer_penalty(
+        ParamSet(_two_layers()[:1]), Regularizer("wasserstein", 0.1, ParamSet(_two_layers()))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_containers_reject_bad_inputs(case):
+    with pytest.raises(ConfigError):
+        BAD_INPUTS[case]()
+
+
+def test_mean_params_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="empty"):
+        mean_params([])
 
 
 def test_forward_crelu_width_doubles():
@@ -224,7 +258,9 @@ def test_wasserstein_shape_mismatch():
         wasserstein_penalty(np.zeros((2, 2)), np.zeros(5))
 
 
-@pytest.mark.parametrize("kind, lam", [("l1", 0.1), ("l2", -1e-3), ("l2", math.nan), ("none", math.inf)])
+@pytest.mark.parametrize(
+    "kind, lam", [("l1", 0.1), ("l2", -1e-3), ("l2", math.nan), ("none", math.inf), ("wasserstein", 0.1)]
+)
 def test_regularizer_rejects_unknown_kinds_and_unusable_coefficients(kind, lam):
     with pytest.raises(ConfigError):
         Regularizer(kind, lam)

@@ -222,6 +222,17 @@ def test_prepare_subsample_too_large():
         prepare(synthesize(cfg.source), cfg)
 
 
+def test_prepare_rejects_an_idx_pair_of_no_images(idx_pair):
+    """A well-formed IDX pair may declare 0 images; it loads as a (0, 784)
+    array, and prepare refuses it."""
+    ip, lp = idx_pair(idx_images_bytes(n=0), idx_labels_bytes([]))
+    raw = load_idx(ip, lp)
+    assert raw.images.shape == (0, 784)
+    cfg = StreamConfig(source=MnistSource(ip, lp), subsample_n=1, tasks=1, epochs_per_task=1)
+    with pytest.raises(ConfigError, match="empty"):
+        prepare(raw, cfg)
+
+
 # ---------------------------------------------------------------------------
 # task labels
 
