@@ -222,7 +222,7 @@ def test_agg_step_global_rate_is_the_weighted_mean():
 
 @pytest.mark.parametrize("eta", [{"fc1": 1e-3}, {"fc1": 1e-3, "fc2": 1e-3, "fc3": 1e-3}, {"fc1": 1e-3, "x": 1e-3}])
 def test_init_adam_rejects_a_rate_map_of_other_layers(eta):
-    params = make_net(3, 4, 2, nn.Activation("relu"))
+    params = make_net(3, 4, 2, Activation("relu"))
     with pytest.raises(ConfigError, match="does not match the layer ids"):
         init_adam(params, eta)
 
