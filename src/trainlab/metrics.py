@@ -115,8 +115,8 @@ class WindowStats:
     _queue: deque = field(default_factory=deque, repr=False)
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ConfigError(f"window capacity must be >= 1, got {self.capacity}")
+        if self.capacity < 2:  # a window of one sample never arms
+            raise ConfigError(f"window capacity must be >= 2, got {self.capacity}")
         if not 0.0 < self.ema_decay < 1.0:
             raise ConfigError(f"ema_decay must be in (0, 1), got {self.ema_decay}")
         self._queue = deque(self._queue, maxlen=self.capacity)

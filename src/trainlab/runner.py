@@ -11,25 +11,28 @@ record's cells: one ``loss_grad`` pass (through ``probe_grads``) that every
 measurement reads (the factored per-layer gradient variance, the diagnostics
 and every R-op product of the Lanczos solve for the top Hessian eigenvalue),
 the window statistics and threshold reports, all at the learning rates from
-before any decision, then the controller's decision on a decision step.  When the eigensolve runs out its product budget, the
-record is flagged ``sharpness_unconverged``, its eigenvalue is kept out of
-the volatility windows (the bounds read each window as it stands) and a
-decision on it holds every layer.
-Probes draw no randomness from the training streams, so a run's parameter
-trajectory is identical with probes on or off.
+before any decision, then the controller's decision on a decision step.
+When the eigensolve runs out its product budget, the record is flagged
+``sharpness_unconverged``, its eigenvalue is kept out of the volatility
+windows (the bounds read each window as it stands) and a decision on it
+holds every layer.  Probes draw no randomness from the training streams, so
+a run's parameter trajectory is identical with probes on or off.
 
 Logs are append-only delimited text: one header line declaring the column
 order, then one record per line with ints in full and floats at 17
 significant digits, so two runs of the same config and seed produce
 byte-identical files.  The columns walk the record's fields: its scalar
 fields (every ``MetricRecord`` field but ``layers`` and ``flags``), each
-layer's ``LayerMetrics`` fields, then the flags.
+layer's ``LayerMetrics`` fields, then the flags.  ``read_log`` reads back
+the ``MetricRecord``s that ``format_log`` wrote, and refuses a log whose
+header departs from that schema.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -169,9 +172,10 @@ _REPORT_CELLS = tuple(f for f in LAYER_FIELDS if f not in ("eta", "decision"))
 # the cells of a layer that a record does not cover (an abort record), by field type
 _ABSENT_CELL = {"float": math.nan, "str": ABSENT, "bool": False}
 _ABSENT_LAYER = LayerMetrics(**{name: _ABSENT_CELL[t] for name, t in _LAYER_TYPES.items()})
-# a log cell's parser, by field type: a bool cell is 1 or 0, the flags stay one string
-_BOOL_CELL = {"1": True, "0": False}
-_PARSE_CELL = {"int": int, "float": float, "str": str, "bool": _BOOL_CELL.__getitem__, "tuple[str, ...]": str}
+# a log cell's parser, by field type (a bool cell is 1 or 0), in the schema's order
+_PARSE_CELL = {"int": int, "float": float, "str": str, "bool": {"1": True, "0": False}.__getitem__}
+_SCALAR_PARSERS = [_PARSE_CELL[_RECORD_TYPES[f]] for f in SCALAR_FIELDS]
+_LAYER_PARSERS = [_PARSE_CELL[t] for t in _LAYER_TYPES.values()]
 
 
 @dataclass
@@ -270,65 +274,48 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
         base = prepare(load_source(cfg.stream), cfg.stream)
     act = cfg.model.activation
     init_snapshot = init_mlp(
-        base.inputs.shape[1],
-        [cfg.model.hidden_width],
-        base.n_classes,
-        act,
-        stream(seed, "init"),
+        base.inputs.shape[1], [cfg.model.hidden_width], base.n_classes, act, stream(seed, "init")
     )
     reg = build_regularizer(cfg.model, init_snapshot)
     layer_ids = init_snapshot.layer_ids()
 
-    n = base.inputs.shape[0]
-    spe = steps_per_epoch(n, cfg.stream.batch_size)
+    spe = steps_per_epoch(base.inputs.shape[0], cfg.stream.batch_size)
     total_steps = cfg.stream.tasks * cfg.stream.epochs_per_task * spe
 
     result = SeedResult(seed, layer_ids, [], [])
     global_step = 0
     acc_sum, acc_n = 0.0, 0
-
-    for task_i in range(cfg.stream.tasks):
-        if task_i == 0 or cfg.mode == "reset":  # a reset task starts as the first one does
-            params = init_snapshot.copy()
-            state = init_adam(params, **vars(cfg.optimizer))
-            windows = _fresh_windows(cfg, layer_ids)
-        labels = task_labels(base, task_i, cfg.stream)
-        task_final_acc = 0.0
-        for epoch in range(cfg.stream.epochs_per_task):
-            ep_sum, ep_n = 0.0, 0
-            for batch in batches(base.inputs, labels, task_i, epoch, cfg.stream):
-                global_step += 1
-                is_decide = cfg.mode == "scheduled" and global_step % cfg.controller.interval_k == 0
-                cells = None
-                try:
+    try:
+        for task_i in range(cfg.stream.tasks):
+            if task_i == 0 or cfg.mode == "reset":  # a reset task starts as the first one does
+                params = init_snapshot.copy()
+                state = init_adam(params, **vars(cfg.optimizer))
+                windows = _fresh_windows(cfg, layer_ids)
+            labels = task_labels(base, task_i, cfg.stream)
+            for epoch in range(cfg.stream.epochs_per_task):
+                ep_sum = 0.0
+                for batch in batches(base.inputs, labels, task_i, epoch, cfg.stream):
+                    global_step += 1
                     sw = loss_grad(params, act, batch, reg)
                     adam_step(state, params, sw.grads)
                     acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
                     del sw  # the probe makes its own pass; holding this one too adds to the peak
+                    acc_sum += acc
+                    acc_n += 1
+                    ep_sum += acc
+                    is_decide = cfg.mode == "scheduled" and global_step % cfg.controller.interval_k == 0
                     if is_decide or global_step % cfg.log_interval == 0:
-                        cells = _probe(
-                            cfg, seed, global_step, params, act, batch, reg, state, windows,
-                            is_decide=is_decide, total_steps=total_steps,
+                        cells = _probe(cfg, seed, global_step, params, act, batch, reg, state,
+                                       windows, is_decide=is_decide, total_steps=total_steps)
+                        result.records.append(
+                            MetricRecord(seed, task_i, epoch, global_step, acc_sum / acc_n, **cells)
                         )
-                except NumericError as err:
-                    result.aborted = True
-                    result.abort_message = str(err)
-                    result.records.append(_error_record(err, seed, task_i, epoch, global_step))
-                    result.final_params, result.final_state = params, state
-                    return result
-                acc_sum += acc
-                acc_n += 1
-                ep_sum += acc
-                ep_n += 1
-                if cells is None:
-                    continue
-                result.records.append(
-                    MetricRecord(seed, task_i, epoch, global_step, acc_sum / acc_n, **cells)
-                )
-                acc_sum, acc_n = 0.0, 0
-            if epoch == cfg.stream.epochs_per_task - 1 and ep_n > 0:
-                task_final_acc = ep_sum / ep_n
-        result.per_task_accuracy.append(task_final_acc)
+                        acc_sum, acc_n = 0.0, 0
+            # every epoch runs spe steps, so this is the task's final-epoch mean
+            result.per_task_accuracy.append(ep_sum / spe)
+    except NumericError as err:
+        result.aborted, result.abort_message = True, str(err)
+        result.records.append(_error_record(err, seed, task_i, epoch, global_step))
     result.final_params, result.final_state = params, state
     return result
 
@@ -336,8 +323,7 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
 def _error_record(err: NumericError, *where) -> MetricRecord:
     """The record of an aborted step: ``where`` fills the leading scalar
     cells (seed, task, epoch, step), every other scalar cell is NaN."""
-    detail = str(err).replace(",", ";").replace("\n", " ")
-    flags = ["aborted:" + detail]
+    flags = ["aborted:" + str(err).replace(",", ";").replace("\n", " ")]
     if err.layer_id is not None:
         flags.append(f"aborted_layer:{err.layer_id}")
     nan_cells = dict.fromkeys(SCALAR_FIELDS[len(where) :], math.nan)
@@ -389,35 +375,38 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text at byte {err.start}", offset=err.start) from None
 
 
-def read_log(path) -> tuple[list[dict], list[str]]:
-    """Parse a metric log back into row dicts plus the layer-id list."""
+def read_log(path) -> tuple[list[MetricRecord], list[str]]:
+    """The records and layer ids that ``format_log`` wrote: the ``.alpha``
+    columns name the layers, any header but their ``log_columns`` is a
+    FormatError, and each cell is typed by its place in that schema."""
     lines = [(no, ln) for no, ln in enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
     if not lines:
-        raise ConfigError(f"empty metric log {path}")
+        raise FormatError(f"empty metric log {path}")
     header = lines[0][1].split(",")
-    parsers = []
-    layer_ids: list[str] = []
-    for col in header:
-        lid, _, name = col.rpartition(".")
-        ftype = _LAYER_TYPES.get(name) if lid else _RECORD_TYPES.get(col)
-        if ftype not in _PARSE_CELL:
-            raise ConfigError(f"unknown metric log column {col!r}")
-        parsers.append(_PARSE_CELL[ftype])
-        if name == LAYER_FIELDS[0] and lid:
-            layer_ids.append(lid)
-    rows = []
+    key = "." + LAYER_FIELDS[0]  # the column that names each layer once
+    layer_ids = [col.removesuffix(key) for col in header if col.endswith(key)]
+    for i, (got, exp) in enumerate(zip_longest(header, log_columns(layer_ids))):
+        if got != exp:
+            raise FormatError(f"{path}: header column {i + 1} is {got!r}, expected {exp!r}")
+    if not layer_ids:
+        raise FormatError(f"{path}: the header has no layer columns")
+    parsers = [*_SCALAR_PARSERS, *_LAYER_PARSERS * len(layer_ids), str]
+    n, w = len(SCALAR_FIELDS), len(LAYER_FIELDS)
+    records = []
     for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ConfigError(f"{path}: line {lineno} has {len(parts)} fields, expected {len(header)}")
-        row = {}
+            raise FormatError(f"{path}: line {lineno} has {len(parts)} fields, expected {len(header)}")
+        cells = []
         for col, parse, val in zip(header, parsers, parts):
             try:
-                row[col] = parse(val)
+                cells.append(parse(val))
             except (KeyError, ValueError):
                 raise FormatError(f"{path}: line {lineno}, column {col!r}: cannot parse {val!r}") from None
-        rows.append(row)
-    return rows, layer_ids
+        layers = {lid: LayerMetrics(*cells[n + i * w : n + (i + 1) * w]) for i, lid in enumerate(layer_ids)}
+        flags = () if cells[-1] == ABSENT else tuple(cells[-1].split(";"))
+        records.append(MetricRecord(*cells[:n], layers=layers, flags=flags))
+    return records, layer_ids
 
 
 # ---------------------------------------------------------------------------
@@ -439,29 +428,32 @@ class Summary:
     scale_degenerate: bool
 
 
-def summarize(rows: Sequence[dict], layer_ids: Sequence[str]) -> Summary:
+def summarize(records: Sequence[MetricRecord], layer_ids: Sequence[str]) -> Summary:
     """Per-task accuracy, crossing fractions, and a range-scaled overlay.
 
-    Accuracy per task is the mean logged train accuracy over the task's final
-    logged epoch; the crossing-fraction series is min-max scaled onto the
-    accuracy range for plotting (a flat series is flagged degenerate and
-    pinned to the mid-range).
+    A task's accuracy is the mean train accuracy of the records logged in its
+    final epoch.  A record averages the steps since the record before it, so
+    that mean spans earlier epochs when the log interval is longer than an
+    epoch (``format_accuracy`` has the exact final-epoch mean).  The crossing
+    fractions are min-max scaled onto the accuracy range for plotting (a flat
+    series is flagged degenerate and pinned to the mid-range).
     """
-    clean = [r for r in rows if not any(f.startswith("aborted") for f in r["flags"].split(";"))]
-    if not clean:
+    by_task: dict[int, list[MetricRecord]] = {}
+    for r in records:
+        if not any(f.startswith("aborted") for f in r.flags):
+            by_task.setdefault(r.task, []).append(r)
+    if not by_task:
         raise ConfigError("metric log contains no usable records")
-    crossed = [any(r[f"{lid}.crossed"] for lid in layer_ids) for r in clean]
-    tasks = sorted({r["task"] for r in clean})
-    accs: list[float] = []
-    fracs: list[float] = []
-    for t in tasks:
-        trows = [r for r in clean if r["task"] == t]
-        last_epoch = max(r["epoch"] for r in trows)
-        final = [r for r in trows if r["epoch"] == last_epoch]
-        accs.append(sum(r["train_accuracy"] for r in final) / len(final))
-        task_crossed = [c for r, c in zip(clean, crossed) if r["task"] == t]
-        fracs.append(sum(task_crossed) / len(task_crossed))
-    rho_hat = sum(crossed) / len(crossed)
+    tasks = sorted(by_task)
+    accs, fracs, n_crossed = [], [], 0
+    for trecs in map(by_task.get, tasks):
+        last_epoch = max(r.epoch for r in trecs)
+        final = [r.train_accuracy for r in trecs if r.epoch == last_epoch]
+        accs.append(sum(final) / len(final))
+        crossed = sum(any(r.layers[lid].crossed for lid in layer_ids) for r in trecs)
+        fracs.append(crossed / len(trecs))
+        n_crossed += crossed
+    rho_hat = n_crossed / sum(map(len, by_task.values()))
 
     lo_a, hi_a = min(accs), max(accs)
     lo_f, hi_f = min(fracs), max(fracs)
@@ -485,7 +477,5 @@ def format_summary(summary: Summary) -> str:
 
 
 def format_accuracy(result: SeedResult) -> str:
-    lines = ["task,accuracy"]
-    for t, a in enumerate(result.per_task_accuracy):
-        lines.append(f"{t},{_cell(a)}")
+    lines = ["task,accuracy", *(f"{t},{_cell(a)}" for t, a in enumerate(result.per_task_accuracy))]
     return "\n".join(lines) + "\n"

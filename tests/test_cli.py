@@ -11,7 +11,7 @@ import trainlab.cli as cli_mod
 from trainlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from trainlab.config import KEYS, build_run_config, config_lines, parse_config_text
 from trainlab.errors import ConfigError
-from trainlab.runner import SeedResult, read_log
+from trainlab.runner import SeedResult, log_columns, read_log
 from trainlab.tasks import MnistSource, SyntheticSource
 
 from conftest import REPO, load_bench_module
@@ -95,6 +95,7 @@ def test_build_run_config_rejects_bad_types():
         ("power_iters", "0"),
         ("power_tol", "0"),
         ("controller.window", "0"),
+        ("controller.window", "1"),
         ("ema_decay", "0"),
         ("ema_decay", "1"),
         ("optimizer.eta", "0"),
@@ -301,10 +302,10 @@ def test_cli_override_and_seed_flag(tmp_path):
         ]
     )
     assert code == EXIT_OK
-    rows, _ = read_log(out_dir / "metrics_seed7.csv")
-    assert {r["seed"] for r in rows} == {7}
-    assert {r["task"] for r in rows} == {0}
-    assert all(r["step"] % 3 == 0 for r in rows)
+    records, _ = read_log(out_dir / "metrics_seed7.csv")
+    assert {r.seed for r in records} == {7}
+    assert {r.task for r in records} == {0}
+    assert all(r.step % 3 == 0 for r in records)
 
 
 def test_cli_mode_flag_switches_controller(tmp_path):
@@ -315,8 +316,8 @@ def test_cli_mode_flag_switches_controller(tmp_path):
          "--controller.interval_k=2"]
     )
     assert code == EXIT_OK
-    rows, _ = read_log(out_dir / "metrics_seed0.csv")
-    assert any(r["fc1.decision"] != "-" for r in rows)
+    records, _ = read_log(out_dir / "metrics_seed0.csv")
+    assert any(r.layers["fc1"].decision != "-" for r in records)
 
 
 def test_cli_unknown_key_exits_2(tmp_path):
@@ -422,7 +423,16 @@ def test_cli_summarize_missing_log_exits_2(tmp_path):
     )
 
 
-SUMMARY_LOG = "seed,task,epoch,step,train_accuracy,fc1.crossed,flags\n0,0,0,2,{acc},1,-\n"
+# a one-record log of one layer: its header is log_columns(["fc1"])
+SUMMARY_LOG = (
+    ",".join(log_columns(["fc1"]))
+    + "\n0,0,0,2,{acc},2,1.5,0.125,4,0.5,0.5,0.5,2,3,4,3,0.75,0.001,held,1,-\n"
+)
+# logs whose header is not a log schema: no flags and no layers, or flags but no layers
+BAD_HEADER_LOGS = {
+    "summarize_header_without_flags": "seed,task,epoch,step,train_accuracy\n0,0,0,2,0.5\n",
+    "summarize_header_without_layers": "seed,task,epoch,step,train_accuracy,flags\n0,0,0,2,0.5,-\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -436,6 +446,7 @@ SUMMARY_LOG = "seed,task,epoch,step,train_accuracy,fc1.crossed,flags\n0,0,0,2,{a
         "summarize_unparsable_cell",
         "run_config_not_utf8",
         "summarize_log_not_utf8",
+        *BAD_HEADER_LOGS,
     ],
 )
 def test_cli_input_and_file_errors_exit_2(tmp_path, case):
@@ -444,6 +455,8 @@ def test_cli_input_and_file_errors_exit_2(tmp_path, case):
     cfg = write_config(tmp_path)
     log = tmp_path / "metrics.csv"
     log.write_text(SUMMARY_LOG.format(acc="abc" if case == "summarize_unparsable_cell" else "0.5"))
+    bad_header = tmp_path / "header.csv"
+    bad_header.write_text(BAD_HEADER_LOGS.get(case, ""))
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(b"\xff" + TINY_CONFIG.encode())
     a_file = tmp_path / "taken"
@@ -462,6 +475,7 @@ def test_cli_input_and_file_errors_exit_2(tmp_path, case):
         "summarize_unparsable_cell": ["summarize", "--log", str(log), "--out", str(a_file)],
         "run_config_not_utf8": ["run", "--config", str(not_utf8), "--out", str(tmp_path / "o")],
         "summarize_log_not_utf8": ["summarize", "--log", str(not_utf8), "--out", str(a_file)],
+        **dict.fromkeys(BAD_HEADER_LOGS, ["summarize", "--log", str(bad_header), "--out", str(a_file)]),
     }[case]
     done = _run_subprocess(args)
     assert done.returncode == EXIT_CONFIG, done.stderr
@@ -469,6 +483,10 @@ def test_cli_input_and_file_errors_exit_2(tmp_path, case):
     assert "Traceback" not in done.stderr
     if case.endswith("not_utf8"):
         assert f"{not_utf8}: not UTF-8 text at byte 0" in done.stderr
+    if case in BAD_HEADER_LOGS:
+        assert f"{bad_header}: header column 6 is " in done.stderr
+    if case.startswith("summarize") and case != "summarize_out_is_a_dir":
+        assert a_file.read_text() == ""
     assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,8 @@
 import copy
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from trainlab.metrics import BoundConfig, push_and_stats
 from trainlab.nn import Activation, Regularizer, loss_grad
 from trainlab.optim import adam_step, init_adam
 from trainlab.runner import (
+    LayerMetrics,
+    MetricRecord,
     ModelConfig,
     OptimConfig,
     RunConfig,
@@ -200,12 +204,12 @@ def test_numeric_abort_partial_log_other_seeds_continue(monkeypatch, tmp_path):
     assert [ln for ln in meta if ln.startswith("aborted.")] == ["aborted.seed0=synthetic blow-up"]
     first, _ = read_log(out / "metrics_seed0.csv")
     assert first, "abort must leave an error record"
-    last_flags = first[-1]["flags"].split(";")
+    last_flags = first[-1].flags
     assert any(f.startswith("aborted") for f in last_flags)
     assert "aborted_layer:fc1" in last_flags
-    assert math.isnan(first[-1]["train_accuracy"])
+    assert math.isnan(first[-1].train_accuracy)
     second, _ = read_log(out / "metrics_seed1.csv")
-    assert not any(row["flags"].startswith("aborted") for row in second)
+    assert not any(f.startswith("aborted") for rec in second for f in rec.flags)
     assert len((out / "accuracy_seed1.csv").read_text().splitlines()) == 1 + 2
 
 
@@ -466,17 +470,40 @@ def test_log_write_read_roundtrip(tmp_path):
     res = run_seed(cfg, seed=1)
     path = tmp_path / "metrics.csv"
     write_log(res.records, res.layer_ids, path)
-    rows, layer_ids = read_log(path)
+    back, layer_ids = read_log(path)
     assert layer_ids == res.layer_ids
-    assert len(rows) == len(res.records)
-    for rec, row in zip(res.records, rows):
-        assert row["step"] == rec.step
-        assert row["lambda_max"] == rec.lambda_max  # 17 sig digits round-trip exactly
+    assert len(back) == len(res.records)
+    for rec, got in zip(res.records, back):
+        assert got.step == rec.step
+        assert got.lambda_max == rec.lambda_max  # 17 sig digits round-trip exactly
         for lid, lm in rec.layers.items():
-            assert row[f"{lid}.alpha"] == lm.alpha
-            assert row[f"{lid}.eta"] == lm.eta
-            assert row[f"{lid}.crossed"] == lm.crossed
-            assert row[f"{lid}.decision"] == lm.decision
+            assert got.layers[lid].alpha == lm.alpha
+            assert got.layers[lid].eta == lm.eta
+            assert got.layers[lid].crossed == lm.crossed
+            assert got.layers[lid].decision == lm.decision
+    assert back == res.records
+
+
+@pytest.mark.parametrize(
+    "mode, eta",
+    [("vanilla", 1e-3), ("reset", 1e-3), ("scheduled", 1e-3), ("vanilla", 1e308)],
+    ids=["vanilla", "reset", "scheduled", "aborted"],
+)
+def test_read_log_reads_back_the_bytes_format_log_wrote(tmp_path, mode, eta):
+    """``format_log(*read_log(p))`` is the log at ``p``, byte for byte, for
+    each run mode and for an aborted run's NaN cells, absent layers and
+    abort flags."""
+    res = run_seed(tiny_config(mode=mode, optimizer=OptimConfig(eta=eta)), seed=1)
+    assert res.aborted == (eta == 1e308)
+    path = tmp_path / "metrics.csv"
+    write_log(res.records, res.layer_ids, path)
+    records, layer_ids = read_log(path)
+    assert format_log(records, layer_ids).encode() == path.read_bytes()
+    if res.aborted:
+        [rec] = records
+        assert math.isnan(rec.train_accuracy) and rec.flags[0].startswith("aborted:")
+        assert any(f.startswith("aborted_layer:") for f in rec.flags)
+        assert all(lm.decision == "-" and math.isnan(lm.alpha) for lm in rec.layers.values())
 
 
 def test_log_header_is_the_record_schema():
@@ -488,26 +515,61 @@ def test_log_header_is_the_record_schema():
     )
 
 
+# one fc1 record, as log cells by column
+GOOD_CELLS = dict(
+    zip(
+        log_columns(["fc1"]),
+        "3,0,1,7,0.25,2,1.5,0.125,4,0.5,0.5,0.5,2,3,4,3,0.75,0.001,held,1,-".split(","),
+    )
+)
+
+
+def write_cells(path, *rows):
+    path.write_text("\n".join([",".join(GOOD_CELLS), *(",".join(row.values()) for row in rows)]) + "\n")
+
+
 def test_read_log_types_cells_by_field_and_rejects_unknown_columns(tmp_path):
     path = tmp_path / "metrics.csv"
-    path.write_text("seed,step,use,fc1.alpha,fc1.decision,fc1.crossed,flags\n3,7,0.5,2,held,1,-\n")
-    rows, layer_ids = read_log(path)
+    write_cells(path, GOOD_CELLS)
+    records, layer_ids = read_log(path)
     assert layer_ids == ["fc1"]
-    want = {"seed": 3, "step": 7, "use": 0.5, "fc1.alpha": 2.0, "fc1.decision": "held"}
-    assert rows == [dict(want, **{"fc1.crossed": True, "flags": "-"})]
-    assert [type(v) for v in rows[0].values()] == [int, int, float, float, str, bool, str]
-    path.write_text("seed,fc1.alpha,fc1.bogus,flags\n3,2,0.5,-\n")
-    with pytest.raises(ConfigError, match="fc1.bogus"):
+    scalars = dict(seed=3, task=0, epoch=1, step=7, train_accuracy=0.25, lambda_max=2.0, lambda_bar=1.5,
+                   sigma_mb_sq=0.125, weight_norm=4.0, grad_norm=0.5, grad_param_ratio=0.5, use=0.5)
+    fc1 = LayerMetrics(2.0, 3.0, 4.0, 3.0, 0.75, 0.001, "held", True)
+    assert records == [MetricRecord(**scalars, layers={"fc1": fc1}, flags=())]
+    assert [type(getattr(records[0], f)) for f in scalars] == [int] * 4 + [float] * 8
+    assert [type(v) for v in vars(records[0].layers["fc1"]).values()] == [float] * 6 + [str, bool]
+    path.write_text(",".join(GOOD_CELLS).replace("fc1.vol", "fc1.bogus") + "\n")
+    with pytest.raises(FormatError, match="header column 17 is 'fc1.bogus', expected 'fc1.vol'"):
         read_log(path)
 
 
 def test_read_log_rejects_an_empty_file_and_a_short_line(tmp_path):
     path = tmp_path / "metrics.csv"
     path.write_text("")
-    with pytest.raises(ConfigError, match="empty metric log"):
+    with pytest.raises(FormatError, match="empty metric log"):
         read_log(path)
-    path.write_text("seed,step,flags\n3,7,-\n3,8\n")
-    with pytest.raises(ConfigError, match="2 fields, expected 3"):
+    short = dict(list(GOOD_CELLS.items())[:-1])
+    write_cells(path, GOOD_CELLS, short)
+    with pytest.raises(FormatError, match="line 3 has 20 fields, expected 21"):
+        read_log(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (log_columns([]), "the header has no layer columns"),
+        (log_columns(["fc1", "fc2"])[:-1], "header column 29 is None, expected 'flags'"),
+        (log_columns(["fc1"]) + ["extra"], "header column 22 is 'extra', expected None"),
+    ],
+    ids=["schema_no_layers", "no_flags_with_layers", "extra_column"],
+)
+def test_read_log_rejects_a_header_that_is_not_the_log_schema(tmp_path, header, message):
+    """Beside the headers the CLI test refuses: every scalar column but no
+    layer, layer columns but no flags, and one column past the flags."""
+    path = tmp_path / "metrics.csv"
+    path.write_text(",".join(header) + "\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
         read_log(path)
 
 
@@ -516,10 +578,7 @@ def test_read_log_rejects_an_empty_file_and_a_short_line(tmp_path):
 )
 def test_read_log_names_the_line_and_column_of_an_unparsable_cell(tmp_path, column, cell):
     path = tmp_path / "metrics.csv"
-    good = {"step": "7", "use": "0.5", "fc1.alpha": "2", "fc1.crossed": "1", "flags": "-"}
-    header = ",".join(good)
-    bad = ",".join(cell if col == column else val for col, val in good.items())
-    path.write_text(f"{header}\n{','.join(good.values())}\n\n{bad}\n")
+    write_cells(path, GOOD_CELLS, {}, dict(GOOD_CELLS, **{column: cell}))
     with pytest.raises(FormatError, match=f"line 4, column '{column}': cannot parse '{cell}'"):
         read_log(path)
 
@@ -537,35 +596,29 @@ def test_write_log_byte_identical(tmp_path):
 # summarize
 
 
-def synthetic_rows(crossed_pattern, accs, layer_ids=("fc1",)):
-    """Rows shaped like read_log output: one task per accs entry."""
-    rows = []
+def make_record(task, epoch, step, acc, crossed, flags=()):
+    """A record of ``task`` with one layer per ``crossed`` entry (layer id to crossed)."""
+    layers = {lid: LayerMetrics(0.1, 0.2, 0.2, 0.2, 0.0, 1e-3, "-", c) for lid, c in crossed.items()}
+    return MetricRecord(0, task, epoch, step, acc, *[0.0] * 7, layers=layers, flags=flags)
+
+
+def synthetic_records(crossed_pattern, accs, layer_ids=("fc1",)):
+    """Records as read_log returns them: one task per accs entry."""
+    records = []
     step = 0
     for task, (acc, crossings) in enumerate(zip(accs, crossed_pattern)):
         for epoch, crossed in enumerate(crossings):
             step += 1
-            row = {
-                "seed": 0,
-                "task": task,
-                "epoch": epoch,
-                "step": step,
-                "train_accuracy": acc,
-                "flags": "-",
-            }
-            for lid in layer_ids:
-                row[f"{lid}.crossed"] = bool(crossed)
-                row[f"{lid}.alpha"] = 0.1
-                row[f"{lid}.alpha_tilde_star"] = 0.2
-            rows.append(row)
-    return rows
+            records.append(make_record(task, epoch, step, acc, dict.fromkeys(layer_ids, bool(crossed))))
+    return records
 
 
 def test_summarize_hand_counts():
-    rows = synthetic_rows(
+    records = synthetic_records(
         crossed_pattern=[[0, 0, 1], [1, 1, 0], [0, 0, 0]],
         accs=[0.9, 0.6, 0.3],
     )
-    s = summarize(rows, ["fc1"])
+    s = summarize(records, ["fc1"])
     assert [t.crossing_fraction for t in s.per_task] == [
         pytest.approx(1 / 3),
         pytest.approx(2 / 3),
@@ -580,32 +633,31 @@ def test_summarize_hand_counts():
 
 
 def test_summarize_zero_crossings():
-    rows = synthetic_rows([[0, 0], [0, 0]], accs=[0.8, 0.5])
-    s = summarize(rows, ["fc1"])
+    records = synthetic_records([[0, 0], [0, 0]], accs=[0.8, 0.5])
+    s = summarize(records, ["fc1"])
     assert all(t.crossing_fraction == 0.0 for t in s.per_task)
     assert s.rho_hat == 0.0
     assert s.scale_degenerate  # flat prediction series cannot be range-scaled
 
 
 def test_summarize_constant_accuracy_degenerate():
-    rows = synthetic_rows([[1, 0], [0, 1]], accs=[0.5, 0.5])
-    s = summarize(rows, ["fc1"])
+    records = synthetic_records([[1, 0], [0, 1]], accs=[0.5, 0.5])
+    s = summarize(records, ["fc1"])
     assert s.scale_degenerate
     assert all(t.scaled_prediction == pytest.approx(0.5) for t in s.per_task)
 
 
 def test_summarize_uses_final_epoch_accuracy():
-    rows = synthetic_rows([[0, 0]], accs=[0.0])
-    rows[0]["train_accuracy"] = 0.2  # epoch 0
-    rows[1]["train_accuracy"] = 0.8  # epoch 1 (final)
-    s = summarize(rows, ["fc1"])
+    first, final = synthetic_records([[0, 0]], accs=[0.0])
+    records = [replace(first, train_accuracy=0.2), replace(final, train_accuracy=0.8)]  # epochs 0, 1
+    s = summarize(records, ["fc1"])
     assert s.per_task[0].accuracy == pytest.approx(0.8)
 
 
 def test_summarize_skips_aborted_records():
-    rows = synthetic_rows([[1, 0], [0, 0]], accs=[0.7, 0.4])
-    rows.append(dict(rows[-1], flags="aborted:boom", train_accuracy=float("nan")))
-    s = summarize(rows, ["fc1"])
+    records = synthetic_records([[1, 0], [0, 0]], accs=[0.7, 0.4])
+    records.append(replace(records[-1], flags=("aborted:boom",), train_accuracy=float("nan")))
+    s = summarize(records, ["fc1"])
     assert len(s.per_task) == 2
     assert not math.isnan(s.per_task[-1].accuracy)
 
@@ -622,12 +674,8 @@ def test_summarize_matches_predict_lot_on_criterion_13_pattern():
         {"fc1": False, "fc2": False}, {"fc1": False, "fc2": False},
         {"fc1": False, "fc2": False}, {"fc1": False, "fc2": False},  # task 2: 0/4
     ]
-    rows = [
-        {"seed": 0, "task": i // 4, "epoch": i % 4, "step": i + 1, "train_accuracy": 0.5,
-         "flags": "-", **{f"{lid}.crossed": c for lid, c in f.items()}}
-        for i, f in enumerate(flags)
-    ]
-    s = summarize(rows, ["fc1", "fc2"])
+    records = [make_record(i // 4, i % 4, i + 1, 0.5, f) for i, f in enumerate(flags)]
+    s = summarize(records, ["fc1", "fc2"])
     want = predict_lot(flags, window=4)
     assert want.per_task == [0.25, 0.75, 0.0]
     assert [t.crossing_fraction for t in s.per_task] == want.per_task
@@ -635,6 +683,6 @@ def test_summarize_matches_predict_lot_on_criterion_13_pattern():
 
 
 def test_summarize_rejects_a_log_of_aborted_records_only():
-    rows = [dict(row, flags="aborted:boom") for row in synthetic_rows([[1, 0]], accs=[0.7])]
+    records = [replace(r, flags=("aborted:boom",)) for r in synthetic_records([[1, 0]], accs=[0.7])]
     with pytest.raises(ConfigError, match="no usable records"):
-        summarize(rows, ["fc1"])
+        summarize(records, ["fc1"])
