@@ -23,7 +23,9 @@ import numpy as np
 
 from .config import build_run_config, config_lines, parse_config_text
 from .errors import ConfigError, NumericError, TrainlabError
-from .runner import format_accuracy, format_summary, read_log, read_text, run_seed, summarize, write_log
+from .runner import (
+    format_accuracy, format_summary, read_log, read_text, run_seed, summarize, write_log, write_text,
+)
 from .tasks import load_source, prepare
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
@@ -78,19 +80,19 @@ def _cmd_run(args, extras: list[str]) -> int:
     os.makedirs(args.out, exist_ok=True)
     env = [f"env.{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS]
     data = [f"data.mean={base.mean!r}", f"data.std={base.std!r}", "normalization=global-scalar"]
-    _write(meta, _lines(config_lines(cfg) + [f"numpy.version={np.__version__}"] + env + data))
+    write_text(meta, _lines(config_lines(cfg) + [f"numpy.version={np.__version__}"] + env + data))
     aborted = []
     for seed in cfg.seeds:  # a seed's files are on disk before the next seed starts
         sr = run_seed(cfg, seed, base)
         write_log(sr.records, sr.layer_ids, os.path.join(args.out, f"metrics_seed{seed}.csv"))
-        _write(os.path.join(args.out, f"accuracy_seed{seed}.csv"), format_accuracy(sr))
+        write_text(os.path.join(args.out, f"accuracy_seed{seed}.csv"), format_accuracy(sr))
         status = f"aborted: {sr.abort_message}" if sr.aborted else "ok"
         final = sr.per_task_accuracy[-1] if sr.per_task_accuracy else float("nan")
         tasks = len(sr.per_task_accuracy)
         print(f"seed {seed}: {status}, tasks={tasks}, final_accuracy={final:.4f}", flush=True)
         if sr.aborted:
             aborted.append(f"aborted.seed{seed}={sr.abort_message}")
-    _write(meta, _lines(aborted), mode="a")
+    write_text(meta, _lines(aborted), mode="a")
     return EXIT_NUMERIC if aborted else EXIT_OK
 
 
@@ -98,15 +100,10 @@ def _lines(lines: list[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _write(path: str, text: str, mode: str = "w") -> None:
-    with open(path, mode, newline="\n") as fh:
-        fh.write(text)
-
-
 def _cmd_summarize(args) -> int:
     rows, layer_ids = read_log(args.log)
     summary = summarize(rows, layer_ids)
-    _write(args.out, format_summary(summary))
+    write_text(args.out, format_summary(summary))
     print(f"wrote {args.out}: {len(summary.per_task)} tasks, rho_hat={summary.rho_hat:.6f}")
     return EXIT_OK
 

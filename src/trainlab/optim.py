@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import ConfigError
 from .nn import GLOBAL_SCOPE, ParamSet, check_finite, zeros_like
 
 
@@ -34,8 +34,8 @@ class AdamState:
     beta2: float
     eps: float
     eta: dict[str, float]
-    # two n_params scratch rows for adam_step, made on its first call
-    work: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # two n_params scratch rows for adam_step
+    work: np.ndarray = field(repr=False, compare=False)
 
 
 def check_adam(etas: Iterable[float], beta1: float, beta2: float, eps: float) -> None:
@@ -48,19 +48,31 @@ def check_adam(etas: Iterable[float], beta1: float, beta2: float, eps: float) ->
         raise ConfigError("all per-layer learning rates must be finite and > 0")
 
 
+@dataclass(frozen=True)
+class OptimConfig:
+    eta: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    def __post_init__(self):
+        check_adam([self.eta], self.beta1, self.beta2, self.eps)
+
+
 def init_adam(
     params: ParamSet,
-    eta: float | dict[str, float] = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    eta: float | dict[str, float] = OptimConfig.eta,
+    beta1: float = OptimConfig.beta1,
+    beta2: float = OptimConfig.beta2,
+    eps: float = OptimConfig.eps,
 ) -> AdamState:
     ids = params.layer_ids()
     eta_map = {lid: float(eta) for lid in ids} if np.isscalar(eta) else dict(eta)
     if sorted(eta_map) != sorted(ids):
         raise ConfigError("per-layer learning-rate map does not match the layer ids")
     check_adam(eta_map.values(), beta1, beta2, eps)
-    return AdamState(zeros_like(params), zeros_like(params), 0, beta1, beta2, eps, eta_map)
+    work = np.empty((2, params.n_params))
+    return AdamState(zeros_like(params), zeros_like(params), 0, beta1, beta2, eps, eta_map, work)
 
 
 def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
@@ -74,8 +86,6 @@ def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
     """
     check_finite(grads, "non-finite gradient")
     g = grads.vector
-    if state.work is None:
-        state.work = np.empty((2, g.size))
     step, denom = state.work
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
@@ -108,7 +118,7 @@ def effective_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
     Each layer contributes with its own base LR; requires at least one step.
     """
     if state.t < 1:
-        raise StateError("effective_step requires at least one optimizer step")
+        raise ValueError("effective_step requires at least one optimizer step")
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     mult = [
@@ -124,7 +134,7 @@ def agg_step(state: AdamState, scope: str = GLOBAL_SCOPE) -> float:
     parameter-weighted mean of the per-layer rates, correctly rounded.
     """
     if state.t < 1:
-        raise StateError("agg_step requires at least one optimizer step")
+        raise ValueError("agg_step requires at least one optimizer step")
     bc2 = 1.0 - state.beta2**state.t
     rms = float(np.sqrt(np.mean(state.v.segment(scope) / bc2)))
     sizes = {lid: v.size for lid, v in _scoped(state.v, scope)}

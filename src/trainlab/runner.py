@@ -58,7 +58,7 @@ from .nn import (
     loss_grad,
     probe_grads,
 )
-from .optim import AdamState, adam_step, agg_step, check_adam, effective_step, init_adam
+from .optim import AdamState, OptimConfig, adam_step, agg_step, effective_step, init_adam
 from .rng import derive_seed, stream
 from .scheduler import HELD, ControllerConfig, decide
 from .tasks import BaseDataset, StreamConfig, batches, load_source, prepare, steps_per_epoch, task_labels
@@ -82,17 +82,6 @@ class ModelConfig:
         if self.hidden_width < 1:
             raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
         check_regularizer(self.regularizer, self.reg_lambda)
-
-
-@dataclass(frozen=True)
-class OptimConfig:
-    eta: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        check_adam([self.eta], self.beta1, self.beta2, self.eps)
 
 
 @dataclass
@@ -184,10 +173,13 @@ class SeedResult:
     layer_ids: list[str]
     records: list[MetricRecord]
     per_task_accuracy: list[float]
-    aborted: bool = False
     abort_message: str | None = None
     final_params: ParamSet | None = None
     final_state: AdamState | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_message is not None
 
 
 def build_regularizer(model: ModelConfig, init_snapshot: ParamSet) -> Regularizer:
@@ -314,7 +306,7 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
             # every epoch runs spe steps, so this is the task's final-epoch mean
             result.per_task_accuracy.append(ep_sum / spe)
     except NumericError as err:
-        result.aborted, result.abort_message = True, str(err)
+        result.abort_message = str(err)
         result.records.append(_error_record(err, seed, task_i, epoch, global_step))
     result.final_params, result.final_state = params, state
     return result
@@ -362,8 +354,13 @@ def format_log(records: Sequence[MetricRecord], layer_ids: Sequence[str]) -> str
 
 
 def write_log(records: Sequence[MetricRecord], layer_ids: Sequence[str], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(format_log(records, layer_ids))
+    write_text(path, format_log(records, layer_ids))
+
+
+def write_text(path, text: str, mode: str = "w") -> None:
+    """Write (or, at ``mode="a"``, append) ``text`` with ``\\n`` line ends on every platform."""
+    with open(path, mode, newline="\n") as fh:
+        fh.write(text)
 
 
 def read_text(path) -> str:

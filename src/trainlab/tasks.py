@@ -19,7 +19,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, FormatError
+from .errors import ConfigError, FormatError
 from .nn import Batch
 from .rng import stream
 
@@ -103,6 +103,26 @@ def _read_file(path: str) -> bytes:
     return data
 
 
+def _read_idx(path: str, magic: int, kind: str, dims: tuple[str, ...]) -> np.ndarray:
+    """One IDX file's items, a view of its bytes: a row per item, or a byte per
+    item when ``dims`` (the names of the sizes after the item count) is empty."""
+    data = _read_file(path)
+    head, size = 8 + 4 * len(dims), len(data)
+    if size < head:
+        raise FormatError(f"{path}: truncated IDX header ({size} bytes)", offset=size)
+    found, n, *sizes = struct.unpack(f">{2 + len(dims)}I", data[:head])
+    if found != magic:
+        raise FormatError(f"{path}: bad {kind} magic 0x{found:08x}", offset=0)
+    for offset, name, dim in zip(range(8, head, 4), dims, sizes):
+        if dim == 0:
+            raise FormatError(f"{path}: {kind} {name} count is 0", offset=offset)
+    expected = head + n * math.prod(sizes)
+    if size != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, found {size}", offset=min(size, expected))
+    items = np.frombuffer(data, dtype=np.uint8, offset=head)
+    return items.reshape(n, math.prod(sizes)) if dims else items
+
+
 def load_idx(images_path: str, labels_path: str) -> RawDataset:
     """Parse big-endian IDX image/label files into a raw dataset.
 
@@ -111,46 +131,15 @@ def load_idx(images_path: str, labels_path: str) -> RawDataset:
     byte counts and that every label is a class in [0, 10); failures carry
     the offending byte offset.
     """
-    img = _read_file(images_path)
-    if len(img) < 16:
-        raise FormatError(f"{images_path}: truncated IDX header ({len(img)} bytes)", offset=len(img))
-    magic, n_img, rows, cols = struct.unpack(">IIII", img[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"{images_path}: bad image magic 0x{magic:08x}", offset=0)
-    for offset, name, size in ((8, "row", rows), (12, "column", cols)):
-        if size == 0:
-            raise FormatError(f"{images_path}: image {name} count is 0", offset=offset)
-    expected = 16 + n_img * rows * cols
-    if len(img) != expected:
-        raise FormatError(
-            f"{images_path}: expected {expected} bytes, found {len(img)}",
-            offset=min(len(img), expected),
-        )
-    images = np.frombuffer(img, dtype=np.uint8, offset=16).reshape(n_img, rows * cols)
-
-    lab = _read_file(labels_path)
-    if len(lab) < 8:
-        raise FormatError(f"{labels_path}: truncated IDX header ({len(lab)} bytes)", offset=len(lab))
-    magic, n_lab = struct.unpack(">II", lab[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(f"{labels_path}: bad label magic 0x{magic:08x}", offset=0)
-    if len(lab) != 8 + n_lab:
-        raise FormatError(
-            f"{labels_path}: expected {8 + n_lab} bytes, found {len(lab)}",
-            offset=min(len(lab), 8 + n_lab),
-        )
-    if n_lab != n_img:
-        raise FormatError(
-            f"image count {n_img} != label count {n_lab}", offset=4
-        )
-    labels = np.frombuffer(lab, dtype=np.uint8, offset=8)
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image", ("row", "column"))
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", ())
+    if labels.size != images.shape[0]:
+        raise FormatError(f"image count {images.shape[0]} != label count {labels.size}", offset=4)
     bad = np.flatnonzero(labels >= IDX_CLASSES)
     if bad.size:
         i = int(bad[0])
-        raise FormatError(
-            f"{labels_path}: label {labels[i]} at index {i} is not below {IDX_CLASSES}",
-            offset=8 + i,
-        )
+        msg = f"{labels_path}: label {labels[i]} at index {i} is not below {IDX_CLASSES}"
+        raise FormatError(msg, offset=8 + i)
     return RawDataset(images, labels, IDX_CLASSES)
 
 
@@ -199,7 +188,7 @@ def prepare(raw: RawDataset, cfg: StreamConfig) -> BaseDataset:
     mean = float(np.mean(x))
     std = float(np.std(x))
     if std == 0.0:
-        raise DegenerateDataError("zero pixel standard deviation; cannot normalize")
+        raise ConfigError("zero pixel standard deviation; cannot normalize")
     x -= mean
     x /= std
     labels = raw.labels[indices].astype(np.int64)

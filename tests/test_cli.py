@@ -343,7 +343,6 @@ def test_cli_numeric_abort_exits_3(tmp_path, monkeypatch):
             layer_ids=["fc1", "fc2"],
             records=[],
             per_task_accuracy=[0.5],
-            aborted=True,
             abort_message="synthetic",
         )
 
@@ -441,6 +440,7 @@ BAD_HEADER_LOGS = {
         "run_out_is_a_file",
         "run_repeated_seed",
         "run_corrupt_gzip",
+        "run_constant_pixels",
         "summarize_log_is_a_dir",
         "summarize_out_is_a_dir",
         "summarize_unparsable_cell",
@@ -463,12 +463,20 @@ def test_cli_input_and_file_errors_exit_2(tmp_path, case):
     a_file.write_text("")
     images = tmp_path / "images.gz"
     images.write_bytes(gzip.compress(b"\0" * 64)[:20])
+    flat_images = tmp_path / "flat_images.idx"  # 48 images of 2 x 3 pixels, all of one value
+    flat_images.write_bytes(struct.pack(">IIII", 0x00000803, 48, 2, 3) + bytes([7]) * 48 * 6)
+    flat_labels = tmp_path / "flat_labels.idx"
+    flat_labels.write_bytes(struct.pack(">II", 0x00000801, 48) + bytes(i % 3 for i in range(48)))
     args = {
         "run_out_is_a_file": ["run", "--config", cfg, "--out", str(a_file)],
         "run_repeated_seed": ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seeds=0,0"],
         "run_corrupt_gzip": [
             "run", "--config", cfg, "--out", str(tmp_path / "o"), "--stream.source=mnist_idx",
             f"--stream.mnist.images={images}", f"--stream.mnist.labels={images}",
+        ],
+        "run_constant_pixels": [
+            "run", "--config", cfg, "--out", str(tmp_path / "o"), "--stream.source=mnist_idx",
+            f"--stream.mnist.images={flat_images}", f"--stream.mnist.labels={flat_labels}",
         ],
         "summarize_log_is_a_dir": ["summarize", "--log", str(tmp_path), "--out", str(a_file)],
         "summarize_out_is_a_dir": ["summarize", "--log", str(log), "--out", str(tmp_path)],
@@ -485,6 +493,8 @@ def test_cli_input_and_file_errors_exit_2(tmp_path, case):
         assert f"{not_utf8}: not UTF-8 text at byte 0" in done.stderr
     if case in BAD_HEADER_LOGS:
         assert f"{bad_header}: header column 6 is " in done.stderr
+    if case == "run_constant_pixels":
+        assert "zero pixel standard deviation" in done.stderr
     if case.startswith("summarize") and case != "summarize_out_is_a_dir":
         assert a_file.read_text() == ""
     assert not (tmp_path / "o").exists()

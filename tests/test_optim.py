@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trainlab import nn
-from trainlab.errors import ConfigError, NumericError, StateError
+from trainlab.errors import ConfigError, NumericError
 from trainlab.nn import Activation, Layer, ParamSet, loss_grad
 from trainlab.optim import adam_step, agg_step, effective_step, init_adam
 
@@ -230,7 +230,7 @@ def test_init_adam_rejects_a_rate_map_of_other_layers(eta):
 def test_effective_step_requires_steps():
     params = scalar_param()
     state = init_adam(params)
-    with pytest.raises(StateError):
+    with pytest.raises(ValueError, match="effective_step requires at least one optimizer step"):
         effective_step(state)
     with pytest.raises(ConfigError):
         state.t = 1
@@ -273,7 +273,7 @@ def test_agg_step_mixed_vhat_hand_value():
 
 def test_agg_step_requires_steps():
     state = init_adam(scalar_param())
-    with pytest.raises(StateError):
+    with pytest.raises(ValueError, match="agg_step requires at least one optimizer step"):
         agg_step(state)
 
 
@@ -290,7 +290,7 @@ def test_reset_contract():
     assert np.all(fresh.m.vector == 0.0)
     assert np.all(fresh.v.vector == 0.0)
     assert fresh.eta == {"fc1": 1e-3, "fc2": 2e-3}
-    with pytest.raises(StateError):
+    with pytest.raises(ValueError, match="effective_step requires at least one optimizer step"):
         effective_step(fresh)
     twice = init_adam(init_adam(params, etas).m, etas)
     assert twice.t == fresh.t and twice.eta == fresh.eta

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from trainlab.errors import ConfigError, DegenerateDataError, FormatError
+from trainlab.errors import ConfigError, FormatError
 from trainlab.rng import stream
 from trainlab.tasks import (
     MnistSource,
@@ -170,7 +170,7 @@ def test_prepare_constant_pixels_degenerate(idx_pair):
     ip, lp = idx_pair(idx_images_bytes(n=3, fill=7), idx_labels_bytes([0, 1, 2]))
     raw = load_idx(ip, lp)
     cfg = StreamConfig(source=MnistSource(ip, lp), subsample_n=3, tasks=1, epochs_per_task=1)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(ConfigError, match="zero pixel standard deviation; cannot normalize"):
         prepare(raw, cfg)
 
 
