@@ -60,14 +60,6 @@ def _format(value) -> str:
     return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
 
 
-def _resolve_data_path(path: str) -> str:
-    data_dir = os.environ.get(DATA_DIR_ENV)
-    if data_dir and not os.path.isabs(path):
-        # absolute, so that the config_lines dump rebuilds to the same path
-        return os.path.abspath(os.path.join(data_dir, path))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # the walk over the dataclass fields
 
@@ -133,27 +125,32 @@ class _Special(NamedTuple):
 _SPECIAL: dict[str, _Special] = {}
 
 
+# stream.source -> the source's class and the prefix of its keys
+_SOURCES = {
+    "synthetic": (SyntheticSource, "stream.synthetic."),
+    "mnist_idx": (MnistSource, "stream.mnist."),
+}
+
+
 def _build_source(typed: dict):
     kind = typed.get("stream.source", "synthetic")
-    if kind == "synthetic":
-        return _build(SyntheticSource, typed, "stream.synthetic.")
-    if kind != "mnist_idx":
+    if kind not in _SOURCES:
         raise ConfigError(f"unknown stream source {kind!r}")
-    try:
-        images, labels = typed["stream.mnist.images"], typed["stream.mnist.labels"]
-    except KeyError as missing:
-        raise ConfigError(f"mnist_idx source requires {missing.args[0]}") from None
-    return MnistSource(_resolve_data_path(images), _resolve_data_path(labels))
+    cls, prefix = _SOURCES[kind]
+    if cls is MnistSource:  # every field is a data path with no default
+        data_dir = os.environ.get(DATA_DIR_ENV)
+        for key, _ in _keys(cls, prefix):
+            if key not in typed:
+                raise ConfigError(f"{kind} source requires {key}")
+            if data_dir and not os.path.isabs(typed[key]):
+                # absolute, so that the config_lines dump rebuilds to the same path
+                typed = {**typed, key: os.path.abspath(os.path.join(data_dir, typed[key]))}
+    return _build(cls, typed, prefix)
 
 
 def _dump_source(src) -> list[str]:
-    if isinstance(src, SyntheticSource):
-        return ["stream.source=synthetic", *_dump(src, "stream.synthetic.")]
-    return [
-        "stream.source=mnist_idx",
-        f"stream.mnist.images={src.images_path}",
-        f"stream.mnist.labels={src.labels_path}",
-    ]
+    kind, prefix = next((k, p) for k, (cls, p) in _SOURCES.items() if isinstance(src, cls))
+    return [f"stream.source={kind}", *_dump(src, prefix)]
 
 
 def _build_activation(typed: dict):
@@ -168,12 +165,7 @@ _SPECIAL.update(
     {
         # the source's kind picks its class and the keys that fill it
         "stream.source": _Special(
-            {
-                "stream.source": str,
-                **dict(_keys(SyntheticSource, "stream.synthetic.")),
-                "stream.mnist.images": str,
-                "stream.mnist.labels": str,
-            },
+            {"stream.source": str, **{k: t for c, p in _SOURCES.values() for k, t in _keys(c, p)}},
             _build_source,
             _dump_source,
         ),

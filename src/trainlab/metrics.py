@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .nn import GLOBAL_SCOPE, ParamSet, param_norm
+from .nn import GLOBAL_SCOPE, ParamSet
 
 CAP = 1e6  # every bound reads at most this, so comparisons against it stay finite
 EPS_VOL = 1e-8  # keeps vol = var / (mu + EPS_VOL) finite at a zero EMA mean
@@ -111,15 +111,15 @@ class WindowStats:
 
     capacity: int = 30
     ema_decay: float = 0.1
-    ema_mu: float | None = None
-    _queue: deque = field(default_factory=deque, repr=False)
+    ema_mu: float | None = field(default=None, init=False)
+    _queue: deque = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.capacity < 2:  # a window of one sample never arms
             raise ConfigError(f"window capacity must be >= 2, got {self.capacity}")
         if not 0.0 < self.ema_decay < 1.0:
             raise ConfigError(f"ema_decay must be in (0, 1), got {self.ema_decay}")
-        self._queue = deque(self._queue, maxlen=self.capacity)
+        self._queue = deque(maxlen=self.capacity)
 
 
 def push_and_stats(ws: WindowStats, lambda_bar: float) -> WindowSnapshot:
@@ -311,8 +311,8 @@ def diagnostics(
     fraction of probe samples with positive pre-activation, averaged over all
     hidden units.  Always-on or always-dead units contribute zero.
     """
-    wn = param_norm(params)
-    gn = param_norm(grads)
+    wn = float(np.linalg.norm(params.vector))
+    gn = float(np.linalg.norm(grads.vector))
     if wn > 0.0:
         ratio, defined = gn / wn, True
     else:

@@ -135,10 +135,6 @@ def zeros_like(ps: ParamSet) -> ParamSet:
     return ps.like(np.zeros_like(ps.vector))
 
 
-def param_norm(ps: ParamSet) -> float:
-    return float(np.linalg.norm(ps.vector))
-
-
 def check_finite(ps: ParamSet, message: str) -> None:
     """Raise NumericError(message) naming the first layer of ``ps`` that holds
     a non-finite entry.
@@ -178,8 +174,8 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ConfigError(f"unknown activation {self.kind!r}")
-        if self.kind == "leaky_relu" and not 0.0 <= self.slope <= 1.0:
-            raise ConfigError(f"leaky_relu slope must be in [0, 1], got {self.slope}")
+        if self.kind == "leaky_relu" and not 0.0 < self.slope <= 1.0:
+            raise ConfigError(f"leaky_relu slope must be in (0, 1], got {self.slope}")
 
 
 def crelu_apply(x: np.ndarray) -> np.ndarray:

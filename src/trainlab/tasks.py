@@ -30,8 +30,8 @@ IDX_CLASSES = 10
 
 @dataclass(frozen=True)
 class MnistSource:
-    images_path: str
-    labels_path: str
+    images: str
+    labels: str
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def synthesize(src: SyntheticSource) -> RawDataset:
 
 def load_source(cfg: StreamConfig) -> RawDataset:
     if isinstance(cfg.source, MnistSource):
-        return load_idx(cfg.source.images_path, cfg.source.labels_path)
+        return load_idx(cfg.source.images, cfg.source.labels)
     return synthesize(cfg.source)
 
 

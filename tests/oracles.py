@@ -14,7 +14,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from trainlab.curvature import hvp
 from trainlab.nn import GLOBAL_SCOPE, loss_grad
 
 EXACT_HESSIAN_MAX_PARAMS = 2000
@@ -22,28 +21,6 @@ EXACT_HESSIAN_MAX_PARAMS = 2000
 
 # ---------------------------------------------------------------------------
 # curvature
-
-
-def exact_hessian(params, act, batch, reg, symmetrize=True):
-    """Dense Hessian assembled column by column from R-op products on basis vectors.
-
-    Guarded to small nets (ValueError above EXACT_HESSIAN_MAX_PARAMS);
-    symmetrized as (H + H.T)/2 unless disabled (the raw matrix is useful for
-    checking the product's self-adjointness).
-    """
-    n = params.n_params
-    if n > EXACT_HESSIAN_MAX_PARAMS:
-        raise ValueError(f"{n} parameters exceeds exact-Hessian guard {EXACT_HESSIAN_MAX_PARAMS}")
-    base = loss_grad(params, act, batch, reg)
-    H = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        H[:, j] = hvp(params, act, batch, reg, params.like(e), base).vector
-        e[j] = 0.0
-    if symmetrize:
-        H = 0.5 * (H + H.T)
-    return H
 
 
 def effective_rank(eigs, rel_threshold):
@@ -69,6 +46,30 @@ def fd_hvp(params, act, batch, reg, v, h):
     up = loss_grad(params.like(params.vector + h * v.vector), act, batch, reg).grads.vector
     down = loss_grad(params.like(params.vector - h * v.vector), act, batch, reg).grads.vector
     return (up - down) / (2.0 * h)
+
+
+def exact_hessian(params, act, batch, reg, symmetrize=True):
+    """Dense Hessian assembled column by column from ``fd_hvp`` on basis
+    vectors (h = 1e-5): central differences of the gradient, so it checks
+    ``curvature.hvp`` without calling it.
+
+    Valid only where no hidden pre-activation changes sign and no
+    Wasserstein sort order changes within h of ``params``.  Guarded to small
+    nets (ValueError above EXACT_HESSIAN_MAX_PARAMS); symmetrized as
+    (H + H.T)/2 unless disabled.
+    """
+    n = params.n_params
+    if n > EXACT_HESSIAN_MAX_PARAMS:
+        raise ValueError(f"{n} parameters exceeds exact-Hessian guard {EXACT_HESSIAN_MAX_PARAMS}")
+    H = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        H[:, j] = fd_hvp(params, act, batch, reg, params.like(e), h=1e-5)
+        e[j] = 0.0
+    if symmetrize:
+        H = 0.5 * (H + H.T)
+    return H
 
 
 def param_dot(a, b):

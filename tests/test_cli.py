@@ -15,6 +15,7 @@ from trainlab.runner import SeedResult, log_columns, read_log
 from trainlab.tasks import MnistSource, SyntheticSource
 
 from conftest import REPO, load_bench_module
+from test_acceptance import desk_config
 
 CONFIGS = REPO / "configs"
 
@@ -129,7 +130,7 @@ def test_build_run_config_rejects_bad_settings(key, value):
         build_run_config(values)
 
 
-@pytest.mark.parametrize("slope", ["2", "-0.5", "nan"])
+@pytest.mark.parametrize("slope", ["2", "-0.5", "nan", "0"])
 def test_build_run_config_rejects_a_leaky_slope_outside_0_1(slope):
     values = parse_config_text(TINY_CONFIG)
     values.update({"model.activation": "leaky_relu", "model.leaky_slope": slope})
@@ -212,6 +213,14 @@ def test_shipped_configs_build(path, mode):
     assert build_run_config(parse_config_text("\n".join(config_lines(cfg)))) == cfg
 
 
+@pytest.mark.parametrize("mode", ["vanilla", "scheduled"])
+def test_desk_config_file_is_the_acceptance_config(mode):
+    """configs/desk_l2.txt is the criterion-10 config: editing one without the other fails here."""
+    values = parse_config_text((CONFIGS / "desk_l2.txt").read_text())
+    values["mode"] = mode
+    assert build_run_config(values) == desk_config(mode)
+
+
 @pytest.mark.parametrize("name", ["desk_l2_scheduled", "desk_crelu_w2_train", "idx_wide_scheduled"])
 def test_benchmark_workloads_build(name, tmp_path):
     workloads = load_bench_module("workloads")
@@ -231,8 +240,8 @@ def test_mnist_paths_resolved_from_env(monkeypatch, tmp_path):
     )
     src = cfg.stream.source
     assert isinstance(src, MnistSource)
-    assert src.images_path == str(tmp_path / "train-images.idx")
-    assert src.labels_path == str(tmp_path / "train-labels.idx")
+    assert src.images == str(tmp_path / "train-images.idx")
+    assert src.labels == str(tmp_path / "train-labels.idx")
 
 
 def test_config_lines_roundtrip_with_relative_data_dir(monkeypatch):
@@ -244,7 +253,7 @@ def test_config_lines_roundtrip_with_relative_data_dir(monkeypatch):
             "stream.mnist.labels": "lbl",
         }
     )
-    assert cfg.stream.source.images_path == os.path.abspath(os.path.join("data", "img"))
+    assert cfg.stream.source.images == os.path.abspath(os.path.join("data", "img"))
     assert build_run_config(parse_config_text("\n".join(config_lines(cfg)))) == cfg
 
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from trainlab.nn import (
 )
 
 from conftest import ACTIVATIONS, load_bench_module, make_batch, make_net, make_reg, rel_err
+import oracles
 from oracles import effective_rank, exact_hessian, fd_hvp, param_dot
 
 NONE = Regularizer("none")
@@ -492,6 +494,27 @@ def test_exact_hessian_closed_form_linear_net():
     batch = make_batch(2, 3, 7, seed=14)
     H = exact_hessian(params, LIN, batch, NONE)
     assert rel_err(H, softmax_closed_form_hessian(params, batch)) < 1e-3
+
+
+def test_exact_hessian_catches_a_doubled_hvp(monkeypatch):
+    """The dense Hessian of acceptance criterion 2 comes from the gradient
+    alone, so an ``hvp`` that returns twice the product cannot agree with it."""
+    real = curvature_mod.hvp
+
+    def doubled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out.like(2.0 * out.vector)
+
+    # every module that binds the name, so the oracle's columns see the fault if they use hvp
+    for mod in (curvature_mod, oracles, sys.modules[__name__]):
+        if getattr(mod, "hvp", None) is real:
+            monkeypatch.setattr(mod, "hvp", doubled)
+    act = Activation("crelu")
+    params = make_net(8, 24, 6, act, seed=7)  # criterion 2's net and batch
+    batch = make_batch(8, 6, 10, seed=7)
+    H = exact_hessian(params, act, batch, NONE)
+    v = params.from_vector(np.random.default_rng(11).normal(size=params.n_params))
+    assert rel_err(hvp(params, act, batch, NONE, v).to_vector(), H @ v.to_vector()) > 0.4
 
 
 def test_exact_hessian_capacity_guard():

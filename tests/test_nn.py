@@ -93,6 +93,7 @@ BAD_INPUTS = {
     "paramset_vector_shape": lambda: ParamSet(_two_layers(), np.zeros(10)),
     "paramset_vector_2d": lambda: ParamSet(_two_layers(), np.zeros((1, 11))),
     "from_vector_size": lambda: ParamSet(_two_layers()).from_vector(np.zeros(12)),
+    "leaky_relu_zero_slope": lambda: Activation("leaky_relu"),  # a ReLU under another name
     "batch_1d_inputs": lambda: Batch(np.zeros(3), np.zeros(3, dtype=int)),
     "batch_label_count": lambda: Batch(np.zeros((3, 2)), np.zeros(2, dtype=int)),
     "batch_no_rows": lambda: Batch(np.zeros((0, 2)), np.zeros(0, dtype=int)),
