@@ -1,7 +1,10 @@
 """Command-line interface.
 
-    trainlab run --config cfg.txt [--mode scheduled] [--seed 0] [--out DIR] [--key=value ...]
+    trainlab run --config cfg.txt [--out DIR] [--mode=scheduled] [--seeds=0] [--key=value ...]
     trainlab summarize --log metrics_seed0.csv --out summary.csv
+
+Every config key, ``mode`` and ``seeds`` among them, is set on the command
+line as ``--key=value``, over the config file's value.
 
 ``run`` writes each seed's ``metrics_seed{S}.csv`` and ``accuracy_seed{S}.csv``
 when that seed ends, so a crash loses only the running seed.  ``meta.txt``
@@ -42,8 +45,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment")
     p_run.add_argument("--config", help="path to a key=value config file")
-    p_run.add_argument("--mode", help="vanilla | reset | scheduled")
-    p_run.add_argument("--seed", type=int, help="run a single seed (overrides the config list)")
     p_run.add_argument("--out", default="runs", help="output directory")
 
     p_sum = sub.add_parser("summarize", help="summarize a metric log")
@@ -67,10 +68,6 @@ def _cmd_run(args, extras: list[str]) -> int:
     if args.config:
         values.update(parse_config_text(read_text(args.config)))
     values.update(_collect_overrides(extras))
-    if args.mode is not None:
-        values["mode"] = args.mode
-    if args.seed is not None:
-        values["seeds"] = str(args.seed)
     cfg = build_run_config(values)
     meta = os.path.join(args.out, "meta.txt")
     if os.path.exists(meta):

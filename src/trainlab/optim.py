@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -38,16 +37,6 @@ class AdamState:
     work: np.ndarray = field(repr=False, compare=False)
 
 
-def check_adam(etas: Iterable[float], beta1: float, beta2: float, eps: float) -> None:
-    """Raise ConfigError unless every setting of an Adam run is usable."""
-    if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-        raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-    if not 0.0 < eps < np.inf:
-        raise ConfigError(f"eps must be finite and > 0, got {eps}")
-    if any(not 0.0 < v < np.inf for v in etas):
-        raise ConfigError("all per-layer learning rates must be finite and > 0")
-
-
 @dataclass(frozen=True)
 class OptimConfig:
     eta: float = 1e-3
@@ -56,22 +45,26 @@ class OptimConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        check_adam([self.eta], self.beta1, self.beta2, self.eps)
+        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
+            raise ConfigError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not 0.0 < self.eps < np.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
+        if not 0.0 < self.eta < np.inf:
+            raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
 
 
 def init_adam(
     params: ParamSet,
-    eta: float | dict[str, float] = OptimConfig.eta,
+    eta: float = OptimConfig.eta,
     beta1: float = OptimConfig.beta1,
     beta2: float = OptimConfig.beta2,
     eps: float = OptimConfig.eps,
 ) -> AdamState:
-    ids = params.layer_ids()
-    eta_map = {lid: float(eta) for lid in ids} if np.isscalar(eta) else dict(eta)
-    if sorted(eta_map) != sorted(ids):
-        raise ConfigError("per-layer learning-rate map does not match the layer ids")
-    check_adam(eta_map.values(), beta1, beta2, eps)
+    """Fresh Adam state with every layer at rate ``eta``; the controller
+    alone changes a layer's rate afterwards, through ``AdamState.eta``."""
+    OptimConfig(eta, beta1, beta2, eps)
     work = np.empty((2, params.n_params))
+    eta_map = dict.fromkeys(params.layer_ids(), eta)
     return AdamState(zeros_like(params), zeros_like(params), 0, beta1, beta2, eps, eta_map, work)
 
 

@@ -304,8 +304,7 @@ def test_cli_override_and_seed_flag(tmp_path):
             cfg_path,
             "--out",
             str(out_dir),
-            "--seed",
-            "7",
+            "--seeds=7",
             "--stream.tasks=1",
             "--log_interval=3",
         ]
@@ -321,12 +320,24 @@ def test_cli_mode_flag_switches_controller(tmp_path):
     cfg_path = write_config(tmp_path)
     out_dir = tmp_path / "out"
     code = main(
-        ["run", "--config", cfg_path, "--out", str(out_dir), "--mode", "scheduled",
+        ["run", "--config", cfg_path, "--out", str(out_dir), "--mode=scheduled",
          "--controller.interval_k=2"]
     )
     assert code == EXIT_OK
     records, _ = read_log(out_dir / "metrics_seed0.csv")
     assert any(r.layers["fc1"].decision != "-" for r in records)
+
+
+@pytest.mark.parametrize("flag", [["--mode", "scheduled"], ["--seed", "7"]])
+def test_cli_takes_mode_and_seeds_only_as_overrides(tmp_path, capsys, flag):
+    """``--mode X`` and ``--seed N`` are not options of ``run``: the keys are
+    set as ``--mode=X`` and ``--seeds=N`` like every other key."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--out", str(out), *flag]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "expected --key=value" in err
+    assert not out.exists()
 
 
 def test_cli_unknown_key_exits_2(tmp_path):
@@ -559,8 +570,7 @@ def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
         # eta_min=-1 keeps eta_min <= eta_max; the run decides every 2 steps on
         # converged sharpness
         "eta_max": [
-            "--mode",
-            "scheduled",
+            "--mode=scheduled",
             "--controller.interval_k=2",
             "--power_iters=100",
             "--controller.eta_min=-1",
@@ -580,8 +590,8 @@ def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
         "reg_lambda_nan": ["--model.regularizer=l2", "--model.reg_lambda=nan"],
         "reg_lambda_inf": ["--model.regularizer=l2", "--model.reg_lambda=inf"],
         # a NaN floor would switch cooling off, a NaN eta_min the lower clamp
-        "abs_floor_nan": ["--mode", "scheduled", "--controller.abs_floor=nan"],
-        "eta_min_nan": ["--mode", "scheduled", "--controller.eta_min=nan"],
+        "abs_floor_nan": ["--mode=scheduled", "--controller.abs_floor=nan"],
+        "eta_min_nan": ["--mode=scheduled", "--controller.eta_min=nan"],
         # rng draws from the seed as it is, and SeedSequence takes no negative entropy
         "negative_seed": ["--seeds=-1"],
         # an infinite eta or separation ends in a non-finite loss, an infinite eps in a

@@ -118,7 +118,7 @@ def test_huge_finite_gradient_is_not_rejected():
     assert state.t == 1
 
 
-def two_layer_state(eta=None, steps=3, seed=0):
+def two_layer_state(etas=None, steps=3, seed=0):
     rng = np.random.default_rng(seed)
     params = ParamSet(
         [
@@ -126,7 +126,8 @@ def two_layer_state(eta=None, steps=3, seed=0):
             Layer("fc2", rng.normal(size=(2, 3)), rng.normal(size=2)),
         ]
     )
-    state = init_adam(params, eta=eta if eta is not None else 1e-3)
+    state = init_adam(params, eta=1e-3)
+    state.eta.update(etas or {})  # per-layer rates, as a controller sets them
     history = []
     for _ in range(steps):
         g = ParamSet(
@@ -156,7 +157,7 @@ def test_effective_step_uniform_vhat():
 
 
 def test_effective_step_layer_scope_uses_own_eta():
-    params, state, _ = two_layer_state(eta={"fc1": 1e-3, "fc2": 4e-3}, steps=2)
+    params, state, _ = two_layer_state(etas={"fc1": 1e-3, "fc2": 4e-3}, steps=2)
     a1 = effective_step(state, "fc1")
     a2 = effective_step(state, "fc2")
     # homogeneity: doubling fc2's LR doubles alpha exactly
@@ -179,11 +180,12 @@ def test_effective_step_matches_elementwise_oracle():
     assert abs(effective_step(state, "global") - expected) < 1e-14
 
 
-def desk_state(eta, steps=3):
+def desk_state(etas=None, steps=3):
     """Adam on the desk net (512-64-100, 32,832 + 6,500 parameters) after
-    ``steps`` updates with random gradients."""
+    ``steps`` updates with random gradients, at 1e-3 or the per-layer ``etas``."""
     params = make_net(512, 64, 100, Activation("relu"), seed=7)
-    state = init_adam(params, eta=eta)
+    state = init_adam(params, eta=1e-3)
+    state.eta.update(etas or {})
     rng = np.random.default_rng(8)
     for _ in range(steps):
         adam_step(state, params, params.like(rng.normal(size=params.n_params)))
@@ -194,13 +196,13 @@ def desk_state(eta, steps=3):
 def test_effective_step_matches_repeated_rate_reference(scope):
     """Built layer by layer from each layer's scalar rate, the multiplier is
     the repeated-rate reference's array, so the mean has the same bits."""
-    for state in (two_layer_state(eta={"fc1": 1e-3, "fc2": 4e-3}, steps=3)[1],
+    for state in (two_layer_state(etas={"fc1": 1e-3, "fc2": 4e-3}, steps=3)[1],
                   desk_state({"fc1": 1.3e-3, "fc2": 0.7e-3})):
         assert effective_step(state, scope) == reference_effective_step(state, scope)
 
 
 def test_agg_step_reads_each_layer_rate_exactly():
-    state = desk_state(1e-3)
+    state = desk_state()
     bc2 = 1 - state.beta2**state.t
     for lid in ("fc1", "fc2"):
         rms = float(np.sqrt(np.mean(state.v.segment(lid) / bc2)))
@@ -210,7 +212,7 @@ def test_agg_step_reads_each_layer_rate_exactly():
 
 
 def test_agg_step_global_rate_is_the_weighted_mean():
-    state = desk_state(1e-3)
+    state = desk_state()
     bc2 = 1 - state.beta2**state.t
     rms = float(np.sqrt(np.mean(state.v.vector / bc2)))
     assert agg_step(state, "global") == 1e-3 / (rms + state.eps)  # every rate is eta: exactly eta
@@ -220,11 +222,16 @@ def test_agg_step_global_rate_is_the_weighted_mean():
     assert agg_step(state, "global") == pytest.approx(reference_agg_step(state), rel=1e-14)
 
 
-@pytest.mark.parametrize("eta", [{"fc1": 1e-3}, {"fc1": 1e-3, "fc2": 1e-3, "fc3": 1e-3}, {"fc1": 1e-3, "x": 1e-3}])
-def test_init_adam_rejects_a_rate_map_of_other_layers(eta):
+def test_init_adam_takes_one_rate():
+    """Every layer starts at the run's one rate; a rate map is not a rate,
+    and a bad scalar setting is a ConfigError."""
     params = make_net(3, 4, 2, Activation("relu"))
-    with pytest.raises(ConfigError, match="does not match the layer ids"):
-        init_adam(params, eta)
+    assert init_adam(params, 2e-3).eta == {"fc1": 2e-3, "fc2": 2e-3}
+    with pytest.raises(TypeError):
+        init_adam(params, {"fc1": 1e-3, "fc2": 1e-3})
+    for bad in ({"eta": 0.0}, {"eta": np.nan}, {"beta1": 1.0}, {"beta2": -0.1}, {"eps": np.inf}):
+        with pytest.raises(ConfigError):
+            init_adam(params, **bad)
 
 
 def test_effective_step_requires_steps():
@@ -282,17 +289,16 @@ def test_agg_step_requires_steps():
 
 
 def test_reset_contract():
-    etas = {"fc1": 1e-3, "fc2": 2e-3}
-    params, state, _ = two_layer_state(eta=etas, steps=3)
+    params, state, _ = two_layer_state(etas={"fc1": 1e-3, "fc2": 2e-3}, steps=3)
     state.eta["fc1"] = 5e-4  # as if a controller had cooled it
-    fresh = init_adam(params, etas)
+    fresh = init_adam(params, 2e-3)
     assert fresh.t == 0
     assert np.all(fresh.m.vector == 0.0)
     assert np.all(fresh.v.vector == 0.0)
-    assert fresh.eta == {"fc1": 1e-3, "fc2": 2e-3}
+    assert fresh.eta == {"fc1": 2e-3, "fc2": 2e-3}
     with pytest.raises(ValueError, match="effective_step requires at least one optimizer step"):
         effective_step(fresh)
-    twice = init_adam(init_adam(params, etas).m, etas)
+    twice = init_adam(init_adam(params, 2e-3).m, 2e-3)
     assert twice.t == fresh.t and twice.eta == fresh.eta
 
 

@@ -11,7 +11,7 @@ import trainlab.curvature as curvature_mod
 import trainlab.nn as nn_mod
 import trainlab.runner as runner_mod
 from trainlab.cli import EXIT_NUMERIC, main
-from trainlab.config import config_lines
+from trainlab.config import build_run_config, config_lines, parse_config_text
 from trainlab.errors import ConfigError, FormatError, NumericError
 from trainlab.metrics import BoundConfig, push_and_stats
 from trainlab.nn import Activation, Regularizer, loss_grad
@@ -32,7 +32,7 @@ from trainlab.runner import (
 from trainlab.scheduler import ControllerConfig
 from trainlab.tasks import StreamConfig, SyntheticSource
 
-from conftest import make_batch, make_net, make_reg
+from conftest import REPO, make_batch, make_net, make_reg
 from oracles import predict_lot
 
 
@@ -184,6 +184,24 @@ def test_run_determinism_byte_identical_logs():
     b = run_seed(cfg, seed=0)
     assert format_log(a.records, a.layer_ids) == format_log(b.records, b.layer_ids)
     assert a.per_task_accuracy == b.per_task_accuracy
+
+
+@pytest.mark.slow
+def test_desk_lot_stream_loses_trainability():
+    """Seed 0 of configs/desk_lot.txt: vanilla's mean final-epoch accuracy
+    over tasks 35-39 is at least 0.05 below its mean over tasks 0-4, and
+    reset's is not, so what vanilla loses is trainability, not capacity.
+    Scheduled mode is not asserted on; README reports it."""
+    values = parse_config_text((REPO / "configs" / "desk_lot.txt").read_text())
+    drops = {}
+    for mode in ("vanilla", "reset"):
+        acc = run_seed(build_run_config({**values, "mode": mode}), seed=0).per_task_accuracy
+        assert len(acc) == 40
+        drops[mode] = float(np.mean(acc[:5]) - np.mean(acc[35:]))
+    print(f"desk_lot seed 0, tasks 0-4 -> 35-39 drop: vanilla {drops['vanilla']:.3f}, "
+          f"reset {drops['reset']:.3f}")
+    assert drops["vanilla"] >= 0.05
+    assert drops["reset"] < 0.05
 
 
 def test_numeric_abort_partial_log_other_seeds_continue(monkeypatch, tmp_path):
