@@ -11,8 +11,9 @@ noise (``probe_grads``) and every R-op Hessian-vector product
 noise is in factored form: a dense layer's per-sample gradient is the
 outer product of its output gradient and its input, so each layer's
 per-sample variance needs only those B rows, never a B x n_params tensor.
-Materialized per-sample gradients (``per_sample_grads``, ``mean_params``)
-are kept as test oracles for it and are not on the run path.
+Materialized per-sample gradients (``per_sample_grads``: one ``loss_grad``
+pass per sample, and ``mean_params``) are kept as test oracles for it and
+are not on the run path; ``_reverse_sweep`` is the one backward pass.
 
 Conventions:
   - weights are stored ``(out, in)``; a layer computes ``x @ W.T + b``;
@@ -81,18 +82,13 @@ class ParamSet:
         self.layers = self.layer_views(vector)
 
     def layer_views(self, buf: np.ndarray) -> list[Layer]:
-        """Layers viewing ``buf``, whose last axis holds this set's flat layout.
-
-        Leading axes of ``buf`` lead every weight and bias view, so a
-        ``(B, n_params)`` buffer gives ``(B, out, in)`` weights.
-        """
-        lead = buf.shape[:-1]
+        """Layers viewing the flat vector ``buf``, laid out as this set is."""
         out = []
         for lid, w_shape, b_shape in self._shapes:
             seg = self._segments[lid]
             w_end = seg.start + math.prod(w_shape)
-            weights = buf[..., seg.start : w_end].reshape(lead + w_shape)
-            out.append(Layer(lid, weights, buf[..., w_end : seg.stop].reshape(lead + b_shape)))
+            weights = buf[seg.start : w_end].reshape(w_shape)
+            out.append(Layer(lid, weights, buf[w_end : seg.stop].reshape(b_shape)))
         return out
 
     def layer_ids(self) -> list[str]:
@@ -531,33 +527,17 @@ def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularize
     return ProbeGrads(sigma_sq, sw)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def per_sample_grads(
     params: ParamSet, act: Activation, batch: Batch, reg: Regularizer
 ) -> list[ParamSet]:
-    """Gradient of each sample's own loss, in sample order.
+    """Gradient of each sample's own loss, in sample order: one ``loss_grad``
+    pass per sample, so it shares no sum over the batch with ``probe_grads``.
 
-    The full regularizer gradient is added to every per-sample gradient (the
+    The full regularizer gradient is in every per-sample gradient (the
     penalty is deterministic, so splitting it would corrupt spread-based
     noise estimates).  The mean over the list equals the batch gradient up to
-    floating accumulation order.  Memory is O(B * n_params).
+    floating accumulation order.  Raises NumericError as ``loss_grad`` does.
+    Memory is O(B * n_params).
     """
-    logits, preacts, layer_inputs = _forward(params, act, batch.inputs)
-    losses, probs = _softmax_stats(logits, batch.labels)
-    reg_value, reg_grads = regularizer_penalty(params, reg)
-    if not np.isfinite(float(np.mean(losses)) + reg_value):
-        raise NumericError("non-finite loss", layer_id=_first_nonfinite_layer(params, preacts))
-    B = batch.size
-    d = probs.copy()
-    d[np.arange(B), batch.labels] -= 1.0  # per-sample dlogits, no 1/B
-
-    flat = np.empty((B, params.n_params))  # row s: sample s's gradient
-    rows = params.layer_views(flat)
-    for i in range(len(params.layers) - 1, -1, -1):
-        np.einsum("bo,bi->boi", d, layer_inputs[i], out=rows[i].weights)
-        rows[i].bias[...] = d
-        if i > 0:
-            dx = d @ params.layers[i].weights
-            d = _act_backward(act, preacts[i - 1], dx)
-    flat += reg_grads.vector
-    return [params.like(row) for row in flat]
+    samples = (Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1]) for i in range(batch.size))
+    return [loss_grad(params, act, one, reg).grads for one in samples]

@@ -68,11 +68,11 @@ def init_adam(
     return AdamState(zeros_like(params), zeros_like(params), 0, beta1, beta2, eps, eta_map, work)
 
 
-def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
+def adam_step(state: AdamState, params: ParamSet, grads: ParamSet) -> None:
     """One bias-corrected Adam update, each layer with its own base LR.
 
     L2 decay is not applied here; weight decay enters through the loss
-    gradient.  Mutates ``state`` and ``params`` in place and returns them.
+    gradient.  Updates ``state`` and ``params`` in place.
     The update is eta * m_hat / (sqrt(v_hat) + eps), evaluated in that
     order in two scratch rows kept on ``state``, so the update allocates no
     parameter-sized array.
@@ -96,7 +96,6 @@ def adam_step(state: AdamState, params: ParamSet, grads: ParamSet):
         step[seg] *= state.eta[lid]
     step /= denom
     params.vector -= step
-    return state, params
 
 
 def _scoped(v: ParamSet, scope: str) -> list[tuple[str, np.ndarray]]:

@@ -15,6 +15,22 @@ ACTIVATIONS = [
 ]
 
 
+REG_KINDS = ["none", "l2", "wasserstein"]
+
+
+def with_depths(cases):
+    """pytest params for each ``(id, values)`` case twice: with one hidden
+    layer of 6 under the case's own id, then with three hidden layers
+    (6, 5, 4) under the id plus ``-depth3``.  The widths come last."""
+    return [pytest.param(*values, hidden, id=case_id + suffix)
+            for suffix, hidden in (("", 6), ("-depth3", (6, 5, 4)))
+            for case_id, values in cases]
+
+
+# every activation with every penalty, ids as stacked parametrize names them
+ACT_REG_CASES = [(f"{reg}-{act.kind}", (act, reg)) for reg in REG_KINDS for act in ACTIVATIONS]
+
+
 REPO = Path(__file__).resolve().parent.parent
 
 

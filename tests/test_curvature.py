@@ -19,7 +19,17 @@ from trainlab.nn import (
     probe_grads,
 )
 
-from conftest import ACTIVATIONS, load_bench_module, make_batch, make_net, make_reg, rel_err
+from conftest import (
+    ACT_REG_CASES,
+    ACTIVATIONS,
+    REG_KINDS,
+    load_bench_module,
+    make_batch,
+    make_net,
+    make_reg,
+    rel_err,
+    with_depths,
+)
 import oracles
 from oracles import effective_rank, exact_hessian, fd_hvp, param_dot
 
@@ -280,16 +290,18 @@ def test_top_eigenvalue_stores_no_basis():
 WIDE_D, WIDE_B = 9, 5
 
 
-def wide_net(act, reg_kind, seed):
-    params = make_net(WIDE_D, 6, 3, act, seed=seed)
+def wide_net(act, reg_kind, hidden, seed):
+    params = make_net(WIDE_D, hidden, 3, act, seed=seed)
     batch = make_batch(WIDE_D, 3, WIDE_B, seed=seed)
     return params, batch, make_reg(reg_kind, params, perturb_seed=seed)
 
 
-@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
-@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
-def test_row_space_top_eigenvalue_matches_dense_eig(act, reg_kind):
-    params, batch, reg = wide_net(act, reg_kind, seed=31)
+@pytest.mark.parametrize("act, reg_kind, hidden", with_depths(ACT_REG_CASES))
+def test_row_space_top_eigenvalue_matches_dense_eig(act, reg_kind, hidden):
+    # the depth-3 net at seed 31 has a ReLU pre-activation within exact_hessian's
+    # FD step of its kink, where the dense oracle is wrong; at seed 5 none is
+    seed = 31 if hidden == 6 else 5
+    params, batch, reg = wide_net(act, reg_kind, hidden, seed)
     eigs = np.linalg.eigvalsh(exact_hessian(params, act, batch, reg))
     dense_top = eigs[np.argmax(np.abs(eigs))]
     res = top_eigenvalue(params, act, batch, reg, CurvatureProbe(power_iters=300, tol=1e-16, seed=4))
@@ -303,12 +315,11 @@ def _lift(params, v_row, q):
     return params.like(np.concatenate([first.ravel(), v_row.vector[v_row.layers[0].weights.size :]]))
 
 
-@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
-@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
-def test_row_space_product_is_the_full_product(act, reg_kind):
+@pytest.mark.parametrize("act, reg_kind, hidden", with_depths(ACT_REG_CASES))
+def test_row_space_product_is_the_full_product(act, reg_kind, hidden):
     """With the first-layer block of v written as N Q^T (X^T = QR, reduced),
     the row-space product, its first-layer block times Q^T, is H v."""
-    params, batch, reg = wide_net(act, reg_kind, seed=32)
+    params, batch, reg = wide_net(act, reg_kind, hidden, seed=32)
     base = loss_grad(params, act, batch, reg)
     layout, row_base = curvature_mod.row_space(params, base)
     q, r = np.linalg.qr(batch.inputs.T)
@@ -322,13 +333,13 @@ def test_row_space_product_is_the_full_product(act, reg_kind):
         assert rel_err(_lift(params, got, q).vector, want) <= 1e-12
 
 
-@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
-def test_direction_orthogonal_to_the_batch_is_a_penalty_eigenvector(reg_kind):
+@pytest.mark.parametrize("reg_kind, hidden", with_depths([(reg, (reg,)) for reg in REG_KINDS]))
+def test_direction_orthogonal_to_the_batch_is_a_penalty_eigenvector(reg_kind, hidden):
     """A first-layer direction P with X P^T = 0 (zero elsewhere) gives
     H v = c1 v: 2 lam for L2, 2 lam / n for the Wasserstein penalty of the
     n-entry first layer, 0 without a penalty."""
     act = Activation("relu")
-    params, batch, reg = wide_net(act, reg_kind, seed=33)
+    params, batch, reg = wide_net(act, reg_kind, hidden, seed=33)
     q, _ = np.linalg.qr(batch.inputs.T)
     rng = np.random.default_rng(33)
     first = params.layers[0].weights

@@ -24,7 +24,7 @@ from trainlab.nn import (
 )
 from trainlab.tasks import StreamConfig, SyntheticSource, batches, load_source, prepare, task_labels
 
-from conftest import ACTIVATIONS, make_batch, make_net, make_reg, rel_err
+from conftest import ACT_REG_CASES, ACTIVATIONS, make_batch, make_net, make_reg, rel_err, with_depths
 from oracles import fd_gradient, stable_wasserstein_penalty
 
 NONE = Regularizer("none")
@@ -477,15 +477,14 @@ def _short_final_batch():
     return last
 
 
-@pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
-@pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
-def test_probe_grads_match_materialized_oracle(act, reg_kind):
+@pytest.mark.parametrize("act, reg_kind, hidden", with_depths(ACT_REG_CASES))
+def test_probe_grads_match_materialized_oracle(act, reg_kind, hidden):
     """Each layer's and the global variance against per_sample_grads +
     minibatch_grad_variance at criterion 4's bound; g_bar bit for bit against
     loss_grad (both read the same sweep); the pre-activations against forward."""
     cases = [make_batch(4, 5, B, seed=70 + B) for B in (1, 2, 17, 256)] + [_short_final_batch()]
     for batch in cases:
-        params = make_net(4, 6, 5, act, seed=batch.size)
+        params = make_net(4, hidden, 5, act, seed=batch.size)
         reg = make_reg(reg_kind, params, perturb_seed=batch.size)
         pg = probe_grads(params, act, batch, reg)
         ps = per_sample_grads(params, act, batch, reg)
