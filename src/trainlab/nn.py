@@ -15,6 +15,12 @@ Materialized per-sample gradients (``per_sample_grads``: one ``loss_grad``
 pass per sample, and ``mean_params``) are kept as test oracles for it and
 are not on the run path; ``_reverse_sweep`` is the one backward pass.
 
+The Wasserstein penalty reads the parameters alone, never the batch.  Given
+a worker (an executor with one thread), ``loss_grad`` and ``probe_grads``
+make it there while the caller's thread runs the sweep, since numpy's sort
+releases the GIL, then add it as the inline path does, to the same bits.
+An L2 penalty, or none, is cheaper than the hand-off and stays inline.
+
 Conventions:
   - weights are stored ``(out, in)``; a layer computes ``x @ W.T + b``;
   - the configured activation is applied after every layer except the last;
@@ -468,10 +474,44 @@ def _reverse_sweep(params: ParamSet, act: Activation, batch: Batch) -> Sweep:
     return Sweep(float(np.mean(losses)), logits, probs, layer_inputs, preacts, out_grads, grads)
 
 
-def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep) -> None:
+# A worker thread starts from numpy's default error state, so the job sets
+# loss_grad's own (see there).
+@np.errstate(over="ignore", invalid="ignore")
+def _penalty_job(params: ParamSet, reg: Regularizer) -> tuple[float, ParamSet]:
+    """``regularizer_penalty`` into a buffer of ``-0.0``, the additive
+    identity of every float, so its weights hold the penalty gradient's own
+    bits, sign of zero included."""
+    return regularizer_penalty(params, reg, out=params.like(np.full(params.n_params, -0.0)))
+
+
+def _sweep_beside_penalty(
+    params: ParamSet, act: Activation, batch: Batch, reg: Regularizer, worker
+):
+    """``_reverse_sweep`` and the penalty still to add to it: the future of a
+    Wasserstein penalty made on ``worker`` meanwhile, or None, for the
+    inline path, when there is no worker or no Wasserstein penalty (an L2
+    penalty costs less than the hand-off).  A sweep that raises waits for
+    the worker first."""
+    if worker is None or reg.kind != "wasserstein" or reg.lam == 0.0:
+        return _reverse_sweep(params, act, batch), None
+    pending = worker.submit(_penalty_job, params, reg)
+    try:
+        return _reverse_sweep(params, act, batch), pending
+    except BaseException:
+        pending.exception()  # the sweep's error wins, as inline where the penalty never runs
+        raise
+
+
+def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep, pending) -> None:
     """Adds the penalty to ``sw.loss`` and its gradient to ``sw.grads`` in
-    place; raises NumericError on a non-finite loss."""
-    reg_value, _ = regularizer_penalty(params, reg, out=sw.grads)
+    place, made here or read from ``pending``; raises NumericError on a
+    non-finite loss."""
+    if pending is None:
+        reg_value, _ = regularizer_penalty(params, reg, out=sw.grads)
+    else:
+        reg_value, penalty = pending.result()
+        for g, p in zip(sw.grads.layers, penalty.layers):
+            g.weights += p.weights  # biases are unpenalized
     sw.loss += reg_value
     if not np.isfinite(sw.loss):
         layer_id = _first_nonfinite_layer(params, sw.preacts)
@@ -481,14 +521,18 @@ def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep) -> None:
 # A pass that overflows ends in its loss's finite check, which raises
 # NumericError; numpy's overflow and invalid-value warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
-def loss_grad(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> Sweep:
+def loss_grad(
+    params: ParamSet, act: Activation, batch: Batch, reg: Regularizer, worker=None
+) -> Sweep:
     """Mean cross-entropy plus regularizer penalty, with its exact gradient,
     and everything the pass made on the way (see ``Sweep``).
 
-    Raises NumericError on a non-finite loss.
+    ``worker``, an executor with one thread, takes a Wasserstein penalty off
+    the sweep's thread; the result is the same to the bit.  Raises
+    NumericError on a non-finite loss.
     """
-    sw = _reverse_sweep(params, act, batch)
-    _add_penalty(params, reg, sw)
+    sw, pending = _sweep_beside_penalty(params, act, batch, reg, worker)
+    _add_penalty(params, reg, sw, pending)
     return sw
 
 
@@ -499,9 +543,12 @@ class ProbeGrads:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> ProbeGrads:
+def probe_grads(
+    params: ParamSet, act: Activation, batch: Batch, reg: Regularizer, worker=None
+) -> ProbeGrads:
     """Each layer's per-sample gradient variance and the ``loss_grad`` pass it
-    is read from, which the probe's eigensolve and diagnostics then reuse.
+    is read from (``worker`` as there), which the probe's eigensolve and
+    diagnostics then reuse.
 
     Sample i's gradient of a dense layer is ``d_i x_i^T`` for the weights and
     ``d_i`` for the bias (``d_i`` its output gradient, ``x_i`` its input), so
@@ -514,7 +561,7 @@ def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularize
     exactly 0, and a negative rounding result is clamped to 0.  Memory is
     O(B * width).
     """
-    sw = _reverse_sweep(params, act, batch)
+    sw, pending = _sweep_beside_penalty(params, act, batch, reg, worker)
     B = batch.size
     sigma_sq = {}
     for lid, x, d in zip(params.layer_ids(), sw.layer_inputs, sw.out_grads):
@@ -523,7 +570,7 @@ def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularize
         mean_sq = B * float(np.einsum("bo,bo->b", d, d) @ x_sq)
         g = sw.grads.segment(lid)
         sigma_sq[lid] = 0.0 if B == 1 else max(mean_sq - float(np.vdot(g, g)), 0.0)
-    _add_penalty(params, reg, sw)
+    _add_penalty(params, reg, sw, pending)
     return ProbeGrads(sigma_sq, sw)
 
 

@@ -6,7 +6,9 @@ prepares the dataset once (``prepare(load_source(...))``) and passes it to
 each.  Metric probes fire at log intervals and, in scheduled mode, at the
 controller's own decision interval; every probe writes one record, so every
 decision is logged.  The training step is one ``nn.loss_grad`` pass, dropped
-once Adam and the accuracy have read it.  ``_probe`` takes a probe to its
+once Adam and the accuracy have read it.  Each seed owns one worker thread,
+on which every pass of a Wasserstein run makes its penalty (see ``nn``); the
+seed closes it when it ends, also on an abort.  ``_probe`` takes a probe to its
 record's cells: one ``loss_grad`` pass (through ``probe_grads``) that every
 measurement reads (the factored per-layer gradient variance, the diagnostics
 and every R-op product of the Lanczos solve for the top Hessian eigenvalue),
@@ -22,8 +24,10 @@ Logs are append-only delimited text: one header line declaring the column
 order, then one record per line with ints in full and floats at 17
 significant digits, so two runs of the same config and seed produce
 byte-identical files.  The columns walk the record's fields: its scalar
-fields (every ``MetricRecord`` field but ``layers`` and ``flags``), each
-layer's ``LayerMetrics`` fields, then the flags.  ``read_log`` reads back
+fields (every ``MetricRecord`` field but ``layers`` and ``flags``; the
+eigensolve's products and residual among them), each layer's
+``LayerMetrics`` fields (every bound its report holds, the Cantelli cap
+among them), then the flags.  ``read_log`` reads back
 the ``MetricRecord``s that ``format_log`` wrote, and refuses a log whose
 header departs from that schema.
 """
@@ -125,6 +129,7 @@ class LayerMetrics:
     alpha: float
     alpha_g_star: float
     alpha_vol_star: float
+    cantelli_cap: float
     alpha_tilde_star: float
     vol: float
     eta: float
@@ -141,6 +146,8 @@ class MetricRecord:
     train_accuracy: float
     lambda_max: float
     lambda_bar: float
+    lambda_iters: int  # Hessian-vector products the eigensolve made
+    lambda_residual: float  # its Ritz residual
     sigma_mb_sq: float
     weight_norm: float
     grad_norm: float
@@ -158,8 +165,8 @@ LAYER_FIELDS = tuple(_LAYER_TYPES)
 SCALAR_FIELDS = tuple(f for f in _RECORD_TYPES if f not in ("layers", "flags"))
 # a layer's cells taken from its ThresholdReport by name; the controller gives the other two
 _REPORT_CELLS = tuple(f for f in LAYER_FIELDS if f not in ("eta", "decision"))
-# the cells of a layer that a record does not cover (an abort record), by field type
-_ABSENT_CELL = {"float": math.nan, "str": ABSENT, "bool": False}
+# the cells that a record does not cover (an abort record's probe cells and layers), by field type
+_ABSENT_CELL = {"int": 0, "float": math.nan, "str": ABSENT, "bool": False}
 _ABSENT_LAYER = LayerMetrics(**{name: _ABSENT_CELL[t] for name, t in _LAYER_TYPES.items()})
 # a log cell's parser, by field type (a bool cell is 1 or 0), in the schema's order
 _PARSE_CELL = {"int": int, "float": float, "str": str, "bool": {"1": True, "0": False}.__getitem__}
@@ -194,7 +201,7 @@ def build_regularizer(model: ModelConfig, init_snapshot: ParamSet) -> Regularize
 
 def _probe(
     cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state, windows,
-    *, is_decide: bool, total_steps: int,
+    *, is_decide: bool, total_steps: int, worker=None,
 ) -> dict:
     """One probe at ``step``, taken to its record: every ``MetricRecord``
     field from ``lambda_max`` on, as keyword arguments.
@@ -204,7 +211,7 @@ def _probe(
     probe found it.  On a decision step the controller then acts on the
     reports, and each layer's ``eta`` and ``decision`` cells read its result.
     """
-    pg = probe_grads(params, act, batch, reg)
+    pg = probe_grads(params, act, batch, reg, worker)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
     eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep)
     lam, grads = eig.lambda_max, pg.sweep.grads
@@ -243,6 +250,8 @@ def _probe(
     return dict(
         lambda_max=lam,
         lambda_bar=lam_bar,
+        lambda_iters=eig.iterations,
+        lambda_residual=eig.residual,
         sigma_mb_sq=sum(pg.sigma_sq.values()),
         weight_norm=diag.weight_norm,
         grad_norm=diag.grad_norm,
@@ -262,6 +271,9 @@ def _fresh_windows(cfg: RunConfig, layer_ids) -> dict[str, WindowStats]:
 
 
 def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> SeedResult:
+    # about 6 ms to import, so only a run pays it
+    from concurrent.futures import ThreadPoolExecutor
+
     if base is None:
         base = prepare(load_source(cfg.stream), cfg.stream)
     act = cfg.model.activation
@@ -277,49 +289,54 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
     result = SeedResult(seed, layer_ids, [], [])
     global_step = 0
     acc_sum, acc_n = 0.0, 0
-    try:
-        for task_i in range(cfg.stream.tasks):
-            if task_i == 0 or cfg.mode == "reset":  # a reset task starts as the first one does
-                params = init_snapshot.copy()
-                state = init_adam(params, **vars(cfg.optimizer))
-                windows = _fresh_windows(cfg, layer_ids)
-            labels = task_labels(base, task_i, cfg.stream)
-            for epoch in range(cfg.stream.epochs_per_task):
-                ep_sum = 0.0
-                for batch in batches(base.inputs, labels, task_i, epoch, cfg.stream):
-                    global_step += 1
-                    sw = loss_grad(params, act, batch, reg)
-                    adam_step(state, params, sw.grads)
-                    acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
-                    del sw  # the probe makes its own pass; holding this one too adds to the peak
-                    acc_sum += acc
-                    acc_n += 1
-                    ep_sum += acc
-                    is_decide = cfg.mode == "scheduled" and global_step % cfg.controller.interval_k == 0
-                    if is_decide or global_step % cfg.log_interval == 0:
-                        cells = _probe(cfg, seed, global_step, params, act, batch, reg, state,
-                                       windows, is_decide=is_decide, total_steps=total_steps)
-                        result.records.append(
-                            MetricRecord(seed, task_i, epoch, global_step, acc_sum / acc_n, **cells)
-                        )
-                        acc_sum, acc_n = 0.0, 0
-            # every epoch runs spe steps, so this is the task's final-epoch mean
-            result.per_task_accuracy.append(ep_sum / spe)
-    except NumericError as err:
-        result.abort_message = str(err)
-        result.records.append(_error_record(err, seed, task_i, epoch, global_step))
+    # the thread that a Wasserstein penalty runs on beside the data pass (see nn.loss_grad)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        try:
+            for task_i in range(cfg.stream.tasks):
+                if task_i == 0 or cfg.mode == "reset":  # a reset task starts as the first one does
+                    params = init_snapshot.copy()
+                    state = init_adam(params, **vars(cfg.optimizer))
+                    windows = _fresh_windows(cfg, layer_ids)
+                labels = task_labels(base, task_i, cfg.stream)
+                for epoch in range(cfg.stream.epochs_per_task):
+                    ep_sum = 0.0
+                    for batch in batches(base.inputs, labels, task_i, epoch, cfg.stream):
+                        global_step += 1
+                        sw = loss_grad(params, act, batch, reg, worker)
+                        adam_step(state, params, sw.grads)
+                        acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
+                        del sw  # the probe makes its own pass; holding this one too adds to the peak
+                        acc_sum += acc
+                        acc_n += 1
+                        ep_sum += acc
+                        is_decide = (cfg.mode == "scheduled"
+                                     and global_step % cfg.controller.interval_k == 0)
+                        if is_decide or global_step % cfg.log_interval == 0:
+                            cells = _probe(cfg, seed, global_step, params, act, batch, reg, state,
+                                           windows, is_decide=is_decide, total_steps=total_steps,
+                                           worker=worker)
+                            result.records.append(
+                                MetricRecord(seed, task_i, epoch, global_step, acc_sum / acc_n, **cells)
+                            )
+                            acc_sum, acc_n = 0.0, 0
+                # every epoch runs spe steps, so this is the task's final-epoch mean
+                result.per_task_accuracy.append(ep_sum / spe)
+        except NumericError as err:
+            result.abort_message = str(err)
+            result.records.append(_error_record(err, seed, task_i, epoch, global_step))
     result.final_params, result.final_state = params, state
     return result
 
 
 def _error_record(err: NumericError, *where) -> MetricRecord:
     """The record of an aborted step: ``where`` fills the leading scalar
-    cells (seed, task, epoch, step), every other scalar cell is NaN."""
+    cells (seed, task, epoch, step), every other scalar cell is absent (NaN;
+    0 products for ``lambda_iters``)."""
     flags = ["aborted:" + str(err).replace(",", ";").replace("\n", " ")]
     if err.layer_id is not None:
         flags.append(f"aborted_layer:{err.layer_id}")
-    nan_cells = dict.fromkeys(SCALAR_FIELDS[len(where) :], math.nan)
-    return MetricRecord(*where, **nan_cells, layers={}, flags=tuple(flags))
+    absent = {f: _ABSENT_CELL[_RECORD_TYPES[f]] for f in SCALAR_FIELDS[len(where) :]}
+    return MetricRecord(*where, **absent, layers={}, flags=tuple(flags))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from trainlab.errors import ConfigError
 from trainlab.runner import SeedResult, log_columns, read_log
 from trainlab.tasks import MnistSource, SyntheticSource
 
-from conftest import REPO, load_bench_module
+from conftest import REG_KINDS, REPO, load_bench_module
 from test_acceptance import desk_config
 
 CONFIGS = REPO / "configs"
@@ -616,16 +616,32 @@ def test_cli_huge_finite_eta_is_a_numeric_abort(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().out
 
 
-def test_cli_numeric_abort_warns_nothing(tmp_path):
+@pytest.mark.parametrize("regularizer", REG_KINDS)
+def test_cli_numeric_abort_warns_nothing(tmp_path, regularizer):
     """With every warning an error (``python -W error``, here through
     PYTHONWARNINGS) the overflow still ends in the abort line and exit 3,
-    not in a RuntimeWarning traceback."""
+    not in a RuntimeWarning traceback: also where the Wasserstein penalty
+    overflows on the run's worker thread."""
     args = ["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
-            "--optimizer.eta=1e308"]
+            "--optimizer.eta=1e308", f"--model.regularizer={regularizer}", "--model.reg_lambda=1e-3"]
     done = _run_subprocess(args, {"PYTHONWARNINGS": "error"})
     assert done.returncode == EXIT_NUMERIC, done.stderr
     assert done.stdout.startswith("seed 0: aborted: non-finite loss"), done.stdout
     assert done.stderr == ""
+
+
+def test_bounds_delta_reaches_the_metrics_log(tmp_path):
+    """``bounds.delta`` sets the Cantelli cap alone, and the log keeps each
+    layer's cap: two scheduled runs that differ only in it log differently.
+    Their eigensolves converge, so the windows fill and the caps sit below CAP."""
+    logs = []
+    for delta in ("0.1", "0.3"):
+        out = tmp_path / delta
+        args = ["run", "--config", write_config(tmp_path), "--mode=scheduled", "--power_iters=100",
+                f"--bounds.delta={delta}", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        logs.append((out / "metrics_seed0.csv").read_bytes())
+    assert logs[0] != logs[1]
 
 
 def test_cli_rejects_mnist_without_paths():

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -515,6 +518,129 @@ def test_probe_grads_identical_samples_clamped_at_zero():
     pg = probe_grads(params, act, batch, NONE)
     for value in pg.sigma_sq.values():
         assert 0.0 <= value <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Wasserstein penalty on a worker thread
+
+
+@pytest.fixture
+def worker():
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool
+
+
+class RecordingWorker:
+    """A worker that keeps each future it hands out; each job starts
+    ``delay_s`` late, so that a caller that does not wait for it returns first."""
+
+    def __init__(self, pool, delay_s=0.0):
+        self.pool, self.futures, self.delay_s = pool, [], delay_s
+
+    def submit(self, fn, *args):
+        def late():
+            time.sleep(self.delay_s)
+            return fn(*args)
+
+        self.futures.append(self.pool.submit(late))
+        return self.futures[-1]
+
+
+def _bits(x) -> bytes:
+    """A float's or an array's bytes, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _outcome(fn, *args):
+    """What a pass gives, as bytes: its loss, gradient and any sigma^2, or its NumericError."""
+    try:
+        out = fn(*args)
+    except NumericError as err:
+        return ("error", str(err), err.layer_id)
+    sigma_sq, sw = (list(out.sigma_sq.values()), out.sweep) if fn is probe_grads else ([], out)
+    return _bits(sigma_sq) + _bits(sw.loss) + _bits(sw.grads.vector)
+
+
+def _assert_worker_pass_is_inline(params, act, batch, reg, worker):
+    for fn in (loss_grad, probe_grads):
+        inline = _outcome(fn, params, act, batch, reg)
+        recording = RecordingWorker(worker)
+        assert _outcome(fn, params, act, batch, reg, recording) == inline, fn.__name__
+        assert all(f.done() for f in recording.futures)
+
+
+@pytest.mark.parametrize("act, reg_kind, hidden", with_depths(ACT_REG_CASES))
+def test_worker_pass_is_the_inline_pass_bit_for_bit(worker, act, reg_kind, hidden):
+    params = make_net(5, hidden, 4, act, seed=21)
+    batch = make_batch(5, 4, 9, seed=21)
+    _assert_worker_pass_is_inline(params, act, batch, make_reg(reg_kind, params, perturb_seed=21), worker)
+
+
+@pytest.mark.parametrize("case", sorted(_tie_cases()))
+def test_worker_pass_is_the_inline_pass_on_ties_and_signed_zeros(worker, case):
+    """The tie cases as a first layer's weights and its snapshot; infinite
+    weights end both passes in the same NumericError.  The worker's own
+    gradient holds the penalty's bits, sign of zero included."""
+    current, init = _tie_cases()[case]
+    act = Activation("crelu")
+    params = make_net(current.shape[1], current.shape[0], 3, act, seed=22)
+    params.layers[0].weights[...] = current
+    snapshot = params.copy()
+    snapshot.layers[0].weights[...] = init.reshape(current.shape)
+    reg = Regularizer("wasserstein", 0.5, snapshot)
+    batch = make_batch(current.shape[1], 3, 8, seed=22)
+    _assert_worker_pass_is_inline(params, act, batch, reg, worker)
+    _, penalty = worker.submit(nn._penalty_job, params, reg).result(timeout=10)
+    for lay, ref_sorted, got in zip(params.layers, reg._sorted_init, penalty.layers):
+        _, gw = wasserstein_penalty(lay.weights, ref_sorted)
+        assert _bits(got.weights) == _bits(reg.lam * gw)
+
+
+def test_worker_takes_the_wasserstein_penalty_alone(worker, monkeypatch):
+    """Only a Wasserstein penalty with lam > 0 goes to the worker, one job per
+    pass; it calls ``regularizer_penalty`` by the module's name, as a pass
+    without a worker does."""
+    threads = []
+    real = nn.regularizer_penalty
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "regularizer_penalty", recording)
+    worker_thread = worker.submit(threading.current_thread).result(timeout=10)
+    act = Activation("relu")
+    params = make_net(4, 6, 3, act, seed=24)
+    batch = make_batch(4, 3, 8, seed=24)
+    for reg_kind, lam in (("none", 0.0), ("l2", 1e-2), ("wasserstein", 0.0), ("wasserstein", 1e-2)):
+        reg = Regularizer(reg_kind, lam, params.copy() if reg_kind == "wasserstein" else None)
+        threaded = reg_kind == "wasserstein" and lam > 0.0
+        for fn in (loss_grad, probe_grads):
+            threads.clear()
+            recording_worker = RecordingWorker(worker)
+            fn(params, act, batch, reg, recording_worker)
+            assert len(recording_worker.futures) == threaded, (reg_kind, lam, fn.__name__)
+            assert threads == [worker_thread if threaded else threading.main_thread()]
+
+
+def test_worker_and_sweep_errors_reach_the_caller(worker):
+    """A worker error (a snapshot of other layers) and a sweep error (a batch
+    of the wrong width) each raise ConfigError, and the worker's job is done
+    by then, though it starts late."""
+    act = Activation("crelu")
+    params = make_net(4, 6, 3, act, seed=23)
+    other_layers = make_reg("wasserstein", make_net(4, [6, 5], 3, act, seed=23))
+    cases = [
+        (make_batch(4, 3, 8, seed=23), other_layers, "snapshot layers do not match"),
+        (make_batch(5, 3, 8, seed=23), make_reg("wasserstein", params), "expects input width 4, got 5"),
+    ]
+    for fn in (loss_grad, probe_grads):
+        for batch, reg, message in cases:
+            recording = RecordingWorker(worker, delay_s=0.05)
+            with pytest.raises(ConfigError, match=message):
+                fn(params, act, batch, reg, recording)
+            [future] = recording.futures
+            assert future.done()
 
 
 # ---------------------------------------------------------------------------

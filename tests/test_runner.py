@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -243,7 +244,7 @@ def test_probe_abort_leaves_the_same_error_record(monkeypatch):
     assert "aborted_layer:fc2" in res.records[0].flags
     assert res.final_state.t == cfg.log_interval  # the probed step was taken
     cells = format_log(res.records, res.layer_ids).splitlines()[1].split(",")
-    assert cells[-9:-1] == ["nan"] * 6 + ["-", "0"]  # fc2's cells, then flags
+    assert cells[-10:-1] == ["nan"] * 7 + ["-", "0"]  # fc2's cells, then flags
 
 
 def test_sharpness_unconverged_flag():
@@ -253,6 +254,38 @@ def test_sharpness_unconverged_flag():
     converged = run_seed(tiny_config(power_iters=100), seed=0)
     assert converged.records
     assert not any("sharpness_unconverged" in rec.flags for rec in converged.records)
+
+
+def test_lambda_iters_counts_the_products_of_each_probe(monkeypatch):
+    """Each record's ``lambda_iters`` is the number of ``curvature.hvp`` calls
+    its probe made, and a solve that ran out its budget reads the budget."""
+    counts = []
+    real_eig, real_hvp = runner_mod.top_eigenvalue, curvature_mod.hvp
+
+    def counting_eig(*args, **kwargs):
+        counts.append(0)
+        return real_eig(*args, **kwargs)
+
+    def counting_hvp(*args, **kwargs):
+        counts[-1] += 1
+        return real_hvp(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "top_eigenvalue", counting_eig)
+    monkeypatch.setattr(curvature_mod, "hvp", counting_hvp)
+    converged = unconverged = 0
+    for power_iters in (8, 100):
+        counts.clear()
+        res = run_seed(tiny_config(power_iters=power_iters), seed=0)
+        assert [rec.lambda_iters for rec in res.records] == counts
+        for rec in res.records:
+            assert rec.lambda_residual >= 0.0
+            if "sharpness_unconverged" in rec.flags:
+                unconverged += 1
+                assert rec.lambda_iters == power_iters and rec.lambda_residual > 0.0
+            else:
+                converged += 1
+                assert 1 <= rec.lambda_iters <= power_iters
+    assert converged and unconverged
 
 
 def test_unconverged_probe_holds_every_layer():
@@ -286,6 +319,27 @@ def test_warming_into_eta_max_is_flagged_clamped():
     for rec in clamped:
         assert rec.layers["fc1"].decision == "warmed" and rec.layers["fc1"].eta == 1e-3
     assert res.final_state.eta["fc1"] == 1e-3
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1e308], ids=["completed", "aborted"])
+def test_run_seed_leaves_no_thread_behind(monkeypatch, eta):
+    """A Wasserstein seed's penalty runs on a thread of its own, which the
+    seed closes when it ends, also when it aborts."""
+    penalty_threads = set()
+    real = nn_mod.regularizer_penalty
+
+    def recording(*args, **kwargs):
+        penalty_threads.add(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn_mod, "regularizer_penalty", recording)
+    model = ModelConfig(hidden_width=8, activation=Activation("crelu"), regularizer="wasserstein",
+                        reg_lambda=1e-2)
+    before = threading.enumerate()
+    res = run_seed(tiny_config(model=model, optimizer=OptimConfig(eta=eta)), seed=0)
+    assert res.aborted == (eta == 1e308)
+    assert penalty_threads and threading.main_thread() not in penalty_threads
+    assert threading.enumerate() == before
 
 
 def _probe_inputs(cfg, reg_kind="l2"):
@@ -525,11 +579,13 @@ def test_read_log_reads_back_the_bytes_format_log_wrote(tmp_path, mode, eta):
 
 
 def test_log_header_is_the_record_schema():
-    """The derived column tables spell the header as it has always been."""
+    """The derived column tables spell the header: the eigensolve's cost after
+    its eigenvalue, the Cantelli cap among each layer's bounds."""
     assert ",".join(log_columns(["fc1"])) == (
-        "seed,task,epoch,step,train_accuracy,lambda_max,lambda_bar,sigma_mb_sq,weight_norm,"
-        "grad_norm,grad_param_ratio,use,fc1.alpha,fc1.alpha_g_star,fc1.alpha_vol_star,"
-        "fc1.alpha_tilde_star,fc1.vol,fc1.eta,fc1.decision,fc1.crossed,flags"
+        "seed,task,epoch,step,train_accuracy,lambda_max,lambda_bar,lambda_iters,lambda_residual,"
+        "sigma_mb_sq,weight_norm,grad_norm,grad_param_ratio,use,fc1.alpha,fc1.alpha_g_star,"
+        "fc1.alpha_vol_star,fc1.cantelli_cap,fc1.alpha_tilde_star,fc1.vol,fc1.eta,fc1.decision,"
+        "fc1.crossed,flags"
     )
 
 
@@ -537,7 +593,7 @@ def test_log_header_is_the_record_schema():
 GOOD_CELLS = dict(
     zip(
         log_columns(["fc1"]),
-        "3,0,1,7,0.25,2,1.5,0.125,4,0.5,0.5,0.5,2,3,4,3,0.75,0.001,held,1,-".split(","),
+        "3,0,1,7,0.25,2,1.5,5,0.0625,0.125,4,0.5,0.5,0.5,2,3,4,8,3,0.75,0.001,held,1,-".split(","),
     )
 )
 
@@ -552,13 +608,15 @@ def test_read_log_types_cells_by_field_and_rejects_unknown_columns(tmp_path):
     records, layer_ids = read_log(path)
     assert layer_ids == ["fc1"]
     scalars = dict(seed=3, task=0, epoch=1, step=7, train_accuracy=0.25, lambda_max=2.0, lambda_bar=1.5,
-                   sigma_mb_sq=0.125, weight_norm=4.0, grad_norm=0.5, grad_param_ratio=0.5, use=0.5)
-    fc1 = LayerMetrics(2.0, 3.0, 4.0, 3.0, 0.75, 0.001, "held", True)
+                   lambda_iters=5, lambda_residual=0.0625, sigma_mb_sq=0.125, weight_norm=4.0,
+                   grad_norm=0.5, grad_param_ratio=0.5, use=0.5)
+    fc1 = LayerMetrics(2.0, 3.0, 4.0, 8.0, 3.0, 0.75, 0.001, "held", True)
     assert records == [MetricRecord(**scalars, layers={"fc1": fc1}, flags=())]
-    assert [type(getattr(records[0], f)) for f in scalars] == [int] * 4 + [float] * 8
-    assert [type(v) for v in vars(records[0].layers["fc1"]).values()] == [float] * 6 + [str, bool]
+    types = [int] * 4 + [float] * 3 + [int] + [float] * 6
+    assert [type(getattr(records[0], f)) for f in scalars] == types
+    assert [type(v) for v in vars(records[0].layers["fc1"]).values()] == [float] * 7 + [str, bool]
     path.write_text(",".join(GOOD_CELLS).replace("fc1.vol", "fc1.bogus") + "\n")
-    with pytest.raises(FormatError, match="header column 17 is 'fc1.bogus', expected 'fc1.vol'"):
+    with pytest.raises(FormatError, match="header column 20 is 'fc1.bogus', expected 'fc1.vol'"):
         read_log(path)
 
 
@@ -569,7 +627,7 @@ def test_read_log_rejects_an_empty_file_and_a_short_line(tmp_path):
         read_log(path)
     short = dict(list(GOOD_CELLS.items())[:-1])
     write_cells(path, GOOD_CELLS, short)
-    with pytest.raises(FormatError, match="line 3 has 20 fields, expected 21"):
+    with pytest.raises(FormatError, match="line 3 has 23 fields, expected 24"):
         read_log(path)
 
 
@@ -577,8 +635,8 @@ def test_read_log_rejects_an_empty_file_and_a_short_line(tmp_path):
     "header, message",
     [
         (log_columns([]), "the header has no layer columns"),
-        (log_columns(["fc1", "fc2"])[:-1], "header column 29 is None, expected 'flags'"),
-        (log_columns(["fc1"]) + ["extra"], "header column 22 is 'extra', expected None"),
+        (log_columns(["fc1", "fc2"])[:-1], "header column 33 is None, expected 'flags'"),
+        (log_columns(["fc1"]) + ["extra"], "header column 25 is 'extra', expected None"),
     ],
     ids=["schema_no_layers", "no_flags_with_layers", "extra_column"],
 )
@@ -616,8 +674,8 @@ def test_write_log_byte_identical(tmp_path):
 
 def make_record(task, epoch, step, acc, crossed, flags=()):
     """A record of ``task`` with one layer per ``crossed`` entry (layer id to crossed)."""
-    layers = {lid: LayerMetrics(0.1, 0.2, 0.2, 0.2, 0.0, 1e-3, "-", c) for lid, c in crossed.items()}
-    return MetricRecord(0, task, epoch, step, acc, *[0.0] * 7, layers=layers, flags=flags)
+    layers = {lid: LayerMetrics(0.1, 0.2, 0.2, 2.0, 0.2, 0.0, 1e-3, "-", c) for lid, c in crossed.items()}
+    return MetricRecord(0, task, epoch, step, acc, 0.0, 0.0, 5, *[0.0] * 6, layers=layers, flags=flags)
 
 
 def synthetic_records(crossed_pattern, accs, layer_ids=("fc1",)):
