@@ -15,11 +15,24 @@ Materialized per-sample gradients (``per_sample_grads``: one ``loss_grad``
 pass per sample, and ``mean_params``) are kept as test oracles for it and
 are not on the run path; ``_reverse_sweep`` is the one backward pass.
 
-The Wasserstein penalty reads the parameters alone, never the batch.  Given
-a worker (an executor with one thread), ``loss_grad`` and ``probe_grads``
-make it there while the caller's thread runs the sweep, since numpy's sort
-releases the GIL, then add it as the inline path does, to the same bits.
-An L2 penalty, or none, is cheaper than the hand-off and stays inline.
+A worker (an executor with one thread) takes work off the caller's thread
+in two ways, both to the inline path's bits and both through ``hand_off``,
+which carries the caller's numpy error state.  The Wasserstein penalty
+reads the parameters alone, never the batch, so ``loss_grad`` and
+``probe_grads`` make it there while the caller's thread runs the sweep,
+since numpy's sort releases the GIL, then add it as the inline path does.
+An L2 penalty, or none, is cheaper than the hand-off and stays inline, and
+then the sweep's wide matmuls are ``split``: for a layer whose weights hold
+at least ``WIDE`` = 2^16 entries, the worker makes the rows of its ``x @
+W.T`` and its ``d^T x`` from a multiple of 64 on (``curvature.hvp`` and
+``optim.adam_step`` split the same way).  Below that width a matmul takes
+about as long as the hand-off: splitting every pass made the desk stream
+(width 64) 21% slower in one run, and ``WIDE`` = 0 under the row rules of
+``split`` and ``_matmul`` 3% and 8% slower in two.  Narrow layers never
+split, also because a split of the 10-wide read-out's rows (a 128-row
+batch at 64/64) changed bits.  With no free core the two parts run one
+after the other, and a split costs its hand-off on top of the whole
+product: pinned to one core, a 784-256-10 run was as fast as unsplit.
 
 Conventions:
   - weights are stored ``(out, in)``; a layer computes ``x @ W.T + b``;
@@ -30,6 +43,7 @@ Conventions:
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,6 +54,58 @@ from .errors import ConfigError, NumericError
 
 ACTIVATION_KINDS = ("relu", "leaky_relu", "crelu", "linear")
 REGULARIZER_KINDS = ("none", "l2", "wasserstein")
+
+# A pass splits across the worker from WIDE entries in its weight-shaped
+# operand, into two parts of whole multiples of SPLIT_ROWS rows (see split).
+WIDE = 2**16
+SPLIT_ROWS = 64
+
+
+# ---------------------------------------------------------------------------
+# the hand-off to a worker thread
+
+
+def hand_off(worker, fn, *args):
+    """``worker.submit(fn, *args)`` in a copy of the caller's context, so the
+    job runs under the caller's numpy error state (a worker thread starts
+    from numpy's default one).  A job on the worker never hands off again:
+    the worker has one thread, which would wait on itself."""
+    return worker.submit(contextvars.copy_context().run, fn, *args)
+
+
+def split(worker, size: int, rows: int, part) -> None:
+    """``part(0, rows)``, made as ``part(0, cut)`` here and ``part(cut,
+    rows)`` on ``worker`` meanwhile when there is a worker, ``size`` (the
+    entries of the weight-shaped operand) is at least ``WIDE`` and ``rows``
+    at least ``2 * SPLIT_ROWS``; else whole, here.  ``cut`` is the multiple
+    of ``SPLIT_ROWS`` nearest ``rows / 2``, so each part holds at least 64
+    rows (a product of 1 to 4 rows takes other BLAS paths, with other bits).
+    A part here that raises waits for the worker's first, and its error wins.
+    """
+    if worker is None or size < WIDE or rows < 2 * SPLIT_ROWS:
+        part(0, rows)
+        return
+    cut = (rows + SPLIT_ROWS) // (2 * SPLIT_ROWS) * SPLIT_ROWS
+    pending = hand_off(worker, part, cut, rows)
+    try:
+        part(0, cut)
+    except BaseException:
+        pending.exception()
+        raise
+    pending.result()
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, size: int, worker) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` with its rows ``split`` by ``size``, the
+    entries of the layer's weight-shaped operand, to the whole product's
+    bits.  A product whose rows do not hold a multiple of 8 entries runs
+    whole: OpenBLAS gives some of its rows other bits when they are made
+    apart (a 256 x 300 product split at row 128 did, at one BLAS thread and
+    at two)."""
+    if out.shape[1] % 8:
+        worker = None
+    split(worker, size, a.shape[0], lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +464,9 @@ def _check_shapes(params: ParamSet, act: Activation, in_dim: int) -> None:
         expect = out if i == len(params.layers) - 1 else activation_width(act, out)
 
 
-def _forward(params: ParamSet, act: Activation, inputs: np.ndarray):
-    """Returns (logits, hidden preacts, per-layer inputs) for backprop reuse."""
+def _forward(params: ParamSet, act: Activation, inputs: np.ndarray, worker=None):
+    """Returns (logits, hidden preacts, per-layer inputs) for backprop reuse;
+    a wide layer's ``x @ W.T`` is ``split`` across ``worker``."""
     _check_shapes(params, act, inputs.shape[1])
     x = inputs
     preacts: list[np.ndarray] = []
@@ -407,7 +474,9 @@ def _forward(params: ParamSet, act: Activation, inputs: np.ndarray):
     last = len(params.layers) - 1
     for i, lay in enumerate(params.layers):
         layer_inputs.append(x)
-        z = x @ lay.weights.T + lay.bias
+        w = lay.weights
+        z = _matmul(x, w.T, np.empty((x.shape[0], w.shape[0])), w.size, worker)
+        z += lay.bias
         if i == last:
             return z, preacts, layer_inputs
         preacts.append(z)
@@ -453,11 +522,12 @@ class Sweep:
     grads: ParamSet  # the batch gradient, penalty included
 
 
-def _reverse_sweep(params: ParamSet, act: Activation, batch: Batch) -> Sweep:
+def _reverse_sweep(params: ParamSet, act: Activation, batch: Batch, worker=None) -> Sweep:
     """The forward pass, each layer's output gradient (last layer first) and
     the data loss's batch gradient, ``d^T x`` written straight into one
-    buffer.  The penalty is not in ``loss`` or ``grads`` yet."""
-    logits, preacts, layer_inputs = _forward(params, act, batch.inputs)
+    buffer.  A wide layer's ``x @ W.T`` and ``d^T x`` are ``split`` across
+    ``worker``.  The penalty is not in ``loss`` or ``grads`` yet."""
+    logits, preacts, layer_inputs = _forward(params, act, batch.inputs, worker)
     losses, probs = _softmax_stats(logits, batch.labels)
     B = batch.size
     d = probs.copy()  # the mean cross-entropy's slope (softmax - one-hot) / B
@@ -469,14 +539,11 @@ def _reverse_sweep(params: ParamSet, act: Activation, batch: Batch) -> Sweep:
         out_grads.insert(0, d)
     grads = params.like(np.empty(params.n_params))
     for x, d, g in zip(layer_inputs, out_grads, grads.layers):
-        np.matmul(d.T, x, out=g.weights)
+        _matmul(d.T, x, g.weights, g.weights.size, worker)
         np.sum(d, axis=0, out=g.bias)
     return Sweep(float(np.mean(losses)), logits, probs, layer_inputs, preacts, out_grads, grads)
 
 
-# A worker thread starts from numpy's default error state, so the job sets
-# loss_grad's own (see there).
-@np.errstate(over="ignore", invalid="ignore")
 def _penalty_job(params: ParamSet, reg: Regularizer) -> tuple[float, ParamSet]:
     """``regularizer_penalty`` into a buffer of ``-0.0``, the additive
     identity of every float, so its weights hold the penalty gradient's own
@@ -490,11 +557,13 @@ def _sweep_beside_penalty(
     """``_reverse_sweep`` and the penalty still to add to it: the future of a
     Wasserstein penalty made on ``worker`` meanwhile, or None, for the
     inline path, when there is no worker or no Wasserstein penalty (an L2
-    penalty costs less than the hand-off).  A sweep that raises waits for
-    the worker first."""
+    penalty costs less than the hand-off).  Otherwise the sweep splits its
+    wide layers across the worker.  A sweep beside the penalty does not,
+    since the worker is sorting then; one that raises waits for the worker
+    first."""
     if worker is None or reg.kind != "wasserstein" or reg.lam == 0.0:
-        return _reverse_sweep(params, act, batch), None
-    pending = worker.submit(_penalty_job, params, reg)
+        return _reverse_sweep(params, act, batch, worker), None
+    pending = hand_off(worker, _penalty_job, params, reg)
     try:
         return _reverse_sweep(params, act, batch), pending
     except BaseException:
@@ -528,7 +597,8 @@ def loss_grad(
     and everything the pass made on the way (see ``Sweep``).
 
     ``worker``, an executor with one thread, takes a Wasserstein penalty off
-    the sweep's thread; the result is the same to the bit.  Raises
+    the sweep's thread, or else half of each wide matmul (see ``split``);
+    the result is the same to the bit.  Raises
     NumericError on a non-finite loss.
     """
     sw, pending = _sweep_beside_penalty(params, act, batch, reg, worker)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .nn import GLOBAL_SCOPE, ParamSet, check_finite, zeros_like
+from .nn import GLOBAL_SCOPE, ParamSet, check_finite, split, zeros_like
 
 
 @dataclass
@@ -68,34 +68,43 @@ def init_adam(
     return AdamState(zeros_like(params), zeros_like(params), 0, beta1, beta2, eps, eta_map, work)
 
 
-def adam_step(state: AdamState, params: ParamSet, grads: ParamSet) -> None:
+def adam_step(state: AdamState, params: ParamSet, grads: ParamSet, worker=None) -> None:
     """One bias-corrected Adam update, each layer with its own base LR.
 
     L2 decay is not applied here; weight decay enters through the loss
     gradient.  Updates ``state`` and ``params`` in place.
     The update is eta * m_hat / (sqrt(v_hat) + eps), evaluated in that
     order in two scratch rows kept on ``state``, so the update allocates no
-    parameter-sized array.
+    parameter-sized array.  It is elementwise, so ``worker`` makes the
+    second half of a flat vector of at least ``nn.WIDE`` entries
+    (``nn.split``) to the same bits.
     """
     check_finite(grads, "non-finite gradient")
-    g = grads.vector
-    step, denom = state.work
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    m, v = state.m.vector, state.v.vector
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=step)
-    v *= state.beta2
-    np.square(g, out=step)
-    v += np.multiply(step, 1.0 - state.beta2, out=step)
-    np.divide(m, bc1, out=step)  # m_hat
-    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-    denom += state.eps
-    for lid, seg in params.slices().items():
-        step[seg] *= state.eta[lid]
-    step /= denom
-    params.vector -= step
+    segments = params.slices().items()
+
+    def update(lo: int, hi: int) -> None:
+        g = grads.vector[lo:hi]
+        step, denom = state.work[:, lo:hi]
+        m, v = state.m.vector[lo:hi], state.v.vector[lo:hi]
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=step)
+        v *= state.beta2
+        np.square(g, out=step)
+        v += np.multiply(step, 1.0 - state.beta2, out=step)
+        np.divide(m, bc1, out=step)  # m_hat
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += state.eps
+        for lid, seg in segments:  # each layer's rate on its part of [lo, hi)
+            start, stop = max(seg.start, lo), min(seg.stop, hi)
+            if start < stop:
+                step[start - lo : stop - lo] *= state.eta[lid]
+        step /= denom
+        params.vector[lo:hi] -= step
+
+    split(worker, params.n_params, params.n_params, update)
 
 
 def _scoped(v: ParamSet, scope: str) -> list[tuple[str, np.ndarray]]:

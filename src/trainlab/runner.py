@@ -7,8 +7,11 @@ each.  Metric probes fire at log intervals and, in scheduled mode, at the
 controller's own decision interval; every probe writes one record, so every
 decision is logged.  The training step is one ``nn.loss_grad`` pass, dropped
 once Adam and the accuracy have read it.  Each seed owns one worker thread,
-on which every pass of a Wasserstein run makes its penalty (see ``nn``); the
-seed closes it when it ends, also on an abort.  ``_probe`` takes a probe to its
+which the seed closes when it ends, also on an abort, and hands to every
+pass: the training step's ``loss_grad`` and ``adam_step`` and the probe's
+``probe_grads`` and ``top_eigenvalue``.  Every pass of a Wasserstein run
+makes its penalty there; every other pass makes half of each wide matmul
+and of Adam's update there (see ``nn.split``).  ``_probe`` takes a probe to its
 record's cells: one ``loss_grad`` pass (through ``probe_grads``) that every
 measurement reads (the factored per-layer gradient variance, the diagnostics
 and every R-op product of the Lanczos solve for the top Hessian eigenvalue),
@@ -213,7 +216,7 @@ def _probe(
     """
     pg = probe_grads(params, act, batch, reg, worker)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
-    eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep)
+    eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep, worker=worker)
     lam, grads = eig.lambda_max, pg.sweep.grads
     lam_bar = normalized_sharpness(lam, agg_step(state, GLOBAL_SCOPE))
     reports = []
@@ -289,7 +292,7 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
     result = SeedResult(seed, layer_ids, [], [])
     global_step = 0
     acc_sum, acc_n = 0.0, 0
-    # the thread that a Wasserstein penalty runs on beside the data pass (see nn.loss_grad)
+    # the thread that a Wasserstein penalty, or half of a wide pass, runs on (see nn.split)
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
             for task_i in range(cfg.stream.tasks):
@@ -303,7 +306,7 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
                     for batch in batches(base.inputs, labels, task_i, epoch, cfg.stream):
                         global_step += 1
                         sw = loss_grad(params, act, batch, reg, worker)
-                        adam_step(state, params, sw.grads)
+                        adam_step(state, params, sw.grads, worker)
                         acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
                         del sw  # the probe makes its own pass; holding this one too adds to the peak
                         acc_sum += acc

@@ -616,14 +616,20 @@ def test_cli_huge_finite_eta_is_a_numeric_abort(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("regularizer", REG_KINDS)
-def test_cli_numeric_abort_warns_nothing(tmp_path, regularizer):
+# fc1 of 512 x 128 = 2^16 weights on 128-row batches: the passes split across the worker
+WIDE_OVERRIDES = ["--model.regularizer=l2", "--stream.synthetic.d=512", "--model.hidden_width=128",
+                  "--stream.synthetic.n=128", "--stream.subsample_n=128", "--stream.batch_size=128"]
+
+
+@pytest.mark.parametrize("overrides", [[f"--model.regularizer={reg}"] for reg in REG_KINDS] + [WIDE_OVERRIDES],
+                         ids=[*REG_KINDS, "wide"])
+def test_cli_numeric_abort_warns_nothing(tmp_path, overrides):
     """With every warning an error (``python -W error``, here through
     PYTHONWARNINGS) the overflow still ends in the abort line and exit 3,
-    not in a RuntimeWarning traceback: also where the Wasserstein penalty
-    overflows on the run's worker thread."""
+    not in a RuntimeWarning traceback: also where the Wasserstein penalty,
+    or the half of a wide matmul, overflows on the run's worker thread."""
     args = ["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
-            "--optimizer.eta=1e308", f"--model.regularizer={regularizer}", "--model.reg_lambda=1e-3"]
+            "--optimizer.eta=1e308", "--model.reg_lambda=1e-3", *overrides]
     done = _run_subprocess(args, {"PYTHONWARNINGS": "error"})
     assert done.returncode == EXIT_NUMERIC, done.stderr
     assert done.stdout.startswith("seed 0: aborted: non-finite loss"), done.stdout

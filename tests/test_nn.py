@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from trainlab.curvature import CurvatureProbe, TopEigen, hvp, top_eigenvalue
 from trainlab.errors import ConfigError, NumericError
 from trainlab.metrics import minibatch_grad_variance
 from trainlab import nn
@@ -25,6 +26,7 @@ from trainlab.nn import (
     wasserstein_penalty,
     zeros_like,
 )
+from trainlab.optim import adam_step, init_adam
 from trainlab.tasks import StreamConfig, SyntheticSource, batches, load_source, prepare, task_labels
 
 from conftest import ACT_REG_CASES, ACTIVATIONS, make_batch, make_net, make_reg, rel_err, with_depths
@@ -521,7 +523,7 @@ def test_probe_grads_identical_samples_clamped_at_zero():
 
 
 # ---------------------------------------------------------------------------
-# the Wasserstein penalty on a worker thread
+# the worker thread: the Wasserstein penalty and the halves of wide passes
 
 
 @pytest.fixture
@@ -532,12 +534,18 @@ def worker():
 
 class RecordingWorker:
     """A worker that keeps each future it hands out; each job starts
-    ``delay_s`` late, so that a caller that does not wait for it returns first."""
+    ``delay_s`` late, so that a caller that does not wait for it returns
+    first.  A job submitted from any thread but the one that made this
+    worker fails: on a one-thread pool it would wait on itself."""
 
     def __init__(self, pool, delay_s=0.0):
         self.pool, self.futures, self.delay_s = pool, [], delay_s
+        self.caller = threading.current_thread()
 
     def submit(self, fn, *args):
+        if threading.current_thread() is not self.caller:
+            raise AssertionError(f"a job submitted from {threading.current_thread().name}")
+
         def late():
             time.sleep(self.delay_s)
             return fn(*args)
@@ -551,22 +559,64 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-def _outcome(fn, *args):
-    """What a pass gives, as bytes: its loss, gradient and any sigma^2, or its NumericError."""
+def _two_adam_steps(params, grads, worker):
+    """Two Adam steps from a fresh state on a copy of ``params``, each layer at
+    its own rate, as the bytes of the parameters and both moments."""
+    params = params.copy()
+    state = init_adam(params)
+    state.eta = {lid: 1e-3 * (i + 1) for i, lid in enumerate(params.layer_ids())}
+    for _ in range(2):
+        adam_step(state, params, grads, worker)
+    return _bits(params.vector) + _bits(state.m.vector) + _bits(state.v.vector)
+
+
+def _passes(params, act, batch, reg):
+    """Each pass that takes a worker, as a function of the worker."""
+    rng = np.random.default_rng(batch.size)
+    v = params.like(rng.normal(size=params.n_params))
+    grads = params.like(rng.normal(size=params.n_params))
+    probe = CurvatureProbe(power_iters=1, seed=batch.size)
+    return {
+        "loss_grad": lambda w: loss_grad(params, act, batch, reg, w),
+        "probe_grads": lambda w: probe_grads(params, act, batch, reg, w),
+        "hvp": lambda w: hvp(params, act, batch, reg, v, worker=w),
+        "top_eigenvalue": lambda w: top_eigenvalue(params, act, batch, reg, probe, worker=w),
+        "adam_step": lambda w: _two_adam_steps(params, grads, w),
+    }
+
+
+def _outcome(run, worker):
+    """What a pass gives, as bytes: its loss, gradient and any sigma^2, its
+    product, its eigenvalue, its Adam state, or its NumericError."""
     try:
-        out = fn(*args)
+        out = run(worker)
     except NumericError as err:
         return ("error", str(err), err.layer_id)
-    sigma_sq, sw = (list(out.sigma_sq.values()), out.sweep) if fn is probe_grads else ([], out)
+    if isinstance(out, bytes):
+        return out
+    if isinstance(out, ParamSet):
+        return _bits(out.vector)
+    if isinstance(out, TopEigen):
+        return _bits([out.lambda_max, out.residual]) + bytes([out.converged, out.iterations])
+    sigma_sq, sw = (list(out.sigma_sq.values()), out.sweep) if hasattr(out, "sigma_sq") else ([], out)
     return _bits(sigma_sq) + _bits(sw.loss) + _bits(sw.grads.vector)
 
 
-def _assert_worker_pass_is_inline(params, act, batch, reg, worker):
-    for fn in (loss_grad, probe_grads):
-        inline = _outcome(fn, params, act, batch, reg)
+def _assert_worker_pass_is_inline(params, act, batch, reg, worker, skip=()) -> dict[str, int]:
+    """Every pass but those named in ``skip`` gives the same bytes with a
+    worker as without one, waits for each job it hands off, and hands them
+    off from the caller's thread alone; returns the number of jobs each pass
+    made."""
+    jobs = {}
+    for name, run in _passes(params, act, batch, reg).items():
+        if name in skip:
+            continue
+        inline = _outcome(run, None)
         recording = RecordingWorker(worker)
-        assert _outcome(fn, params, act, batch, reg, recording) == inline, fn.__name__
-        assert all(f.done() for f in recording.futures)
+        assert _outcome(run, recording) == inline, name
+        assert all(f.done() for f in recording.futures), name
+        jobs[name] = len(recording.futures)
+    return jobs
 
 
 @pytest.mark.parametrize("act, reg_kind, hidden", with_depths(ACT_REG_CASES))
@@ -574,6 +624,48 @@ def test_worker_pass_is_the_inline_pass_bit_for_bit(worker, act, reg_kind, hidde
     params = make_net(5, hidden, 4, act, seed=21)
     batch = make_batch(5, 4, 9, seed=21)
     _assert_worker_pass_is_inline(params, act, batch, make_reg(reg_kind, params, perturb_seed=21), worker)
+
+
+# the MNIST protocol's batch and its tail batch (8 rows), a 1000-row subsample's tail (232), and
+# the sizes about one and two multiples of nn.SPLIT_ROWS
+SPLIT_BATCHES = (1, 8, 63, 64, 65, 128, 129, 208, 232, 256)
+# the MNIST protocol's net, and three wide hidden layers whose 300 units make
+# products with rows of a length that is not a multiple of 8
+WIDE_NETS = {"784-256-10": (784, 256), "256-256-300-256-10": (256, (256, 300, 256))}
+
+
+@pytest.mark.parametrize("act, reg_kind, net", [
+    pytest.param(*values, net, id=f"{case_id}-{net}") for net in WIDE_NETS for case_id, values in ACT_REG_CASES
+])
+def test_wide_passes_split_to_the_inline_bits(worker, act, reg_kind, net):
+    """With a worker, every pass of a wide net gives the inline bytes (Adam's,
+    which reads no batch, at one size).  At 256 rows every pass splits, and
+    Adam hands off one job a step; a sweep beside a Wasserstein penalty stays
+    whole."""
+    d, hidden = WIDE_NETS[net]
+    params = make_net(d, hidden, 10, act, seed=25)
+    reg = make_reg(reg_kind, params, perturb_seed=25)
+    penalty = int(reg_kind == "wasserstein")
+    for B in SPLIT_BATCHES:
+        batch = make_batch(d, 10, B, seed=B)
+        jobs = _assert_worker_pass_is_inline(params, act, batch, reg, worker, () if B == 256 else ("adam_step",))
+    # the jobs at B = 256, the last size
+    assert jobs["adam_step"] == 2
+    assert jobs["hvp"] > penalty and jobs["top_eigenvalue"] > penalty
+    assert jobs["loss_grad"] == jobs["probe_grads"] > 0
+    assert penalty == 0 or jobs["loss_grad"] == 1
+
+
+def test_a_narrow_matmul_makes_no_worker_job(worker):
+    """A first layer of 255 x 256 weights (WIDE - 256 entries) makes no job; of
+    256 x 256 (WIDE), its ``x @ W.T`` and its ``d^T x`` make one each; of 300
+    x 256, only ``d^T x``, since the rows of ``x @ W.T`` hold 300 entries."""
+    act = Activation("relu")
+    batch = make_batch(256, 10, 256, seed=26)
+    for width, jobs in ((255, 0), (256, 2), (300, 1)):
+        recording = RecordingWorker(worker)
+        loss_grad(make_net(256, width, 10, act, seed=26), act, batch, NONE, recording)
+        assert len(recording.futures) == jobs, width
 
 
 @pytest.mark.parametrize("case", sorted(_tie_cases()))

@@ -209,11 +209,11 @@ def test_numeric_abort_partial_log_other_seeds_continue(monkeypatch, tmp_path):
     real_step = runner_mod.adam_step
     tripped = {"done": False}
 
-    def sabotaged(state, params, grads):
+    def sabotaged(state, params, grads, worker=None):
         if not tripped["done"] and state.t == 2:
             tripped["done"] = True
             raise NumericError("synthetic blow-up", layer_id="fc1")
-        return real_step(state, params, grads)
+        return real_step(state, params, grads, worker)
 
     monkeypatch.setattr(runner_mod, "adam_step", sabotaged)
     cfg_path, out = tmp_path / "cfg.txt", tmp_path / "out"
@@ -321,25 +321,67 @@ def test_warming_into_eta_max_is_flagged_clamped():
     assert res.final_state.eta["fc1"] == 1e-3
 
 
-@pytest.mark.parametrize("eta", [1e-3, 1e308], ids=["completed", "aborted"])
-def test_run_seed_leaves_no_thread_behind(monkeypatch, eta):
-    """A Wasserstein seed's penalty runs on a thread of its own, which the
-    seed closes when it ends, also when it aborts."""
-    penalty_threads = set()
-    real = nn_mod.regularizer_penalty
+def wide_config(**kw):
+    """A 2-task L2 run whose first layer holds nn.WIDE weights (512 -> 128) on
+    128-row batches, so that its wide passes split across the seed's worker."""
+    stream = StreamConfig(source=SyntheticSource(n=256, d=512, classes=10, seed=0), subsample_n=256,
+                          tasks=2, epochs_per_task=2, batch_size=128, base_seed=5)
+    model = ModelConfig(hidden_width=128, activation=Activation("relu"), regularizer="l2", reg_lambda=1e-3)
+    return tiny_config(stream=stream, model=model, **kw)
 
-    def recording(*args, **kwargs):
-        penalty_threads.add(threading.current_thread())
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(nn_mod, "regularizer_penalty", recording)
-    model = ModelConfig(hidden_width=8, activation=Activation("crelu"), regularizer="wasserstein",
-                        reg_lambda=1e-2)
+def _recording_hand_offs(monkeypatch):
+    """The threads that the jobs handed to a worker ran on, one entry a job."""
+    threads = []
+    real = nn_mod.hand_off
+
+    def recording(worker, fn, *args):
+        def job(*args):
+            threads.append(threading.current_thread())
+            return fn(*args)
+
+        return real(worker, job, *args)
+
+    monkeypatch.setattr(nn_mod, "hand_off", recording)
+    return threads
+
+
+@pytest.mark.parametrize("eta, wide", [(1e-3, False), (1e308, False), (1e-3, True), (1e308, True)],
+                         ids=["completed", "aborted", "wide-completed", "wide-aborted"])
+def test_run_seed_leaves_no_thread_behind(monkeypatch, eta, wide):
+    """A Wasserstein seed's penalty, and the halves of a wide L2 seed's
+    passes, run on a thread of their own, which the seed closes when it
+    ends, also when it aborts."""
+    job_threads = _recording_hand_offs(monkeypatch)
+    if wide:
+        cfg = wide_config(optimizer=OptimConfig(eta=eta))
+    else:
+        model = ModelConfig(hidden_width=8, activation=Activation("crelu"), regularizer="wasserstein",
+                            reg_lambda=1e-2)
+        cfg = tiny_config(model=model, optimizer=OptimConfig(eta=eta))
     before = threading.enumerate()
-    res = run_seed(tiny_config(model=model, optimizer=OptimConfig(eta=eta)), seed=0)
+    res = run_seed(cfg, seed=0)
     assert res.aborted == (eta == 1e308)
-    assert penalty_threads and threading.main_thread() not in penalty_threads
+    assert job_threads and threading.main_thread() not in job_threads
     assert threading.enumerate() == before
+
+
+def test_a_wide_run_logs_the_bytes_of_an_unsplit_one(monkeypatch, tmp_path):
+    """A wide scheduled L2 run hands work to its worker and writes the log, to
+    the byte, that the same run writes with nn.WIDE out of reach (no split)."""
+    cfg = wide_config(mode="scheduled", interval_k=2)
+    job_threads = _recording_hand_offs(monkeypatch)
+    logs, final = [], []
+    for wide in (nn_mod.WIDE, 2**62):
+        monkeypatch.setattr(nn_mod, "WIDE", wide)
+        job_threads.clear()
+        res = run_seed(cfg, seed=0)
+        assert not res.aborted and bool(job_threads) == (wide == 2**16)
+        path = tmp_path / f"metrics_{wide}.csv"
+        write_log(res.records, res.layer_ids, path)
+        logs.append(path.read_bytes())
+        final.append(res.final_params.vector.tobytes() + res.final_state.v.vector.tobytes())
+    assert logs[0] == logs[1] and final[0] == final[1]
 
 
 def _probe_inputs(cfg, reg_kind="l2"):
