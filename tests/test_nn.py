@@ -15,6 +15,7 @@ from trainlab.nn import (
     Batch,
     Layer,
     ParamSet,
+    ProbeGrads,
     Regularizer,
     crelu_apply,
     forward,
@@ -598,7 +599,7 @@ def _outcome(run, worker):
         return _bits(out.vector)
     if isinstance(out, TopEigen):
         return _bits([out.lambda_max, out.residual]) + bytes([out.converged, out.iterations])
-    sigma_sq, sw = (list(out.sigma_sq.values()), out.sweep) if hasattr(out, "sigma_sq") else ([], out)
+    sigma_sq, sw = (list(out.sigma_sq.values()), out.sweep) if isinstance(out, ProbeGrads) else ([], out)
     return _bits(sigma_sq) + _bits(sw.loss) + _bits(sw.grads.vector)
 
 
