@@ -27,7 +27,8 @@ import numpy as np
 from .config import build_run_config, config_lines, parse_config_text
 from .errors import ConfigError, NumericError, TrainlabError
 from .runner import (
-    format_accuracy, format_summary, read_log, read_text, run_seed, summarize, write_log, write_text,
+    BLAS_THREAD_VARS, format_accuracy, format_summary, read_log, read_text, run_seed, summarize,
+    write_log, write_text,
 )
 from .tasks import load_source, prepare
 
@@ -36,7 +37,6 @@ _OVERRIDE_RE = re.compile(r"^--([A-Za-z0-9_.]+)=(.*)$")
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -33,6 +33,9 @@ split, also because a split of the 10-wide read-out's rows (a 128-row
 batch at 64/64) changed bits.  With no free core the two parts run one
 after the other, and a split costs its hand-off on top of the whole
 product: pinned to one core, a 784-256-10 run was as fast as unsplit.
+Nor does a split pay where BLAS runs threads of its own, which take the
+free core first, so ``runner`` gives the split passes its worker only at
+one BLAS thread.
 
 Conventions:
   - weights are stored ``(out, in)``; a layer computes ``x @ W.T + b``;
@@ -43,7 +46,6 @@ Conventions:
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,11 +68,17 @@ SPLIT_ROWS = 64
 
 
 def hand_off(worker, fn, *args):
-    """``worker.submit(fn, *args)`` in a copy of the caller's context, so the
-    job runs under the caller's numpy error state (a worker thread starts
-    from numpy's default one).  A job on the worker never hands off again:
-    the worker has one thread, which would wait on itself."""
-    return worker.submit(contextvars.copy_context().run, fn, *args)
+    """``worker.submit(fn, *args)``, the job run under the caller's numpy
+    error state, read here (a worker thread starts from numpy's default one;
+    the state is a context variable from numpy 2.0 on and per thread
+    before).  A job on the worker never hands off again: the worker has one
+    thread, which would wait on itself."""
+    return worker.submit(_under_errstate, np.geterr(), np.geterrcall(), fn, *args)
+
+
+def _under_errstate(err: dict, call, fn, *args):
+    with np.errstate(call=call, **err):
+        return fn(*args)
 
 
 def split(worker, size: int, rows: int, part) -> None:
@@ -544,6 +552,12 @@ def _reverse_sweep(params: ParamSet, act: Activation, batch: Batch, worker=None)
     return Sweep(float(np.mean(losses)), logits, probs, layer_inputs, preacts, out_grads, grads)
 
 
+def penalty_on_worker(reg: Regularizer) -> bool:
+    """Whether a pass given a worker makes ``reg``'s penalty there: a
+    Wasserstein penalty does; an L2 penalty costs less than the hand-off."""
+    return reg.kind == "wasserstein" and reg.lam != 0.0
+
+
 def _penalty_job(params: ParamSet, reg: Regularizer) -> tuple[float, ParamSet]:
     """``regularizer_penalty`` into a buffer of ``-0.0``, the additive
     identity of every float, so its weights hold the penalty gradient's own
@@ -561,7 +575,7 @@ def _sweep_beside_penalty(
     wide layers across the worker.  A sweep beside the penalty does not,
     since the worker is sorting then; one that raises waits for the worker
     first."""
-    if worker is None or reg.kind != "wasserstein" or reg.lam == 0.0:
+    if worker is None or not penalty_on_worker(reg):
         return _reverse_sweep(params, act, batch, worker), None
     pending = hand_off(worker, _penalty_job, params, reg)
     try:

@@ -7,11 +7,12 @@ each.  Metric probes fire at log intervals and, in scheduled mode, at the
 controller's own decision interval; every probe writes one record, so every
 decision is logged.  The training step is one ``nn.loss_grad`` pass, dropped
 once Adam and the accuracy have read it.  Each seed owns one worker thread,
-which the seed closes when it ends, also on an abort, and hands to every
-pass: the training step's ``loss_grad`` and ``adam_step`` and the probe's
-``probe_grads`` and ``top_eigenvalue``.  Every pass of a Wasserstein run
-makes its penalty there; every other pass makes half of each wide matmul
-and of Adam's update there (see ``nn.split``).  ``_probe`` takes a probe to its
+which the seed closes when it ends, also on an abort.  A Wasserstein run's
+``loss_grad`` and ``probe_grads`` make their penalty there.  At one BLAS
+thread (``one_blas_thread``) every pass, ``adam_step`` and
+``top_eigenvalue`` too, makes half of each wide matmul and of Adam's update
+there (see ``nn.split``); with more, BLAS's own threads take the free core,
+and a pass gets the worker for its penalty alone.  ``_probe`` takes a probe to its
 record's cells: one ``loss_grad`` pass (through ``probe_grads``) that every
 measurement reads (the factored per-layer gradient variance, the diagnostics
 and every R-op product of the Lanczos solve for the top Hessian eigenvalue),
@@ -38,6 +39,7 @@ header departs from that schema.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import astuple, dataclass, field, fields
 from itertools import zip_longest
 from typing import Sequence
@@ -63,6 +65,7 @@ from .nn import (
     check_regularizer,
     init_mlp,
     loss_grad,
+    penalty_on_worker,
     probe_grads,
 )
 from .optim import AdamState, OptimConfig, adam_step, agg_step, effective_step, init_adam
@@ -75,6 +78,7 @@ from .metrics import minibatch_grad_variance  # noqa: F401
 from .nn import forward, mean_params, per_sample_grads  # noqa: F401
 
 MODES = ("vanilla", "reset", "scheduled")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ABSENT = "-"
 
 
@@ -204,7 +208,7 @@ def build_regularizer(model: ModelConfig, init_snapshot: ParamSet) -> Regularize
 
 def _probe(
     cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state, windows,
-    *, is_decide: bool, total_steps: int, worker=None,
+    *, is_decide: bool, total_steps: int, worker=None, split_worker=None,
 ) -> dict:
     """One probe at ``step``, taken to its record: every ``MetricRecord``
     field from ``lambda_max`` on, as keyword arguments.
@@ -213,10 +217,12 @@ def _probe(
     diagnostics.  Every global cell and every report reads the state as the
     probe found it.  On a decision step the controller then acts on the
     reports, and each layer's ``eta`` and ``decision`` cells read its result.
+    ``worker`` goes to the noise pass and ``split_worker`` to the eigensolve
+    (see ``run_seed``).
     """
     pg = probe_grads(params, act, batch, reg, worker)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
-    eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep, worker=worker)
+    eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep, worker=split_worker)
     lam, grads = eig.lambda_max, pg.sweep.grads
     lam_bar = normalized_sharpness(lam, agg_step(state, GLOBAL_SCOPE))
     reports = []
@@ -273,6 +279,13 @@ def _fresh_windows(cfg: RunConfig, layer_ids) -> dict[str, WindowStats]:
     return {lid: WindowStats(capacity=cfg.window, ema_decay=cfg.ema_decay) for lid in layer_ids}
 
 
+def one_blas_thread() -> bool:
+    """Whether the BLAS thread variables read 1: one of ``BLAS_THREAD_VARS``
+    is set, and every one that is set reads 1."""
+    values = [os.environ[var].strip() for var in BLAS_THREAD_VARS if var in os.environ]
+    return bool(values) and all(v == "1" for v in values)
+
+
 def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> SeedResult:
     # about 6 ms to import, so only a run pays it
     from concurrent.futures import ThreadPoolExecutor
@@ -292,8 +305,11 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
     result = SeedResult(seed, layer_ids, [], [])
     global_step = 0
     acc_sum, acc_n = 0.0, 0
-    # the thread that a Wasserstein penalty, or half of a wide pass, runs on (see nn.split)
+    # the thread that a Wasserstein penalty, or at one BLAS thread half of a wide pass, runs on
+    # (see nn.split)
     with ThreadPoolExecutor(max_workers=1) as worker:
+        split_worker = worker if one_blas_thread() else None
+        pass_worker = worker if penalty_on_worker(reg) else split_worker
         try:
             for task_i in range(cfg.stream.tasks):
                 if task_i == 0 or cfg.mode == "reset":  # a reset task starts as the first one does
@@ -305,8 +321,8 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
                     ep_sum = 0.0
                     for batch in batches(base.inputs, labels, task_i, epoch, cfg.stream):
                         global_step += 1
-                        sw = loss_grad(params, act, batch, reg, worker)
-                        adam_step(state, params, sw.grads, worker)
+                        sw = loss_grad(params, act, batch, reg, pass_worker)
+                        adam_step(state, params, sw.grads, split_worker)
                         acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
                         del sw  # the probe makes its own pass; holding this one too adds to the peak
                         acc_sum += acc
@@ -317,7 +333,7 @@ def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> Seed
                         if is_decide or global_step % cfg.log_interval == 0:
                             cells = _probe(cfg, seed, global_step, params, act, batch, reg, state,
                                            windows, is_decide=is_decide, total_steps=total_steps,
-                                           worker=worker)
+                                           worker=pass_worker, split_worker=split_worker)
                             result.records.append(
                                 MetricRecord(seed, task_i, epoch, global_step, acc_sum / acc_n, **cells)
                             )

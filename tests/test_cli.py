@@ -9,6 +9,7 @@ import pytest
 
 import trainlab.cli as cli_mod
 from trainlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from trainlab.runner import BLAS_THREAD_VARS
 from trainlab.config import KEYS, build_run_config, config_lines, parse_config_text
 from trainlab.errors import ConfigError
 from trainlab.runner import SeedResult, log_columns, read_log
@@ -412,8 +413,8 @@ def test_cli_run_refuses_an_out_dir_that_holds_a_run(tmp_path):
 
 
 def _run_subprocess(args, env_extra=None):
-    """``python -m trainlab.cli *args`` with one BLAS thread."""
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    """``python -m trainlab.cli *args`` with every BLAS thread variable at 1."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), **dict.fromkeys(BLAS_THREAD_VARS, "1")}
     env.update(env_extra or {})
     cmd = [sys.executable, "-m", "trainlab.cli", *args]
     return subprocess.run(cmd, env=env, capture_output=True, text=True)
@@ -616,7 +617,8 @@ def test_cli_huge_finite_eta_is_a_numeric_abort(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().out
 
 
-# fc1 of 512 x 128 = 2^16 weights on 128-row batches: the passes split across the worker
+# fc1 of 512 x 128 = 2^16 weights on 128-row batches: at one BLAS thread the passes split across
+# the worker
 WIDE_OVERRIDES = ["--model.regularizer=l2", "--stream.synthetic.d=512", "--model.hidden_width=128",
                   "--stream.synthetic.n=128", "--stream.subsample_n=128", "--stream.batch_size=128"]
 

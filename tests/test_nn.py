@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -714,6 +715,22 @@ def test_worker_takes_the_wasserstein_penalty_alone(worker, monkeypatch):
             fn(params, act, batch, reg, recording_worker)
             assert len(recording_worker.futures) == threaded, (reg_kind, lam, fn.__name__)
             assert threads == [worker_thread if threaded else threading.main_thread()]
+
+
+def test_hand_off_runs_its_job_under_the_callers_error_state(worker):
+    """The error state in force where a job is handed off, not the worker
+    thread's default one: an overflow raises under ``over="raise"``, and
+    warns nothing under ``over="ignore"``, though both settings are left
+    before the job runs."""
+    with np.errstate(over="raise"):
+        raising = nn.hand_off(worker, np.multiply, 1e308, 10.0)
+    with pytest.raises(FloatingPointError):
+        raising.result(timeout=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            quiet = nn.hand_off(worker, np.multiply, 1e308, 10.0)
+        assert quiet.result(timeout=10) == np.inf
 
 
 def test_worker_and_sweep_errors_reach_the_caller(worker):

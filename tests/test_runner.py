@@ -330,30 +330,49 @@ def wide_config(**kw):
     return tiny_config(stream=stream, model=model, **kw)
 
 
+def _one_blas_thread(monkeypatch, value="1"):
+    """Every BLAS thread variable set to ``value`` (deleted for None), as
+    ``runner.one_blas_thread`` reads them."""
+    for var in runner_mod.BLAS_THREAD_VARS:
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+
 def _recording_hand_offs(monkeypatch):
-    """The threads that the jobs handed to a worker ran on, one entry a job."""
-    threads = []
+    """Each job handed to a worker, as (its function's name, the thread it ran on)."""
+    jobs = []
     real = nn_mod.hand_off
 
     def recording(worker, fn, *args):
         def job(*args):
-            threads.append(threading.current_thread())
+            jobs.append((fn.__qualname__, threading.current_thread()))
             return fn(*args)
 
         return real(worker, job, *args)
 
     monkeypatch.setattr(nn_mod, "hand_off", recording)
-    return threads
+    return jobs
 
 
 @pytest.mark.parametrize("eta, wide", [(1e-3, False), (1e308, False), (1e-3, True), (1e308, True)],
                          ids=["completed", "aborted", "wide-completed", "wide-aborted"])
 def test_run_seed_leaves_no_thread_behind(monkeypatch, eta, wide):
-    """A Wasserstein seed's penalty, and the halves of a wide L2 seed's
-    passes, run on a thread of their own, which the seed closes when it
-    ends, also when it aborts."""
-    job_threads = _recording_hand_offs(monkeypatch)
+    """A Wasserstein seed's every penalty runs on a thread of its own, as do,
+    at one BLAS thread, half of a wide L2 seed's passes, Adam's update among
+    them; the seed closes that thread when it ends, also when it aborts."""
+    penalty_threads = set()
+    real = nn_mod.regularizer_penalty
+
+    def recording(*args, **kwargs):
+        penalty_threads.add(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn_mod, "regularizer_penalty", recording)
+    jobs = _recording_hand_offs(monkeypatch)
     if wide:
+        _one_blas_thread(monkeypatch)
         cfg = wide_config(optimizer=OptimConfig(eta=eta))
     else:
         model = ModelConfig(hidden_width=8, activation=Activation("crelu"), regularizer="wasserstein",
@@ -362,21 +381,69 @@ def test_run_seed_leaves_no_thread_behind(monkeypatch, eta, wide):
     before = threading.enumerate()
     res = run_seed(cfg, seed=0)
     assert res.aborted == (eta == 1e308)
-    assert job_threads and threading.main_thread() not in job_threads
+    if wide:
+        names, threads = {name for name, _ in jobs}, {thread for _, thread in jobs}
+        assert "adam_step.<locals>.update" in names and "_matmul.<locals>.<lambda>" in names
+        assert threads and threading.main_thread() not in threads
+    else:
+        assert penalty_threads and threading.main_thread() not in penalty_threads
     assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("blas", [None, "1", "2"], ids=["unset", "one", "two"])
+@pytest.mark.parametrize("reg_kind", ["l2", "wasserstein"])
+def test_run_seed_splits_only_at_one_blas_thread(monkeypatch, blas, reg_kind):
+    """Each pass of a seed gets its worker where it puts it to use: a
+    Wasserstein pass for its penalty, and every pass for its wide halves at
+    one BLAS thread alone, since more BLAS threads take the free core."""
+    _one_blas_thread(monkeypatch, blas)
+    got = {}
+    for name in ("loss_grad", "probe_grads", "adam_step", "top_eigenvalue"):
+        real = getattr(runner_mod, name)
+
+        def recording(*args, _real=real, _name=name, **kwargs):
+            worker = kwargs["worker"] if "worker" in kwargs else args[-1]
+            got.setdefault(_name, set()).add(worker is not None)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, name, recording)
+    model = ModelConfig(hidden_width=8, activation=Activation("relu"), regularizer=reg_kind,
+                        reg_lambda=1e-2)
+    run_seed(tiny_config(model=model, mode="scheduled"), seed=0)
+    splits = blas == "1"
+    assert got == {"loss_grad": {splits or reg_kind == "wasserstein"},
+                   "probe_grads": {splits or reg_kind == "wasserstein"},
+                   "adam_step": {splits}, "top_eigenvalue": {splits}}
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": " 1 "}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OPENBLAS_NUM_THREADS": ""}, False),
+])
+def test_one_blas_thread_reads_every_blas_thread_variable(monkeypatch, env, expected):
+    _one_blas_thread(monkeypatch, None)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert runner_mod.one_blas_thread() == expected
 
 
 def test_a_wide_run_logs_the_bytes_of_an_unsplit_one(monkeypatch, tmp_path):
     """A wide scheduled L2 run hands work to its worker and writes the log, to
     the byte, that the same run writes with nn.WIDE out of reach (no split)."""
+    _one_blas_thread(monkeypatch)
     cfg = wide_config(mode="scheduled", interval_k=2)
-    job_threads = _recording_hand_offs(monkeypatch)
+    jobs = _recording_hand_offs(monkeypatch)
     logs, final = [], []
     for wide in (nn_mod.WIDE, 2**62):
         monkeypatch.setattr(nn_mod, "WIDE", wide)
-        job_threads.clear()
+        jobs.clear()
         res = run_seed(cfg, seed=0)
-        assert not res.aborted and bool(job_threads) == (wide == 2**16)
+        assert not res.aborted and bool(jobs) == (wide == 2**16)
         path = tmp_path / f"metrics_{wide}.csv"
         write_log(res.records, res.layer_ids, path)
         logs.append(path.read_bytes())
