@@ -77,13 +77,17 @@ def hvp(
     v: ParamSet,
     base: Sweep | None = None,
     worker=None,
+    out: ParamSet | None = None,
 ) -> ParamSet:
-    """H @ v for the Hessian of the full (loss + regularizer) objective.
+    """H @ v for the Hessian of the full (loss + regularizer) objective,
+    written into ``out`` (laid out as ``v``; a new ParamSet when not given),
+    which is returned.
 
     ``base`` is ``loss_grad(params, act, batch, reg, worker)``, built here
-    when not given.  The product takes its layout from ``v`` and reads the
-    first layer's weights only for its penalty curvature, so the
-    ``row_space`` base and layout give the product in the batch's row space.
+    when not given, and every product reads its activation masks.  The
+    product takes its layout from ``v`` and reads the first layer's weights
+    only for its penalty curvature, so the ``row_space`` base and layout
+    give the product in the batch's row space.
     A layer whose direction ``dW`` holds at least ``nn.WIDE`` entries splits
     its ``X @ dW^T`` and ``rd^T X`` across ``worker`` (``nn.split``), to the
     same bits.
@@ -102,12 +106,13 @@ def hvp(
         if r_inputs[i] is not None:
             rz += r_inputs[i] @ lay.weights.T
         if i < last:
-            r_inputs.append(_act_tangent(act, base.preacts[i], rz))
+            r_inputs.append(_act_tangent(act, base.masks[i], rz))
     # tangent of the mean cross-entropy's slope (softmax - one-hot) / B
     p = base.probs
     rd = p * (rz - np.sum(p * rz, axis=1, keepdims=True)) / p.shape[0]
     # R-backward: phi'' = 0, so each layer's output-gradient tangent is linear in rd
-    out = v.like(np.empty(v.n_params))
+    if out is None:
+        out = v.like(np.empty(v.n_params))
     for i in range(last, -1, -1):
         lay, dv, o = params.layers[i], v.layers[i], out.layers[i]
         _matmul(rd.T, base.layer_inputs[i], o.weights, o.weights.size, worker)
@@ -119,7 +124,7 @@ def hvp(
         np.sum(rd, axis=0, out=o.bias)
         if i > 0:
             r_dx = rd @ lay.weights + base.out_grads[i] @ dv.weights
-            rd = _act_backward(act, base.preacts[i - 1], r_dx)
+            rd = _act_backward(act, base.masks[i - 1], r_dx)
     check_finite(out, "non-finite Hessian-vector product")
     return out
 
@@ -135,11 +140,18 @@ def _top_ritz(alphas: list[float], betas: list[float]) -> tuple[float, float, fl
     """The largest-magnitude eigenvalue of the Lanczos tridiagonal matrix, the
     last entry of its unit eigenvector, and its distance to the nearest other
     eigenvalue (0 when it is the only one)."""
-    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    k = len(alphas)
+    T = np.zeros((k, k))
+    # each entry as np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1) sums it: a
+    # diagonal -0.0 plus 0.0 reads 0.0, and a beta is > 0, so plus 0.0 it is itself
+    T.flat[:: k + 1] = np.add(alphas, 0.0)
+    T.flat[1 :: k + 1] = betas
+    T.flat[k :: k + 1] = betas
     evals, evecs = np.linalg.eigh(T)
     j = int(np.argmax(np.abs(evals)))
-    others = np.delete(evals, j)
-    gap = float(np.min(np.abs(others - evals[j]))) if others.size else 0.0
+    dist = np.abs(evals - evals[j])
+    dist[j] = np.inf  # the distance to each other eigenvalue
+    gap = float(dist.min()) if k > 1 else 0.0
     return float(evals[j]), float(evecs[-1, j]), gap
 
 
@@ -184,7 +196,8 @@ def top_eigenvalue(
     |theta| * min(|theta|, gap)``, which also keeps the residual within
     ``sqrt(probe.tol) * |theta|``, or when ``beta_k`` is 0 (an invariant
     subspace, as for a zero Hessian).
-    Only the last two Lanczos vectors are kept.  Every product reads
+    Only the last two Lanczos vectors are kept, and with the next product
+    they take turns in three buffers.  Every product reads
     ``base`` (``loss_grad`` at ``params``), built here when not given, and
     splits its wide matmuls across ``worker`` as ``hvp`` does.
 
@@ -198,18 +211,19 @@ def top_eigenvalue(
     layout, base = row_space(params, base)
     c1 = _penalty_curvature(reg, params.layers[0]) if layout.n_params < params.n_params else 0.0
     rng = np.random.default_rng(probe.seed)
-    v = rng.standard_normal(layout.n_params)
-    v /= np.linalg.norm(v)
-    v_prev = np.zeros_like(v)
+    v = layout.like(rng.standard_normal(layout.n_params))
+    v.vector /= np.linalg.norm(v.vector)
+    v_prev = layout.like(np.zeros(layout.n_params))
+    free = layout.like(np.empty(layout.n_params))  # the buffer the next product is written into
     alphas: list[float] = []
     betas: list[float] = []
     beta = 0.0
     for k in range(1, probe.power_iters + 1):
-        w = hvp(params, act, batch, reg, layout.like(v), base, worker).vector
-        alpha = float(v @ w)
-        w -= alpha * v
-        w -= beta * v_prev
-        beta = float(np.linalg.norm(w))
+        w = hvp(params, act, batch, reg, v, base, worker, out=free)
+        alpha = float(v.vector @ w.vector)
+        w.vector -= alpha * v.vector
+        w.vector -= beta * v_prev.vector
+        beta = float(np.linalg.norm(w.vector))
         alphas.append(alpha)
         theta, s_last, gap = _top_ritz(alphas, betas)
         residual = abs(beta * s_last)
@@ -217,8 +231,8 @@ def top_eigenvalue(
         if converged:
             break
         betas.append(beta)
-        w /= beta
-        v_prev, v = v, w
+        w.vector /= beta
+        v_prev, v, free = v, w, v_prev
     if abs(theta) < c1:
         return TopEigen(c1, converged, k, 0.0)
     return TopEigen(theta, converged, k, residual)

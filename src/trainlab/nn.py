@@ -16,11 +16,13 @@ pass per sample, and ``mean_params``) are kept as test oracles for it and
 are not on the run path; ``_reverse_sweep`` is the one backward pass.
 
 A worker (an executor with one thread) takes work off the caller's thread
-in two ways, both to the inline path's bits and both through ``hand_off``,
-which carries the caller's numpy error state.  The Wasserstein penalty
-reads the parameters alone, never the batch, so ``loss_grad`` and
-``probe_grads`` make it there while the caller's thread runs the sweep,
-since numpy's sort releases the GIL, then add it as the inline path does.
+in two ways here, both to the inline path's bits and both through
+``hand_off``, which carries the caller's numpy error state; ``runner``
+hands it a seed's whole probes instead where neither way applies.  The
+Wasserstein penalty reads the parameters alone, never the batch, so
+``loss_grad`` and ``probe_grads`` make it there while the caller's thread
+runs the sweep, since numpy's sort releases the GIL, then add it as the
+inline path does.
 An L2 penalty, or none, is cheaper than the hand-off and stays inline, and
 then the sweep's wide matmuls are ``split``: for a layer whose weights hold
 at least ``WIDE`` = 2^16 entries, the worker makes the rows of its ``x @
@@ -278,27 +280,42 @@ def _act_forward(act: Activation, z: np.ndarray) -> np.ndarray:
     return z  # linear
 
 
-def _act_backward(act: Activation, z: np.ndarray, dh: np.ndarray) -> np.ndarray:
+def _act_mask(act: Activation, z: np.ndarray):
+    """What the activation's Jacobian at ``z`` reads of ``z``: the mask ``z >
+    0`` (ReLU), the slope ``phi'(z)`` (leaky ReLU), the masks ``z > 0`` and
+    ``z < 0`` (CReLU), or None (linear)."""
     if act.kind == "relu":
-        return dh * (z > 0.0)
+        return z > 0.0
     if act.kind == "leaky_relu":
-        return dh * np.where(z > 0.0, 1.0, act.slope)
+        return np.where(z > 0.0, 1.0, act.slope)
     if act.kind == "crelu":
-        n = z.shape[-1]
-        return dh[..., :n] * (z > 0.0) - dh[..., n:] * (z < 0.0)
-    return dh
+        return z > 0.0, z < 0.0
+    return None
 
 
-def _act_tangent(act: Activation, z: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """The activation's directional derivative at ``z`` along ``dz`` (phi'(z) dz).
+def _act_backward(act: Activation, mask, dh: np.ndarray) -> np.ndarray:
+    """The backward pass through the activation whose ``_act_mask`` is ``mask``."""
+    if act.kind == "crelu":
+        pos, neg = mask
+        n = pos.shape[-1]
+        return dh[..., :n] * pos - dh[..., n:] * neg
+    if mask is None:
+        return dh
+    return dh * mask
+
+
+def _act_tangent(act: Activation, mask, dz: np.ndarray) -> np.ndarray:
+    """The activation's directional derivative along ``dz`` (phi'(z) dz) at
+    the ``z`` whose ``_act_mask`` is ``mask``.
 
     Every activation is piecewise linear, so this is exact away from the
     kinks and ``phi''`` is zero there.  Only CReLU's Jacobian is not square;
     every other one is diagonal, so its tangent is its backward pass.
     """
     if act.kind == "crelu":
-        return np.concatenate([dz * (z > 0.0), -dz * (z < 0.0)], axis=-1)
-    return _act_backward(act, z, dz)
+        pos, neg = mask
+        return np.concatenate([dz * pos, -dz * neg], axis=-1)
+    return _act_backward(act, mask, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +543,7 @@ class Sweep:
     probs: np.ndarray  # (B, C) softmax of the logits
     layer_inputs: list[np.ndarray]  # (B, in) per layer
     preacts: list[np.ndarray]  # (B, width) per hidden layer
+    masks: list  # per hidden layer: its activation's _act_mask, made once for every pass
     out_grads: list[np.ndarray]  # (B, out) per layer: dL/d(its output), 1/B included
     grads: ParamSet  # the batch gradient, penalty included
 
@@ -541,15 +559,16 @@ def _reverse_sweep(params: ParamSet, act: Activation, batch: Batch, worker=None)
     d = probs.copy()  # the mean cross-entropy's slope (softmax - one-hot) / B
     d[np.arange(B), batch.labels] -= 1.0
     d /= B
+    masks = [_act_mask(act, z) for z in preacts]
     out_grads = [d]
     for i in range(len(params.layers) - 1, 0, -1):
-        d = _act_backward(act, preacts[i - 1], d @ params.layers[i].weights)
+        d = _act_backward(act, masks[i - 1], d @ params.layers[i].weights)
         out_grads.insert(0, d)
     grads = params.like(np.empty(params.n_params))
     for x, d, g in zip(layer_inputs, out_grads, grads.layers):
         _matmul(d.T, x, g.weights, g.weights.size, worker)
         np.sum(d, axis=0, out=g.bias)
-    return Sweep(float(np.mean(losses)), logits, probs, layer_inputs, preacts, out_grads, grads)
+    return Sweep(float(np.mean(losses)), logits, probs, layer_inputs, preacts, masks, out_grads, grads)
 
 
 def penalty_on_worker(reg: Regularizer) -> bool:

@@ -6,18 +6,34 @@ prepares the dataset once (``prepare(load_source(...))``) and passes it to
 each.  Metric probes fire at log intervals and, in scheduled mode, at the
 controller's own decision interval; every probe writes one record, so every
 decision is logged.  The training step is one ``nn.loss_grad`` pass, dropped
-once Adam and the accuracy have read it.  Each seed owns one worker thread,
-which the seed closes when it ends, also on an abort.  A Wasserstein run's
+once Adam and the accuracy have read it.
+
+Each seed owns one worker thread, which the seed closes when it ends, also
+on an abort, and gives it one of three jobs.  A Wasserstein run's
 ``loss_grad`` and ``probe_grads`` make their penalty there.  At one BLAS
-thread (``one_blas_thread``) every pass, ``adam_step`` and
-``top_eigenvalue`` too, makes half of each wide matmul and of Adam's update
-there (see ``nn.split``); with more, BLAS's own threads take the free core,
-and a pass gets the worker for its penalty alone.  ``_probe`` takes a probe to its
-record's cells: one ``loss_grad`` pass (through ``probe_grads``) that every
-measurement reads (the factored per-layer gradient variance, the diagnostics
-and every R-op product of the Lanczos solve for the top Hessian eigenvalue),
-the window statistics and threshold reports, all at the learning rates from
-before any decision, then the controller's decision on a decision step.
+thread (``one_blas_thread``), a seed of at least ``nn.WIDE`` parameters
+makes half of each wide matmul and of Adam's update there in every pass,
+``adam_step`` and ``top_eigenvalue`` too (see ``nn.split``); with more,
+BLAS's own threads take the free core, and a pass gets the worker for its
+penalty alone.  At one BLAS thread, any other seed runs its probes there,
+ahead: a probe reads a snapshot of its step (the parameters, Adam's m, v, t
+and rates, the task and accuracy sums) while the seed's thread trains on,
+every pass inline.  The probe is settled, its record appended, once it is
+done or the next probe is due; a training error waits for it first.  If its
+decision moved a layer's rate (a warm, a cool or a clamp), the seed goes
+back to the snapshot, which holds the decided rates, and replays the steps
+since, so every record, accuracy and final state is the inline run's to the
+byte.  A probe that raises aborts the seed at its own step, with the
+snapshot as the final state, and wins over a training error met meanwhile.
+A probe runs inline at the seed's last step, and at a decision step after
+a moved decision, since moved decisions come in streaks (the warm phase).
+
+``_probe`` takes a probe to its record's cells: one ``loss_grad`` pass
+(through ``probe_grads``) that every measurement reads (the factored
+per-layer gradient variance, the diagnostics and every R-op product of the
+Lanczos solve for the top Hessian eigenvalue), the window statistics and
+threshold reports, all at the learning rates from before any decision, then
+the controller's decision on a decision step.
 When the eigensolve runs out its product budget, the record is flagged
 ``sharpness_unconverged``, its eigenvalue is kept out of the volatility
 windows (the bounds read each window as it stands) and a decision on it
@@ -40,9 +56,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import zip_longest
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -59,10 +75,13 @@ from .metrics import (
 )
 from .nn import (
     GLOBAL_SCOPE,
+    WIDE,
     Activation,
+    Batch,
     ParamSet,
     Regularizer,
     check_regularizer,
+    hand_off,
     init_mlp,
     loss_grad,
     penalty_on_worker,
@@ -72,6 +91,9 @@ from .optim import AdamState, OptimConfig, adam_step, agg_step, effective_step, 
 from .rng import derive_seed, stream
 from .scheduler import HELD, ControllerConfig, decide
 from .tasks import BaseDataset, StreamConfig, batches, load_source, prepare, steps_per_epoch, task_labels
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 # Off the run path, but bound here: bench/tracing.py wraps these names in this module.
 from .metrics import minibatch_grad_variance  # noqa: F401
@@ -218,7 +240,7 @@ def _probe(
     probe found it.  On a decision step the controller then acts on the
     reports, and each layer's ``eta`` and ``decision`` cells read its result.
     ``worker`` goes to the noise pass and ``split_worker`` to the eigensolve
-    (see ``run_seed``).
+    (see the module docstring).
     """
     pg = probe_grads(params, act, batch, reg, worker)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
@@ -286,65 +308,187 @@ def one_blas_thread() -> bool:
     return bool(values) and all(v == "1" for v in values)
 
 
+@dataclass
+class _Cursor:
+    """The training loop's state at its step ``step``: all that a replay from
+    there starts from."""
+
+    step: int
+    params: ParamSet
+    state: AdamState
+    windows: dict[str, WindowStats]
+    labels: np.ndarray | None = None  # the task's labels
+    ep_sum: float = 0.0  # the epoch's accuracy sum
+    acc_sum: float = 0.0  # the accuracy sum and count since the last record
+    acc_n: int = 0
+    per_task_accuracy: list[float] = field(default_factory=list)
+
+    def snapshot(self) -> _Cursor:
+        """A copy that the steps after this one leave as it is; the windows
+        are shared, since only a probe pushes to them."""
+        state = replace(self.state, m=self.state.m.copy(), v=self.state.v.copy(), eta=dict(self.state.eta))
+        return replace(self, params=self.params.copy(), state=state,
+                       per_task_accuracy=list(self.per_task_accuracy))
+
+
+@dataclass
+class _Ahead:
+    """A probe running ahead on the worker: its future cells and the
+    snapshot it reads, whose rates its decision sets."""
+
+    cells: Future
+    at: _Cursor
+    eta: dict[str, float]  # the rates before its decision
+    train_accuracy: float
+    is_decide: bool
+
+
 def run_seed(cfg: RunConfig, seed: int, base: BaseDataset | None = None) -> SeedResult:
     # about 6 ms to import, so only a run pays it
     from concurrent.futures import ThreadPoolExecutor
 
     if base is None:
         base = prepare(load_source(cfg.stream), cfg.stream)
-    act = cfg.model.activation
-    init_snapshot = init_mlp(
-        base.inputs.shape[1], [cfg.model.hidden_width], base.n_classes, act, stream(seed, "init")
-    )
-    reg = build_regularizer(cfg.model, init_snapshot)
-    layer_ids = init_snapshot.layer_ids()
-
-    spe = steps_per_epoch(base.inputs.shape[0], cfg.stream.batch_size)
-    total_steps = cfg.stream.tasks * cfg.stream.epochs_per_task * spe
-
-    result = SeedResult(seed, layer_ids, [], [])
-    global_step = 0
-    acc_sum, acc_n = 0.0, 0
-    # the thread that a Wasserstein penalty, or at one BLAS thread half of a wide pass, runs on
-    # (see nn.split)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        split_worker = worker if one_blas_thread() else None
-        pass_worker = worker if penalty_on_worker(reg) else split_worker
+        return _SeedRun(cfg, seed, base, worker).run()
+
+
+class _SeedRun:
+    """One seed's training loop and its probes, inline or ahead on the
+    worker (see the module docstring)."""
+
+    def __init__(self, cfg: RunConfig, seed: int, base: BaseDataset, worker):
+        self.cfg, self.seed, self.base = cfg, seed, base
+        self.act = cfg.model.activation
+        self.init = init_mlp(
+            base.inputs.shape[1], [cfg.model.hidden_width], base.n_classes, self.act, stream(seed, "init")
+        )
+        self.reg = build_regularizer(cfg.model, self.init)
+        self.spe = steps_per_epoch(base.inputs.shape[0], cfg.stream.batch_size)
+        self.total_steps = cfg.stream.tasks * cfg.stream.epochs_per_task * self.spe
+        # the worker's one job in this seed: the penalty, the wide halves, or the probes
+        one_thread = one_blas_thread()
+        self.split_worker = worker if one_thread and self.init.n_params >= WIDE else None
+        self.pass_worker = worker if penalty_on_worker(self.reg) else self.split_worker
+        self.probe_worker = worker if one_thread and self.pass_worker is None else None
+        self.result = SeedResult(seed, self.init.layer_ids(), [], [])
+        self.at = _Cursor(0, *self.fresh())
+        self.batches = None  # the rest of the cursor's epoch
+        self.ahead: _Ahead | None = None
+        self.moved = False  # whether the last decision moved a rate
+
+    def fresh(self) -> tuple[ParamSet, AdamState, dict[str, WindowStats]]:
+        """The parameters, Adam's state and the windows a seed starts from."""
+        params = self.init.copy()
+        state = init_adam(params, **vars(self.cfg.optimizer))
+        return params, state, _fresh_windows(self.cfg, params.layer_ids())
+
+    def where(self, step: int) -> tuple[int, int, int]:
+        """The task, the epoch and the batch index of a step (from 1)."""
+        task, rest = divmod(step - 1, self.cfg.stream.epochs_per_task * self.spe)
+        return (task, *divmod(rest, self.spe))
+
+    def run(self) -> SeedResult:
         try:
-            for task_i in range(cfg.stream.tasks):
-                if task_i == 0 or cfg.mode == "reset":  # a reset task starts as the first one does
-                    params = init_snapshot.copy()
-                    state = init_adam(params, **vars(cfg.optimizer))
-                    windows = _fresh_windows(cfg, layer_ids)
-                labels = task_labels(base, task_i, cfg.stream)
-                for epoch in range(cfg.stream.epochs_per_task):
-                    ep_sum = 0.0
-                    for batch in batches(base.inputs, labels, task_i, epoch, cfg.stream):
-                        global_step += 1
-                        sw = loss_grad(params, act, batch, reg, pass_worker)
-                        adam_step(state, params, sw.grads, split_worker)
-                        acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
-                        del sw  # the probe makes its own pass; holding this one too adds to the peak
-                        acc_sum += acc
-                        acc_n += 1
-                        ep_sum += acc
-                        is_decide = (cfg.mode == "scheduled"
-                                     and global_step % cfg.controller.interval_k == 0)
-                        if is_decide or global_step % cfg.log_interval == 0:
-                            cells = _probe(cfg, seed, global_step, params, act, batch, reg, state,
-                                           windows, is_decide=is_decide, total_steps=total_steps,
-                                           worker=pass_worker, split_worker=split_worker)
-                            result.records.append(
-                                MetricRecord(seed, task_i, epoch, global_step, acc_sum / acc_n, **cells)
-                            )
-                            acc_sum, acc_n = 0.0, 0
-                # every epoch runs spe steps, so this is the task's final-epoch mean
-                result.per_task_accuracy.append(ep_sum / spe)
+            while self.at.step < self.total_steps or self.ahead:
+                try:
+                    if self.ahead and (self.at.step == self.total_steps or self.ahead.cells.done()):
+                        self.settle()
+                    else:
+                        self.step()
+                except NumericError:
+                    # a step's error waits for the probe ahead: its own error, or a rewind, wins
+                    if not self.ahead or not self.settle():
+                        raise
         except NumericError as err:
-            result.abort_message = str(err)
-            result.records.append(_error_record(err, seed, task_i, epoch, global_step))
-    result.final_params, result.final_state = params, state
-    return result
+            task_i, epoch, _ = self.where(self.at.step)
+            del self.at.per_task_accuracy[task_i:]  # the task of the abort never ended
+            self.result.abort_message = str(err)
+            self.result.records.append(_error_record(err, self.seed, task_i, epoch, self.at.step))
+        self.result.final_params, self.result.final_state = self.at.params, self.at.state
+        self.result.per_task_accuracy = self.at.per_task_accuracy
+        return self.result
+
+    def step(self) -> None:
+        """The cursor's next step, and its probe when one is due."""
+        cfg, at = self.cfg, self.at
+        at.step += 1
+        g = at.step
+        task_i, epoch, i = self.where(g)
+        if i == 0 and epoch == 0:
+            if task_i > 0 and cfg.mode == "reset":  # a reset task starts as the first one does
+                at.params, at.state, at.windows = self.fresh()
+            at.labels = task_labels(self.base, task_i, cfg.stream)
+        if i == 0:
+            self.batches = batches(self.base.inputs, at.labels, task_i, epoch, cfg.stream)
+            at.ep_sum = 0.0
+        batch = next(self.batches)
+        sw = loss_grad(at.params, self.act, batch, self.reg, self.pass_worker)
+        adam_step(at.state, at.params, sw.grads, self.split_worker)
+        acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
+        del sw  # the probe makes its own pass; holding this one too adds to the peak
+        at.acc_sum += acc
+        at.acc_n += 1
+        at.ep_sum += acc
+        if i == self.spe - 1 and epoch == cfg.stream.epochs_per_task - 1:
+            # every epoch runs spe steps, so this is the task's final-epoch mean
+            at.per_task_accuracy.append(at.ep_sum / self.spe)
+        is_decide = cfg.mode == "scheduled" and g % cfg.controller.interval_k == 0
+        if is_decide or g % cfg.log_interval == 0:
+            if self.ahead and self.settle():
+                return  # back at the settled probe's step
+            self.probe(batch, is_decide)
+
+    def probe(self, batch: Batch, is_decide: bool) -> None:
+        """The probe at the cursor's step: ahead on the worker, or inline."""
+        cfg, at = self.cfg, self.at
+        train_accuracy = at.acc_sum / at.acc_n
+        at.acc_sum, at.acc_n = 0.0, 0
+        if self.probe_worker and at.step < self.total_steps and not (is_decide and self.moved):
+            snap = at.snapshot()
+            cells = hand_off(self.probe_worker, _probe_ahead, cfg, self.seed, snap, self.act, batch,
+                             self.reg, is_decide, self.total_steps)
+            self.ahead = _Ahead(cells, snap, at.state.eta, train_accuracy, is_decide)
+            return
+        eta = at.state.eta
+        cells = _probe(cfg, self.seed, at.step, at.params, self.act, batch, self.reg, at.state, at.windows,
+                       is_decide=is_decide, total_steps=self.total_steps, worker=self.pass_worker,
+                       split_worker=self.split_worker)
+        self.record(at.step, train_accuracy, cells)
+        if is_decide:
+            self.moved = at.state.eta != eta
+
+    def settle(self) -> bool:
+        """Waits for the probe ahead and appends its record.  True when its
+        decision moved a rate, and the cursor is then back at its step
+        (where the probe's error, raised here, also puts it)."""
+        ahead, self.ahead = self.ahead, None
+        try:
+            cells = ahead.cells.result()
+        except NumericError:
+            self.at = ahead.at
+            raise
+        self.record(ahead.at.step, ahead.train_accuracy, cells)
+        moved = ahead.at.state.eta != ahead.eta
+        if ahead.is_decide:
+            self.moved = moved
+        if moved:
+            self.at = ahead.at
+            task_i, epoch, i = self.where(self.at.step)
+            self.batches = batches(self.base.inputs, self.at.labels, task_i, epoch, self.cfg.stream,
+                                   first=i + 1)
+        return moved
+
+    def record(self, step: int, train_accuracy: float, cells: dict) -> None:
+        task_i, epoch, _ = self.where(step)
+        self.result.records.append(MetricRecord(self.seed, task_i, epoch, step, train_accuracy, **cells))
+
+
+def _probe_ahead(cfg: RunConfig, seed: int, at: _Cursor, act, batch, reg, is_decide: bool,
+                 total_steps: int) -> dict:
+    """``_probe`` at a snapshot's step, with no worker: it runs on the worker."""
+    return _probe(cfg, seed, at.step, at.params, act, batch, reg, at.state, at.windows,
+                  is_decide=is_decide, total_steps=total_steps)
 
 
 def _error_record(err: NumericError, *where) -> MetricRecord:

@@ -217,13 +217,14 @@ def steps_per_epoch(n: int, batch_size: int) -> int:
 
 
 def batches(
-    inputs: np.ndarray, labels: np.ndarray, task_index: int, epoch: int, cfg: StreamConfig
+    inputs: np.ndarray, labels: np.ndarray, task_index: int, epoch: int, cfg: StreamConfig,
+    first: int = 0,
 ) -> Iterator[Batch]:
-    """One task epoch's shuffled minibatches over the shared input matrix;
-    the order is seeded by (base_seed, task_index, epoch) and the final
-    partial batch is kept."""
+    """One task epoch's shuffled minibatches over the shared input matrix,
+    from its batch ``first`` on; the order is seeded by (base_seed,
+    task_index, epoch) and the final partial batch is kept."""
     n = inputs.shape[0]
     order = stream(cfg.base_seed, "batches", task_index, epoch).permutation(n)
-    for start in range(0, n, cfg.batch_size):
+    for start in range(first * cfg.batch_size, n, cfg.batch_size):
         sel = order[start : start + cfg.batch_size]
         yield Batch(inputs[sel], labels[sel])

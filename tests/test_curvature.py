@@ -381,9 +381,9 @@ def test_every_product_is_made_in_the_row_space_layout(monkeypatch, d, shape):
     shapes = []
     real = curvature_mod.hvp
 
-    def recording(params, act, batch, reg, v, base=None, worker=None):
+    def recording(params, act, batch, reg, v, base=None, worker=None, out=None):
         shapes.append(v.layers[0].weights.shape)
-        return real(params, act, batch, reg, v, base, worker)
+        return real(params, act, batch, reg, v, base, worker, out)
 
     monkeypatch.setattr(curvature_mod, "hvp", recording)
     res = top_eigenvalue(params, RELU, batch, NONE, CurvatureProbe(power_iters=50, tol=1e-12, seed=3))
@@ -406,9 +406,9 @@ def test_a_probe_with_d_at_most_b_solves_through_row_space(monkeypatch, in_dim, 
         bases.append(out[1])
         return out
 
-    def recording_hvp(params, act, batch, reg, v, base=None, worker=None):
+    def recording_hvp(params, act, batch, reg, v, base=None, worker=None, out=None):
         products.append((v.layers[0].weights.shape, base))
-        return real_hvp(params, act, batch, reg, v, base, worker)
+        return real_hvp(params, act, batch, reg, v, base, worker, out)
 
     monkeypatch.setattr(curvature_mod, "row_space", recording_row_space)
     monkeypatch.setattr(curvature_mod, "hvp", recording_hvp)
@@ -561,3 +561,25 @@ def test_effective_rank_scale_invariant(rng):
     base = effective_rank(eigs, 0.03)
     for c in (2.0, -5.0, 1e-6, 1e6):
         assert effective_rank(c * eigs, 0.03) == base
+
+
+@pytest.mark.parametrize("alphas, betas", [
+    ([2.5], []),
+    ([-0.0], []),
+    ([1.0, -0.0, 3.0], [0.5, 0.25]),
+    ([-0.0, -0.0], [1e-300]),
+    (list(np.random.default_rng(5).normal(size=7)), list(np.random.default_rng(6).uniform(0.1, 1.0, size=6))),
+])
+def test_top_ritz_keeps_the_bits_of_the_summed_diagonals(alphas, betas):
+    """``_top_ritz`` builds the tridiagonal matrix in place; its Ritz value,
+    eigenvector entry and gap are those of the matrix summed from three
+    ``np.diag`` matrices, a diagonal -0.0 read as 0.0 included."""
+    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    evals, evecs = np.linalg.eigh(T)
+    j = int(np.argmax(np.abs(evals)))
+    others = np.delete(evals, j)
+    gap = float(np.min(np.abs(others - evals[j]))) if others.size else 0.0
+    want = (float(evals[j]), float(evecs[-1, j]), gap)
+    got = curvature_mod._top_ritz(alphas, betas)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+

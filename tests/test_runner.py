@@ -1,6 +1,8 @@
+import concurrent.futures
 import copy
 import math
 import re
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -353,15 +355,18 @@ def _recording_hand_offs(monkeypatch):
         return real(worker, job, *args)
 
     monkeypatch.setattr(nn_mod, "hand_off", recording)
+    monkeypatch.setattr(runner_mod, "hand_off", recording)
     return jobs
 
 
-@pytest.mark.parametrize("eta, wide", [(1e-3, False), (1e308, False), (1e-3, True), (1e308, True)],
-                         ids=["completed", "aborted", "wide-completed", "wide-aborted"])
-def test_run_seed_leaves_no_thread_behind(monkeypatch, eta, wide):
+@pytest.mark.parametrize("case", ["completed", "aborted", "wide-completed", "wide-aborted", "ahead-completed",
+                                  "ahead-step-aborted", "ahead-probe-aborted"])
+def test_run_seed_leaves_no_thread_behind(monkeypatch, case):
     """A Wasserstein seed's every penalty runs on a thread of its own, as do,
     at one BLAS thread, half of a wide L2 seed's passes, Adam's update among
-    them; the seed closes that thread when it ends, also when it aborts."""
+    them, and a narrow L2 seed's probes; the seed closes that thread when it
+    ends, also when it aborts, and also when it aborts with a probe in
+    flight, whether the probe or the step raised."""
     penalty_threads = set()
     real = nn_mod.regularizer_penalty
 
@@ -371,31 +376,60 @@ def test_run_seed_leaves_no_thread_behind(monkeypatch, eta, wide):
 
     monkeypatch.setattr(nn_mod, "regularizer_penalty", recording)
     jobs = _recording_hand_offs(monkeypatch)
-    if wide:
+    eta = 1e308 if case in ("aborted", "wide-aborted") else 1e-3
+    if case.startswith("wide"):
         _one_blas_thread(monkeypatch)
         cfg = wide_config(optimizer=OptimConfig(eta=eta))
+    elif case.startswith("ahead"):
+        _one_blas_thread(monkeypatch)
+        cfg = tiny_config(model=ModelConfig(hidden_width=8, regularizer="l2", reg_lambda=1e-3))
+        real_eig, real_step, in_flight = runner_mod.top_eigenvalue, runner_mod.adam_step, threading.Event()
+
+        def held_eig(*args, **kwargs):  # the probe at step 2 runs on once step 3 has begun
+            in_flight.wait(10)
+            if case == "ahead-probe-aborted":
+                raise NumericError("probe blow-up")
+            return real_eig(*args, **kwargs)
+
+        def step_3_raises(state, params, grads, worker=None):
+            if state.t == 2:
+                in_flight.set()
+                if case == "ahead-step-aborted":
+                    raise NumericError("step blow-up")
+            return real_step(state, params, grads, worker)
+
+        monkeypatch.setattr(runner_mod, "top_eigenvalue", held_eig)
+        monkeypatch.setattr(runner_mod, "adam_step", step_3_raises)
     else:
         model = ModelConfig(hidden_width=8, activation=Activation("crelu"), regularizer="wasserstein",
                             reg_lambda=1e-2)
         cfg = tiny_config(model=model, optimizer=OptimConfig(eta=eta))
     before = threading.enumerate()
     res = run_seed(cfg, seed=0)
-    assert res.aborted == (eta == 1e308)
-    if wide:
-        names, threads = {name for name, _ in jobs}, {thread for _, thread in jobs}
+    assert res.aborted == case.endswith("aborted")
+    names, threads = {name for name, _ in jobs}, {thread for _, thread in jobs}
+    if case.startswith("wide"):
         assert "adam_step.<locals>.update" in names and "_matmul.<locals>.<lambda>" in names
         assert threads and threading.main_thread() not in threads
+    elif case.startswith("ahead"):
+        assert names == {"_probe_ahead"} and threading.main_thread() not in threads
+        if case != "ahead-completed":
+            assert res.abort_message == case.split("-")[1] + " blow-up"
+            assert [r.step for r in res.records] == [2] + [3] * (case == "ahead-step-aborted")
     else:
         assert penalty_threads and threading.main_thread() not in penalty_threads
     assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("blas", [None, "1", "2"], ids=["unset", "one", "two"])
-@pytest.mark.parametrize("reg_kind", ["l2", "wasserstein"])
+@pytest.mark.parametrize("reg_kind", ["l2", "wasserstein", "wide"])
 def test_run_seed_splits_only_at_one_blas_thread(monkeypatch, blas, reg_kind):
     """Each pass of a seed gets its worker where it puts it to use: a
-    Wasserstein pass for its penalty, and every pass for its wide halves at
-    one BLAS thread alone, since more BLAS threads take the free core."""
+    Wasserstein pass for its penalty, and at one BLAS thread alone (more
+    BLAS threads take the free core) every pass of a wide seed for its
+    halves.  The worker takes a narrow L2 seed's probes at one BLAS thread
+    instead, and every pass then runs inline, the probe's own too; a probe
+    at the seed's last step runs inline on the seed's thread."""
     _one_blas_thread(monkeypatch, blas)
     got = {}
     for name in ("loss_grad", "probe_grads", "adam_step", "top_eigenvalue"):
@@ -403,17 +437,28 @@ def test_run_seed_splits_only_at_one_blas_thread(monkeypatch, blas, reg_kind):
 
         def recording(*args, _real=real, _name=name, **kwargs):
             worker = kwargs["worker"] if "worker" in kwargs else args[-1]
-            got.setdefault(_name, set()).add(worker is not None)
+            on_main = threading.current_thread() is threading.main_thread()
+            got.setdefault(_name, set()).add((worker is not None, on_main))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(runner_mod, name, recording)
-    model = ModelConfig(hidden_width=8, activation=Activation("relu"), regularizer=reg_kind,
-                        reg_lambda=1e-2)
-    run_seed(tiny_config(model=model, mode="scheduled"), seed=0)
-    splits = blas == "1"
-    assert got == {"loss_grad": {splits or reg_kind == "wasserstein"},
-                   "probe_grads": {splits or reg_kind == "wasserstein"},
-                   "adam_step": {splits}, "top_eigenvalue": {splits}}
+    if reg_kind == "wide":
+        cfg = wide_config(mode="scheduled")
+    else:
+        model = ModelConfig(hidden_width=8, activation=Activation("relu"), regularizer=reg_kind,
+                            reg_lambda=1e-2)
+        cfg = tiny_config(model=model, mode="scheduled")
+    run_seed(cfg, seed=0)
+    splits = blas == "1" and reg_kind == "wide"
+    penalty = reg_kind == "wasserstein"
+    probes_ahead = blas == "1" and reg_kind == "l2"
+    assert got["loss_grad"] == {(splits or penalty, True)}
+    assert got["adam_step"] == {(splits, True)}
+    if probes_ahead:
+        assert got["probe_grads"] == got["top_eigenvalue"] == {(False, False), (False, True)}
+    else:
+        assert got["probe_grads"] == {(splits or penalty, True)}
+        assert got["top_eigenvalue"] == {(splits, True)}
 
 
 @pytest.mark.parametrize("env, expected", [
@@ -449,6 +494,228 @@ def test_a_wide_run_logs_the_bytes_of_an_unsplit_one(monkeypatch, tmp_path):
         logs.append(path.read_bytes())
         final.append(res.final_params.vector.tobytes() + res.final_state.v.vector.tobytes())
     assert logs[0] == logs[1] and final[0] == final[1]
+
+
+# ---------------------------------------------------------------------------
+# probes run ahead on the worker
+
+
+class _EagerExecutor:
+    """Runs each job at ``submit``: every probe is settled before the next
+    step, so no step runs ahead of one."""
+
+    def __init__(self, max_workers=1):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as err:
+            future.set_exception(err)
+        return future
+
+
+class _LazyFuture:
+    """A job that runs only when its result or its exception is asked for."""
+
+    def __init__(self, fn, args):
+        self._job = lambda: fn(*args)
+        self._outcome = None  # (result, exception) once run
+
+    def done(self):
+        return self._outcome is not None
+
+    def exception(self):
+        if self._outcome is None:
+            try:
+                self._outcome = (self._job(), None)
+            except BaseException as err:
+                self._outcome = (None, err)
+        return self._outcome[1]
+
+    def result(self):
+        err = self.exception()
+        if err is not None:
+            raise err
+        return self._outcome[0]
+
+
+class _LazyExecutor(_EagerExecutor):
+    """Runs each job only when its ``result()`` is called, so the seed runs
+    ahead to the next probe every time, and each moved decision rewinds."""
+
+    def submit(self, fn, *args):
+        return _LazyFuture(fn, args)
+
+
+EXECUTORS = {"eager": _EagerExecutor, "lazy": _LazyExecutor, "real": concurrent.futures.ThreadPoolExecutor}
+# the reference: with the BLAS threads unset every probe runs inline, and the executor takes no job
+INLINE = None
+
+
+def _long_config(**kw):
+    """``tiny_config`` over 2 tasks of 6 epochs (36 steps)."""
+    stream = StreamConfig(source=SyntheticSource(n=64, d=6, classes=3, seed=0), subsample_n=48, tasks=2,
+                          epochs_per_task=6, batch_size=16, base_seed=5)
+    return tiny_config(stream=stream, **kw)
+
+
+def _outcome(monkeypatch, cfg, executor, seed=0):
+    """A run of ``cfg`` at one BLAS thread with ``executor`` as the seed's
+    worker (``INLINE``: with the BLAS threads unset): its log bytes, task
+    accuracies, final parameters, Adam state and abort message, and the
+    training steps it took, replays included."""
+    _one_blas_thread(monkeypatch, None if executor is INLINE else "1")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", executor or _EagerExecutor)
+    real_step, steps = runner_mod.adam_step, []
+
+    def counting(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner_mod, "adam_step", counting)
+        res = run_seed(cfg, seed)
+    return _bytes_of(res), len(steps)
+
+
+def _bytes_of(res):
+    """A seed's log bytes, task accuracies, final parameters, Adam state and abort message."""
+    st = res.final_state
+    return (format_log(res.records, res.layer_ids), np.array(res.per_task_accuracy).tobytes(),
+            res.final_params.vector.tobytes(), st.m.vector.tobytes(), st.v.vector.tobytes(), st.t, st.eta,
+            res.abort_message)
+
+
+def _outcomes(monkeypatch, cfg):
+    """``_outcome`` inline and with each executor; each one's outcome and step count."""
+    runs = {"inline": INLINE, **EXECUTORS}
+    return {name: _outcome(monkeypatch, cfg, executor) for name, executor in runs.items()}
+
+
+@pytest.mark.parametrize("mode", runner_mod.MODES)
+@pytest.mark.parametrize("act, reg_kind", [("relu", "l2"), ("leaky_relu", "none")])
+def test_probes_run_ahead_to_the_inline_bytes(monkeypatch, mode, act, reg_kind):
+    """At one BLAS thread a narrow seed's probes run ahead on its worker.
+    Settled at once, settled only when the next probe is due, or settled
+    whenever the worker is done, they give one run to the byte."""
+    model = ModelConfig(hidden_width=8, activation=Activation(act, slope=0.1 if act == "leaky_relu" else 0.0),
+                        regularizer=reg_kind, reg_lambda=1e-3 if reg_kind == "l2" else 0.0)
+    out = _outcomes(monkeypatch, _long_config(mode=mode, model=model, log_interval=4))
+    assert out["inline"][0] == out["eager"][0] == out["lazy"][0] == out["real"][0]
+    assert out["inline"][1] == 36
+
+
+@pytest.mark.parametrize("controller, eta, moved", [
+    (ControllerConfig(interval_k=2, warm_phase_frac=1.0), 1e-3, ",warmed,"),
+    (ControllerConfig(gamma=1e-9, interval_k=3), 0.05, ",cooled,"),
+    (ControllerConfig(interval_k=2, warm_phase_frac=1.0, eta_max=1.02e-3), 1e-3, "fc1:eta_clamped"),
+    # the warming at step 12 is settled at step 18, after the end of task 0 is counted
+    (ControllerConfig(interval_k=6, warm_phase_frac=1.0), 1e-3, ",warmed,"),
+], ids=["warms", "cools", "clamps", "across-a-task"])
+def test_a_moved_decision_rewinds_to_the_inline_bytes(monkeypatch, controller, eta, moved):
+    """A decision that moves a rate sends the run back to its step, which it
+    replays at the decided rate: the lazy executor replays steps, and every
+    executor gives the inline bytes."""
+    cfg = _long_config(mode="scheduled", controller=controller, optimizer=OptimConfig(eta=eta),
+                       log_interval=controller.interval_k, power_iters=100)
+    out = _outcomes(monkeypatch, cfg)
+    assert out["inline"][0] == out["eager"][0] == out["lazy"][0] == out["real"][0]
+    assert out["inline"][1] == 36 < out["lazy"][1]
+    assert moved in out["inline"][0][0]
+
+
+def test_a_probe_abort_ahead_ends_at_the_probes_step(monkeypatch):
+    """A probe that raises on the worker aborts the seed at its own step, with
+    that step's state, however far the run went on meanwhile."""
+    real, calls = runner_mod.top_eigenvalue, []
+
+    def third_raises(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NumericError("probe blow-up", layer_id="fc2")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "top_eigenvalue", third_raises)
+    out, steps = {}, {}
+    for name, executor in {"inline": INLINE, **EXECUTORS}.items():
+        calls.clear()
+        out[name], steps[name] = _outcome(monkeypatch, _long_config(log_interval=6), executor)
+    assert out["inline"] == out["eager"] == out["lazy"] == out["real"]
+    log, acc, *_, t, _, message = out["inline"]
+    # the third probe is at task 0's last step, so that task never ended
+    assert message == "probe blow-up" and t == 18 and acc == b""
+    # the lazy run trained on to the next probe's step before its probe at step 18 raised
+    assert steps["inline"] == steps["eager"] == 18 and steps["lazy"] == 24
+    assert [ln.split(",")[3] for ln in log.splitlines()[1:]] == ["6", "12", "18"]
+
+
+@pytest.mark.parametrize("keyed_on_eta", [False, True], ids=["any-eta", "pre-decision-eta"])
+def test_a_training_abort_waits_for_the_probe_ahead(monkeypatch, keyed_on_eta):
+    """A step that raises while a probe runs ahead waits for it.  The step's
+    error stands if the decided rate meets it too; one that only the
+    pre-decision rate meets vanishes with the rewind, so only the lazy
+    executor's run meets it."""
+    real, raised = runner_mod.adam_step, []
+
+    def sabotaged(state, params, grads, worker=None):
+        if state.t == 4 and (state.eta["fc1"] == 0.05 or not keyed_on_eta):  # the fifth step
+            raised.append(1)
+            raise NumericError("step blow-up", layer_id="fc1")
+        return real(state, params, grads, worker)
+
+    monkeypatch.setattr(runner_mod, "adam_step", sabotaged)
+    # the decision at step 2 holds (its window is not armed yet) and the one at step 4 cools
+    cfg = _long_config(mode="scheduled", controller=ControllerConfig(gamma=1e-9, interval_k=2),
+                       optimizer=OptimConfig(eta=0.05), log_interval=2, power_iters=100)
+    out, met = {}, {}
+    for name, executor in {"inline": INLINE, **EXECUTORS}.items():
+        raised.clear()
+        out[name], _ = _outcome(monkeypatch, cfg, executor)
+        met[name] = len(raised)
+    assert out["inline"] == out["eager"] == out["lazy"] == out["real"]
+    log, *_, message = out["inline"]
+    assert [ln.split(",")[-3] for ln in log.splitlines()[1:3]] == ["held", "cooled"]
+    if keyed_on_eta:
+        assert message is None and met["inline"] == met["eager"] == 0 and met["lazy"] == 1
+    else:
+        assert message == "step blow-up" and met["inline"] == met["eager"] == 1 and met["lazy"] == 2
+
+
+def test_seeds_on_more_threads_than_cores_rewind_to_the_inline_bytes(monkeypatch):
+    """Three seeds at once, each with its probes ahead on its own worker (six
+    threads on a machine of two cores or fewer), switching threads every
+    microsecond: every seed writes the inline bytes of a run that warms."""
+    cfg = _long_config(mode="scheduled", controller=ControllerConfig(interval_k=3, warm_phase_frac=1.0),
+                       log_interval=3, power_iters=100)
+    inline = {seed: _outcome(monkeypatch, cfg, INLINE, seed)[0] for seed in range(3)}
+    assert all(",warmed," in log for log, *_ in inline.values())
+    _one_blas_thread(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", EXECUTORS["real"])
+    got = {}
+
+    def run(seed):
+        got[seed] = _bytes_of(run_seed(cfg, seed=seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == inline
 
 
 def _probe_inputs(cfg, reg_kind="l2"):
