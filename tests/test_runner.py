@@ -632,6 +632,31 @@ def test_a_moved_decision_rewinds_to_the_inline_bytes(monkeypatch, controller, e
     assert moved in out["inline"][0][0]
 
 
+def test_a_decision_after_a_moved_one_runs_inline(monkeypatch):
+    """Moved decisions come in streaks (the warm phase), so the decision probe
+    after a moved decision runs inline and the one after a held decision
+    runs ahead again; the probe at the seed's last step runs inline."""
+    real, ahead = runner_mod._probe_ahead, []
+
+    def recording(cfg, seed, at, *args):
+        ahead.append(at.step)
+        return real(cfg, seed, at, *args)
+
+    monkeypatch.setattr(runner_mod, "_probe_ahead", recording)
+    _one_blas_thread(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _LazyExecutor)
+    cfg = _long_config(mode="scheduled", controller=ControllerConfig(interval_k=3, warm_phase_frac=0.5),
+                       log_interval=3, power_iters=100)
+    res = run_seed(cfg, seed=0)
+    eta = {lid: cfg.optimizer.eta for lid in res.layer_ids}
+    moved = []
+    for rec in res.records:
+        moved.append(any(rec.layers[lid].eta != eta[lid] for lid in res.layer_ids))
+        eta = {lid: rec.layers[lid].eta for lid in res.layer_ids}
+    want = [rec.step for rec, after_moved in zip(res.records, [False] + moved) if not after_moved and rec.step < 36]
+    assert ahead == want == [3, 6, 21, 24, 27, 30, 33]
+
+
 def test_a_probe_abort_ahead_ends_at_the_probes_step(monkeypatch):
     """A probe that raises on the worker aborts the seed at its own step, with
     that step's state, however far the run went on meanwhile."""
