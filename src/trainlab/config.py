@@ -44,7 +44,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
+    """Comma-separated integers; an empty item is a ValueError, as ``int`` makes it."""
+    return tuple(int(v) for v in text.split(","))
 
 
 # field type -> (parser, what a malformed value was expected to be)

@@ -10,9 +10,8 @@ one R-forward and one R-backward pass.  The activations are piecewise linear,
 so ``phi''`` is zero almost everywhere and the product is exact away from
 the kinks.  The penalty's Hessian is a multiple of the identity on each
 layer's weights, which ``nn`` gives per kind (``_penalty_curvature``).  No
-penalty is evaluated inside a product.  Given the run's worker, a product
-splits each wide layer's R-forward ``X @ dW^T`` and R-backward ``rd^T X``
-across it as ``nn`` splits its matmuls (``nn.split``), to the same bits.
+penalty is evaluated inside a product, and no product hands work to another
+thread: a probe runs whole on whichever thread calls it.
 
 The top eigenvalue comes from a Lanczos three-term recurrence that stores
 no basis (Ghorbani et al., arXiv:1901.10159).  After each product it takes
@@ -46,7 +45,6 @@ from .nn import (
     Sweep,
     _act_backward,
     _act_tangent,
-    _matmul,
     _penalty_curvature,
     check_finite,
     loss_grad,
@@ -76,32 +74,28 @@ def hvp(
     reg: Regularizer,
     v: ParamSet,
     base: Sweep | None = None,
-    worker=None,
     out: ParamSet | None = None,
 ) -> ParamSet:
     """H @ v for the Hessian of the full (loss + regularizer) objective,
     written into ``out`` (laid out as ``v``; a new ParamSet when not given),
     which is returned.
 
-    ``base`` is ``loss_grad(params, act, batch, reg, worker)``, built here
-    when not given, and every product reads its activation masks.  The
-    product takes its layout from ``v`` and reads the first layer's weights
-    only for its penalty curvature, so the ``row_space`` base and layout
-    give the product in the batch's row space.
-    A layer whose direction ``dW`` holds at least ``nn.WIDE`` entries splits
-    its ``X @ dW^T`` and ``rd^T X`` across ``worker`` (``nn.split``), to the
-    same bits.
+    ``base`` is ``loss_grad(params, act, batch, reg)``, built here when not
+    given, and every product reads its activation masks.  The product takes
+    its layout from ``v`` and reads the first layer's weights only for its
+    penalty curvature, so the ``row_space`` base and layout give the product
+    in the batch's row space.
     """
     if not np.any(v.vector):
         raise ValueError("hvp probe vector must be nonzero")
     if base is None:
-        base = loss_grad(params, act, batch, reg, worker)
+        base = loss_grad(params, act, batch, reg)
     last = len(params.layers) - 1
     # R-forward: the tangent of each layer's input (zero for the data) and of the logits
     r_inputs: list[np.ndarray | None] = [None]
     for i, (lay, dv) in enumerate(zip(params.layers, v.layers)):
         x, dw = base.layer_inputs[i], dv.weights
-        rz = _matmul(x, dw.T, np.empty((x.shape[0], dw.shape[0])), dw.size, worker)
+        rz = x @ dw.T
         rz += dv.bias
         if r_inputs[i] is not None:
             rz += r_inputs[i] @ lay.weights.T
@@ -115,7 +109,7 @@ def hvp(
         out = v.like(np.empty(v.n_params))
     for i in range(last, -1, -1):
         lay, dv, o = params.layers[i], v.layers[i], out.layers[i]
-        _matmul(rd.T, base.layer_inputs[i], o.weights, o.weights.size, worker)
+        np.matmul(rd.T, base.layer_inputs[i], out=o.weights)
         if r_inputs[i] is not None:
             o.weights += base.out_grads[i].T @ r_inputs[i]
         curv = _penalty_curvature(reg, lay)
@@ -181,7 +175,6 @@ def top_eigenvalue(
     reg: Regularizer,
     probe: CurvatureProbe,
     base: Sweep | None = None,
-    worker=None,
 ) -> TopEigen:
     """Largest-magnitude Hessian eigenvalue, signed, via Lanczos.
 
@@ -198,8 +191,7 @@ def top_eigenvalue(
     subspace, as for a zero Hessian).
     Only the last two Lanczos vectors are kept, and with the next product
     they take turns in three buffers.  Every product reads
-    ``base`` (``loss_grad`` at ``params``), built here when not given, and
-    splits its wide matmuls across ``worker`` as ``hvp`` does.
+    ``base`` (``loss_grad`` at ``params``), built here when not given.
 
     The recurrence and its start vector are in ``row_space`` coordinates.
     When d > B the first-layer directions they leave out are eigenvectors
@@ -207,7 +199,7 @@ def top_eigenvalue(
     and then ``c1`` with residual 0.
     """
     if base is None:
-        base = loss_grad(params, act, batch, reg, worker)
+        base = loss_grad(params, act, batch, reg)
     layout, base = row_space(params, base)
     c1 = _penalty_curvature(reg, params.layers[0]) if layout.n_params < params.n_params else 0.0
     rng = np.random.default_rng(probe.seed)
@@ -219,7 +211,7 @@ def top_eigenvalue(
     betas: list[float] = []
     beta = 0.0
     for k in range(1, probe.power_iters + 1):
-        w = hvp(params, act, batch, reg, v, base, worker, out=free)
+        w = hvp(params, act, batch, reg, v, base, out=free)
         alpha = float(v.vector @ w.vector)
         w.vector -= alpha * v.vector
         w.vector -= beta * v_prev.vector

@@ -15,29 +15,29 @@ Materialized per-sample gradients (``per_sample_grads``: one ``loss_grad``
 pass per sample, and ``mean_params``) are kept as test oracles for it and
 are not on the run path; ``_reverse_sweep`` is the one backward pass.
 
-A worker (an executor with one thread) takes work off the caller's thread
-in two ways here, both to the inline path's bits and both through
+A worker (an executor with one thread) takes work off the training step's
+thread in two ways here, both to the inline path's bits and both through
 ``hand_off``, which carries the caller's numpy error state; ``runner``
 hands it a seed's whole probes instead where neither way applies.  The
 Wasserstein penalty reads the parameters alone, never the batch, so
-``loss_grad`` and ``probe_grads`` make it there while the caller's thread
-runs the sweep, since numpy's sort releases the GIL, then add it as the
-inline path does.
+``loss_grad`` makes it there while the caller's thread runs the sweep,
+since numpy's sort releases the GIL, then adds it as the inline path does.
 An L2 penalty, or none, is cheaper than the hand-off and stays inline, and
 then the sweep's wide matmuls are ``split``: for a layer whose weights hold
 at least ``WIDE`` = 2^16 entries, the worker makes the rows of its ``x @
-W.T`` and its ``d^T x`` from a multiple of 64 on (``curvature.hvp`` and
-``optim.adam_step`` split the same way).  Below that width a matmul takes
-about as long as the hand-off: splitting every pass made the desk stream
-(width 64) 21% slower in one run, and ``WIDE`` = 0 under the row rules of
-``split`` and ``_matmul`` 3% and 8% slower in two.  Narrow layers never
-split, also because a split of the 10-wide read-out's rows (a 128-row
-batch at 64/64) changed bits.  With no free core the two parts run one
-after the other, and a split costs its hand-off on top of the whole
-product: pinned to one core, a 784-256-10 run was as fast as unsplit.
-Nor does a split pay where BLAS runs threads of its own, which take the
-free core first, so ``runner`` gives the split passes its worker only at
-one BLAS thread.
+W.T`` and its ``d^T x`` from a multiple of 64 on (``optim.adam_step``
+splits the same way).  Below that width a matmul takes about as long as
+the hand-off: splitting every pass made the desk stream (width 64) 21%
+slower in one run, and ``WIDE`` = 0 under the row rules of ``split`` and
+``_matmul`` 3% and 8% slower in two.  Narrow layers never split, also
+because a split of the 10-wide read-out's rows (a 128-row batch at 64/64)
+changed bits.  With no free core the two parts run one after the other,
+and a split costs its hand-off on top of the whole product: pinned to one
+core, a 784-256-10 run was as fast as unsplit.  Nor does a split pay where
+BLAS runs threads of its own, which take the free core first, so
+``runner`` gives the split passes its worker only at one BLAS thread.
+``probe_grads``, like every product of ``curvature``, takes no worker: a
+probe runs whole on whichever thread calls it.
 
 Conventions:
   - weights are stored ``(out, in)``; a layer computes ``x @ W.T + b``;
@@ -584,26 +584,6 @@ def _penalty_job(params: ParamSet, reg: Regularizer) -> tuple[float, ParamSet]:
     return regularizer_penalty(params, reg, out=params.like(np.full(params.n_params, -0.0)))
 
 
-def _sweep_beside_penalty(
-    params: ParamSet, act: Activation, batch: Batch, reg: Regularizer, worker
-):
-    """``_reverse_sweep`` and the penalty still to add to it: the future of a
-    Wasserstein penalty made on ``worker`` meanwhile, or None, for the
-    inline path, when there is no worker or no Wasserstein penalty (an L2
-    penalty costs less than the hand-off).  Otherwise the sweep splits its
-    wide layers across the worker.  A sweep beside the penalty does not,
-    since the worker is sorting then; one that raises waits for the worker
-    first."""
-    if worker is None or not penalty_on_worker(reg):
-        return _reverse_sweep(params, act, batch, worker), None
-    pending = hand_off(worker, _penalty_job, params, reg)
-    try:
-        return _reverse_sweep(params, act, batch), pending
-    except BaseException:
-        pending.exception()  # the sweep's error wins, as inline where the penalty never runs
-        raise
-
-
 def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep, pending) -> None:
     """Adds the penalty to ``sw.loss`` and its gradient to ``sw.grads`` in
     place, made here or read from ``pending``; raises NumericError on a
@@ -631,10 +611,20 @@ def loss_grad(
 
     ``worker``, an executor with one thread, takes a Wasserstein penalty off
     the sweep's thread, or else half of each wide matmul (see ``split``);
-    the result is the same to the bit.  Raises
-    NumericError on a non-finite loss.
+    the result is the same to the bit.  A sweep beside the penalty does not
+    split, since the worker is sorting then; one that raises waits for the
+    worker first.  Raises NumericError on a non-finite loss.
     """
-    sw, pending = _sweep_beside_penalty(params, act, batch, reg, worker)
+    if worker is None or not penalty_on_worker(reg):
+        sw = _reverse_sweep(params, act, batch, worker)
+        _add_penalty(params, reg, sw, None)
+        return sw
+    pending = hand_off(worker, _penalty_job, params, reg)
+    try:
+        sw = _reverse_sweep(params, act, batch)
+    except BaseException:
+        pending.exception()  # the sweep's error wins, as inline where the penalty never runs
+        raise
     _add_penalty(params, reg, sw, pending)
     return sw
 
@@ -646,12 +636,9 @@ class ProbeGrads:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def probe_grads(
-    params: ParamSet, act: Activation, batch: Batch, reg: Regularizer, worker=None
-) -> ProbeGrads:
+def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularizer) -> ProbeGrads:
     """Each layer's per-sample gradient variance and the ``loss_grad`` pass it
-    is read from (``worker`` as there), which the probe's eigensolve and
-    diagnostics then reuse.
+    is read from, which the probe's eigensolve and diagnostics then reuse.
 
     Sample i's gradient of a dense layer is ``d_i x_i^T`` for the weights and
     ``d_i`` for the bias (``d_i`` its output gradient, ``x_i`` its input), so
@@ -664,7 +651,7 @@ def probe_grads(
     exactly 0, and a negative rounding result is clamped to 0.  Memory is
     O(B * width).
     """
-    sw, pending = _sweep_beside_penalty(params, act, batch, reg, worker)
+    sw = _reverse_sweep(params, act, batch)
     B = batch.size
     sigma_sq = {}
     for lid, x, d in zip(params.layer_ids(), sw.layer_inputs, sw.out_grads):
@@ -673,7 +660,7 @@ def probe_grads(
         mean_sq = B * float(np.einsum("bo,bo->b", d, d) @ x_sq)
         g = sw.grads.segment(lid)
         sigma_sq[lid] = 0.0 if B == 1 else max(mean_sq - float(np.vdot(g, g)), 0.0)
-    _add_penalty(params, reg, sw, pending)
+    _add_penalty(params, reg, sw, None)
     return ProbeGrads(sigma_sq, sw)
 
 

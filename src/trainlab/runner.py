@@ -9,24 +9,26 @@ decision is logged.  The training step is one ``nn.loss_grad`` pass, dropped
 once Adam and the accuracy have read it.
 
 Each seed owns one worker thread, which the seed closes when it ends, also
-on an abort, and gives it one of three jobs.  A Wasserstein run's
-``loss_grad`` and ``probe_grads`` make their penalty there.  At one BLAS
-thread (``one_blas_thread``), a seed of at least ``nn.WIDE`` parameters
-makes half of each wide matmul and of Adam's update there in every pass,
-``adam_step`` and ``top_eigenvalue`` too (see ``nn.split``); with more,
-BLAS's own threads take the free core, and a pass gets the worker for its
-penalty alone.  At one BLAS thread, any other seed runs its probes there,
-ahead: a probe reads a snapshot of its step (the parameters, Adam's m, v, t
-and rates, the task and accuracy sums) while the seed's thread trains on,
-every pass inline.  The probe is settled, its record appended, once it is
-done or the next probe is due; a training error waits for it first.  If its
-decision moved a layer's rate (a warm, a cool or a clamp), the seed goes
-back to the snapshot, which holds the decided rates, and replays the steps
-since, so every record, accuracy and final state is the inline run's to the
-byte.  A probe that raises aborts the seed at its own step, with the
-snapshot as the final state, and wins over a training error met meanwhile.
-A probe runs inline at the seed's last step, and at a decision step after
-a moved decision, since moved decisions come in streaks (the warm phase).
+on an abort, and gives it one of three whole jobs.  A Wasserstein run's
+training step makes its penalty there.  At one BLAS thread
+(``one_blas_thread``), a seed of at least ``nn.WIDE`` parameters makes
+half of each wide matmul of its training step and of Adam's update there
+(see ``nn.split``); with more, BLAS's own threads take the free core, and
+a step gets the worker for its penalty alone.  At one BLAS thread, any
+other seed runs its probes there, ahead: a probe reads a snapshot of its
+step (the parameters, Adam's m, v, t and rates, the task and accuracy
+sums) while the seed's thread trains on.  The probe is settled, its record
+appended, once it is done or the next probe is due; a training error waits
+for it first.  If its decision moved a layer's rate (a warm, a cool or a
+clamp), the seed goes back to the snapshot, which holds the decided rates,
+and replays the steps since, so every record, accuracy and final state is
+the inline run's to the byte.  A probe that raises aborts the seed at its
+own step, with the snapshot as the final state, and wins over a training
+error met meanwhile.  A probe runs inline at the seed's last step, and at
+a decision step after a moved decision, since moved decisions come in
+streaks (the warm phase).  A probe itself never hands work off, so the
+same ``_probe`` call runs inline on the seed's thread or ahead on the
+worker.
 
 ``_probe`` takes a probe to its record's cells: one ``loss_grad`` pass
 (through ``probe_grads``) that every measurement reads (the factored
@@ -230,7 +232,7 @@ def build_regularizer(model: ModelConfig, init_snapshot: ParamSet) -> Regularize
 
 def _probe(
     cfg: RunConfig, seed: int, step: int, params, act, batch, reg, state, windows,
-    *, is_decide: bool, total_steps: int, worker=None, split_worker=None,
+    is_decide: bool, total_steps: int,
 ) -> dict:
     """One probe at ``step``, taken to its record: every ``MetricRecord``
     field from ``lambda_max`` on, as keyword arguments.
@@ -239,12 +241,10 @@ def _probe(
     diagnostics.  Every global cell and every report reads the state as the
     probe found it.  On a decision step the controller then acts on the
     reports, and each layer's ``eta`` and ``decision`` cells read its result.
-    ``worker`` goes to the noise pass and ``split_worker`` to the eigensolve
-    (see the module docstring).
     """
-    pg = probe_grads(params, act, batch, reg, worker)
+    pg = probe_grads(params, act, batch, reg)
     probe = CurvatureProbe(cfg.power_iters, cfg.power_tol, derive_seed(seed, "power", step))
-    eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep, worker=split_worker)
+    eig = top_eigenvalue(params, act, batch, reg, probe, base=pg.sweep)
     lam, grads = eig.lambda_max, pg.sweep.grads
     lam_bar = normalized_sharpness(lam, agg_step(state, GLOBAL_SCOPE))
     reports = []
@@ -338,7 +338,6 @@ class _Ahead:
 
     cells: Future
     at: _Cursor
-    eta: dict[str, float]  # the rates before its decision
     train_accuracy: float
     is_decide: bool
 
@@ -444,16 +443,15 @@ class _SeedRun:
         cfg, at = self.cfg, self.at
         train_accuracy = at.acc_sum / at.acc_n
         at.acc_sum, at.acc_n = 0.0, 0
-        if self.probe_worker and at.step < self.total_steps and not (is_decide and self.moved):
-            snap = at.snapshot()
-            cells = hand_off(self.probe_worker, _probe_ahead, cfg, self.seed, snap, self.act, batch,
-                             self.reg, is_decide, self.total_steps)
-            self.ahead = _Ahead(cells, snap, at.state.eta, train_accuracy, is_decide)
+        ahead = self.probe_worker and at.step < self.total_steps and not (is_decide and self.moved)
+        src = at.snapshot() if ahead else at
+        args = (cfg, self.seed, src.step, src.params, self.act, batch, self.reg, src.state, src.windows,
+                is_decide, self.total_steps)
+        if ahead:
+            self.ahead = _Ahead(hand_off(self.probe_worker, _probe, *args), src, train_accuracy, is_decide)
             return
         eta = at.state.eta
-        cells = _probe(cfg, self.seed, at.step, at.params, self.act, batch, self.reg, at.state, at.windows,
-                       is_decide=is_decide, total_steps=self.total_steps, worker=self.pass_worker,
-                       split_worker=self.split_worker)
+        cells = _probe(*args)
         self.record(at.step, train_accuracy, cells)
         if is_decide:
             self.moved = at.state.eta != eta
@@ -461,7 +459,9 @@ class _SeedRun:
     def settle(self) -> bool:
         """Waits for the probe ahead and appends its record.  True when its
         decision moved a rate, and the cursor is then back at its step
-        (where the probe's error, raised here, also puts it)."""
+        (where the probe's error, raised here, also puts it).  The live
+        cursor still holds the rates the probe started from, since only a
+        decision changes a rate."""
         ahead, self.ahead = self.ahead, None
         try:
             cells = ahead.cells.result()
@@ -469,7 +469,7 @@ class _SeedRun:
             self.at = ahead.at
             raise
         self.record(ahead.at.step, ahead.train_accuracy, cells)
-        moved = ahead.at.state.eta != ahead.eta
+        moved = ahead.at.state.eta != self.at.state.eta
         if ahead.is_decide:
             self.moved = moved
         if moved:
@@ -482,13 +482,6 @@ class _SeedRun:
     def record(self, step: int, train_accuracy: float, cells: dict) -> None:
         task_i, epoch, _ = self.where(step)
         self.result.records.append(MetricRecord(self.seed, task_i, epoch, step, train_accuracy, **cells))
-
-
-def _probe_ahead(cfg: RunConfig, seed: int, at: _Cursor, act, batch, reg, is_decide: bool,
-                 total_steps: int) -> dict:
-    """``_probe`` at a snapshot's step, with no worker: it runs on the worker."""
-    return _probe(cfg, seed, at.step, at.params, act, batch, reg, at.state, at.windows,
-                  is_decide=is_decide, total_steps=total_steps)
 
 
 def _error_record(err: NumericError, *where) -> MetricRecord:

@@ -1,3 +1,4 @@
+import functools
 import gzip
 import os
 import struct
@@ -12,7 +13,7 @@ from trainlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from trainlab.runner import BLAS_THREAD_VARS
 from trainlab.config import KEYS, build_run_config, config_lines, parse_config_text
 from trainlab.errors import ConfigError
-from trainlab.runner import SeedResult, log_columns, read_log
+from trainlab.runner import SeedResult, format_accuracy, format_log, log_columns, read_log, run_seed
 from trainlab.tasks import MnistSource, SyntheticSource
 
 from conftest import REG_KINDS, REPO, load_bench_module
@@ -609,6 +610,18 @@ def test_cli_out_of_range_setting_exits_2(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["0,,1", "0,", ",0", "", "0, ,1"],
+                         ids=["inner", "trailing", "leading", "alone", "blank"])
+def test_cli_rejects_an_empty_seed(tmp_path, capsys, seeds):
+    """An empty item of ``seeds`` is a malformed value, not one seed fewer: it
+    stops with the key's usual error line and exit code 2, before any run."""
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_config(tmp_path), "--out", str(out), f"--seeds={seeds}"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: seeds: expected comma-separated integers, got {seeds!r}\n"
+    assert not out.exists()
+
+
 def test_cli_huge_finite_eta_is_a_numeric_abort(tmp_path, capsys):
     """eta = 1e308 is a usable setting that overflows in training: exit 3."""
     code = main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
@@ -650,6 +663,88 @@ def test_bounds_delta_reaches_the_metrics_log(tmp_path):
         assert main(args) == EXIT_OK
         logs.append((out / "metrics_seed0.csv").read_bytes())
     assert logs[0] != logs[1]
+
+
+# a scheduled run of 2 tasks x 2 epochs x 3 steps on 8 inputs that probes and decides at every step
+_LIVE_BASE = {
+    "stream.synthetic.n": "32", "stream.synthetic.d": "8", "stream.synthetic.classes": "3",
+    "stream.subsample_n": "24", "stream.tasks": "2", "stream.epochs_per_task": "2", "stream.batch_size": "8",
+    "model.hidden_width": "6", "model.regularizer": "l2", "model.reg_lambda": "1e-3", "optimizer.eta": "1e-2",
+    "mode": "scheduled", "controller.interval_k": "1", "log_interval": "1", "power_iters": "30",
+    "controller.window": "3",
+}
+# key -> a value other than the base run's, and the settings over the base that make the key live
+_LIVE = {
+    "stream.synthetic.n": ("40", {}),
+    "stream.synthetic.d": ("9", {}),
+    "stream.synthetic.classes": ("4", {}),
+    "stream.synthetic.seed": ("1", {}),
+    "stream.synthetic.separation": ("0.5", {}),
+    "stream.subsample_n": ("16", {}),
+    "stream.tasks": ("3", {}),
+    "stream.epochs_per_task": ("3", {}),
+    "stream.batch_size": ("12", {}),
+    "stream.randomize_frac": ("0.5", {}),
+    "stream.base_seed": ("1", {}),
+    "model.hidden_width": ("7", {}),
+    "model.activation": ("crelu", {}),
+    "model.leaky_slope": ("0.1", {"model.activation": "leaky_relu"}),
+    "model.regularizer": ("wasserstein", {}),
+    "model.reg_lambda": ("1e-2", {}),
+    "optimizer.eta": ("2e-2", {}),
+    "optimizer.beta1": ("0.8", {}),
+    "optimizer.beta2": ("0.99", {}),
+    "optimizer.eps": ("1e-3", {}),
+    "bounds.kappa": ("2.0", {}),
+    "bounds.beta": ("1.0", {}),
+    "bounds.delta": ("0.2", {}),
+    "controller.gamma": ("0.3", {}),
+    "controller.cool": ("0.9", {}),
+    "controller.warm": ("1.1", {}),
+    "controller.interval_k": ("2", {}),
+    # the base run cools layers whose effective step is about 1, above the floor
+    "controller.abs_floor": ("1.0", {}),
+    "controller.warm_phase_frac": ("1", {}),
+    "controller.timid_frac": ("0.9", {}),
+    # each clamp binds: the base run's rate, 1e-2, is below this eta_min and above this eta_max
+    "controller.eta_min": ("1e-1", {}),
+    "controller.eta_max": ("1e-3", {}),
+    "mode": ("vanilla", {}),
+    "log_interval": ("2", {"mode": "vanilla"}),
+    "power_iters": ("2", {}),
+    "power_tol": ("1e-2", {}),
+    "controller.window": ("4", {}),
+    "ema_decay": ("0.5", {}),
+}
+# keys that no change within one run of the base's source shows, and why
+_EXEMPT = {
+    "stream.source": "picks the source; the synthetic source's keys are live above, and the IDX source "
+                     "needs files on disk (tests/test_tasks.py reads them)",
+    "stream.mnist.images": "read by the IDX source alone; the synthetic source drops it",
+    "stream.mnist.labels": "read by the IDX source alone; the synthetic source drops it",
+    "seeds": "names which seeds run, each into a log of its own, not a setting of one seed's run",
+}
+
+
+@functools.cache
+def _logged(items: frozenset) -> bytes:
+    """The metrics and accuracy log bytes of the one seed of a run of these settings."""
+    cfg = build_run_config(dict(items))
+    res = run_seed(cfg, cfg.seeds[0])
+    return (format_log(res.records, res.layer_ids) + format_accuracy(res)).encode()
+
+
+@pytest.mark.parametrize("key", list(KEYS))
+def test_every_config_key_reaches_a_logged_byte(key):
+    """Changing any key, in a tiny run where it is live, changes a byte of the
+    metrics or accuracy log: no key is a knob that nothing reads.  A key in
+    neither table fails here until it is given a live run or a reason."""
+    assert (key in _LIVE) != (key in _EXEMPT), key
+    if key in _EXEMPT:
+        return
+    value, context = _LIVE[key]
+    values = {**_LIVE_BASE, **context}
+    assert _logged(frozenset({**values, key: value}.items())) != _logged(frozenset(values.items()))
 
 
 def test_cli_rejects_mnist_without_paths():

@@ -381,9 +381,9 @@ def test_every_product_is_made_in_the_row_space_layout(monkeypatch, d, shape):
     shapes = []
     real = curvature_mod.hvp
 
-    def recording(params, act, batch, reg, v, base=None, worker=None, out=None):
+    def recording(params, act, batch, reg, v, base=None, out=None):
         shapes.append(v.layers[0].weights.shape)
-        return real(params, act, batch, reg, v, base, worker, out)
+        return real(params, act, batch, reg, v, base, out)
 
     monkeypatch.setattr(curvature_mod, "hvp", recording)
     res = top_eigenvalue(params, RELU, batch, NONE, CurvatureProbe(power_iters=50, tol=1e-12, seed=3))
@@ -406,9 +406,9 @@ def test_a_probe_with_d_at_most_b_solves_through_row_space(monkeypatch, in_dim, 
         bases.append(out[1])
         return out
 
-    def recording_hvp(params, act, batch, reg, v, base=None, worker=None, out=None):
+    def recording_hvp(params, act, batch, reg, v, base=None, out=None):
         products.append((v.layers[0].weights.shape, base))
-        return real_hvp(params, act, batch, reg, v, base, worker, out)
+        return real_hvp(params, act, batch, reg, v, base, out)
 
     monkeypatch.setattr(curvature_mod, "row_space", recording_row_space)
     monkeypatch.setattr(curvature_mod, "hvp", recording_hvp)

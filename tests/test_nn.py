@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from trainlab.curvature import CurvatureProbe, TopEigen, hvp, top_eigenvalue
 from trainlab.errors import ConfigError, NumericError
 from trainlab.metrics import minibatch_grad_variance
 from trainlab import nn
@@ -16,7 +15,6 @@ from trainlab.nn import (
     Batch,
     Layer,
     ParamSet,
-    ProbeGrads,
     Regularizer,
     crelu_apply,
     forward,
@@ -573,35 +571,25 @@ def _two_adam_steps(params, grads, worker):
 
 
 def _passes(params, act, batch, reg):
-    """Each pass that takes a worker, as a function of the worker."""
-    rng = np.random.default_rng(batch.size)
-    v = params.like(rng.normal(size=params.n_params))
-    grads = params.like(rng.normal(size=params.n_params))
-    probe = CurvatureProbe(power_iters=1, seed=batch.size)
+    """Each pass that takes a worker, the training step's two, as a function
+    of the worker."""
+    grads = params.like(np.random.default_rng(batch.size).normal(size=params.n_params))
     return {
         "loss_grad": lambda w: loss_grad(params, act, batch, reg, w),
-        "probe_grads": lambda w: probe_grads(params, act, batch, reg, w),
-        "hvp": lambda w: hvp(params, act, batch, reg, v, worker=w),
-        "top_eigenvalue": lambda w: top_eigenvalue(params, act, batch, reg, probe, worker=w),
         "adam_step": lambda w: _two_adam_steps(params, grads, w),
     }
 
 
 def _outcome(run, worker):
-    """What a pass gives, as bytes: its loss, gradient and any sigma^2, its
-    product, its eigenvalue, its Adam state, or its NumericError."""
+    """What a pass gives, as bytes: its loss and gradient, its Adam state,
+    or its NumericError."""
     try:
         out = run(worker)
     except NumericError as err:
         return ("error", str(err), err.layer_id)
     if isinstance(out, bytes):
         return out
-    if isinstance(out, ParamSet):
-        return _bits(out.vector)
-    if isinstance(out, TopEigen):
-        return _bits([out.lambda_max, out.residual]) + bytes([out.converged, out.iterations])
-    sigma_sq, sw = (list(out.sigma_sq.values()), out.sweep) if isinstance(out, ProbeGrads) else ([], out)
-    return _bits(sigma_sq) + _bits(sw.loss) + _bits(sw.grads.vector)
+    return _bits(out.loss) + _bits(out.grads.vector)
 
 
 def _assert_worker_pass_is_inline(params, act, batch, reg, worker, skip=()) -> dict[str, int]:
@@ -640,8 +628,8 @@ WIDE_NETS = {"784-256-10": (784, 256), "256-256-300-256-10": (256, (256, 300, 25
     pytest.param(*values, net, id=f"{case_id}-{net}") for net in WIDE_NETS for case_id, values in ACT_REG_CASES
 ])
 def test_wide_passes_split_to_the_inline_bits(worker, act, reg_kind, net):
-    """With a worker, every pass of a wide net gives the inline bytes (Adam's,
-    which reads no batch, at one size).  At 256 rows every pass splits, and
+    """With a worker, both passes of a wide net give the inline bytes (Adam's,
+    which reads no batch, at one size).  At 256 rows the sweep splits, and
     Adam hands off one job a step; a sweep beside a Wasserstein penalty stays
     whole."""
     d, hidden = WIDE_NETS[net]
@@ -653,8 +641,7 @@ def test_wide_passes_split_to_the_inline_bits(worker, act, reg_kind, net):
         jobs = _assert_worker_pass_is_inline(params, act, batch, reg, worker, () if B == 256 else ("adam_step",))
     # the jobs at B = 256, the last size
     assert jobs["adam_step"] == 2
-    assert jobs["hvp"] > penalty and jobs["top_eigenvalue"] > penalty
-    assert jobs["loss_grad"] == jobs["probe_grads"] > 0
+    assert jobs["loss_grad"] > 0
     assert penalty == 0 or jobs["loss_grad"] == 1
 
 
@@ -693,7 +680,8 @@ def test_worker_pass_is_the_inline_pass_on_ties_and_signed_zeros(worker, case):
 def test_worker_takes_the_wasserstein_penalty_alone(worker, monkeypatch):
     """Only a Wasserstein penalty with lam > 0 goes to the worker, one job per
     pass; it calls ``regularizer_penalty`` by the module's name, as a pass
-    without a worker does."""
+    without a worker does.  ``probe_grads`` takes no worker and makes every
+    penalty on the caller's thread."""
     threads = []
     real = nn.regularizer_penalty
 
@@ -709,12 +697,14 @@ def test_worker_takes_the_wasserstein_penalty_alone(worker, monkeypatch):
     for reg_kind, lam in (("none", 0.0), ("l2", 1e-2), ("wasserstein", 0.0), ("wasserstein", 1e-2)):
         reg = Regularizer(reg_kind, lam, params.copy() if reg_kind == "wasserstein" else None)
         threaded = reg_kind == "wasserstein" and lam > 0.0
-        for fn in (loss_grad, probe_grads):
-            threads.clear()
-            recording_worker = RecordingWorker(worker)
-            fn(params, act, batch, reg, recording_worker)
-            assert len(recording_worker.futures) == threaded, (reg_kind, lam, fn.__name__)
-            assert threads == [worker_thread if threaded else threading.main_thread()]
+        threads.clear()
+        recording_worker = RecordingWorker(worker)
+        loss_grad(params, act, batch, reg, recording_worker)
+        assert len(recording_worker.futures) == threaded, (reg_kind, lam)
+        assert threads == [worker_thread if threaded else threading.main_thread()]
+        threads.clear()
+        probe_grads(params, act, batch, reg)
+        assert threads == [threading.main_thread()]
 
 
 def test_hand_off_runs_its_job_under_the_callers_error_state(worker):
@@ -744,13 +734,12 @@ def test_worker_and_sweep_errors_reach_the_caller(worker):
         (make_batch(4, 3, 8, seed=23), other_layers, "snapshot layers do not match"),
         (make_batch(5, 3, 8, seed=23), make_reg("wasserstein", params), "expects input width 4, got 5"),
     ]
-    for fn in (loss_grad, probe_grads):
-        for batch, reg, message in cases:
-            recording = RecordingWorker(worker, delay_s=0.05)
-            with pytest.raises(ConfigError, match=message):
-                fn(params, act, batch, reg, recording)
-            [future] = recording.futures
-            assert future.done()
+    for batch, reg, message in cases:
+        recording = RecordingWorker(worker, delay_s=0.05)
+        with pytest.raises(ConfigError, match=message):
+            loss_grad(params, act, batch, reg, recording)
+        [future] = recording.futures
+        assert future.done()
 
 
 # ---------------------------------------------------------------------------

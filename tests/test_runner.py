@@ -362,16 +362,18 @@ def _recording_hand_offs(monkeypatch):
 @pytest.mark.parametrize("case", ["completed", "aborted", "wide-completed", "wide-aborted", "ahead-completed",
                                   "ahead-step-aborted", "ahead-probe-aborted"])
 def test_run_seed_leaves_no_thread_behind(monkeypatch, case):
-    """A Wasserstein seed's every penalty runs on a thread of its own, as do,
-    at one BLAS thread, half of a wide L2 seed's passes, Adam's update among
-    them, and a narrow L2 seed's probes; the seed closes that thread when it
-    ends, also when it aborts, and also when it aborts with a probe in
-    flight, whether the probe or the step raised."""
-    penalty_threads = set()
+    """A Wasserstein seed's every training-step penalty runs on a thread of
+    its own, as do, at one BLAS thread, half of a wide L2 seed's training
+    passes, Adam's update among them, and a narrow L2 seed's probes; the
+    seed closes that thread when it ends, also when it aborts, and also when
+    it aborts with a probe in flight, whether the probe or the step raised.
+    A probe hands no work off, so a Wasserstein seed's probe makes its one
+    penalty on the seed's own thread."""
+    penalty_threads = []
     real = nn_mod.regularizer_penalty
 
     def recording(*args, **kwargs):
-        penalty_threads.add(threading.current_thread())
+        penalty_threads.append(threading.current_thread())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nn_mod, "regularizer_penalty", recording)
@@ -412,27 +414,28 @@ def test_run_seed_leaves_no_thread_behind(monkeypatch, case):
         assert "adam_step.<locals>.update" in names and "_matmul.<locals>.<lambda>" in names
         assert threads and threading.main_thread() not in threads
     elif case.startswith("ahead"):
-        assert names == {"_probe_ahead"} and threading.main_thread() not in threads
+        assert names == {"_probe"} and threading.main_thread() not in threads
         if case != "ahead-completed":
             assert res.abort_message == case.split("-")[1] + " blow-up"
             assert [r.step for r in res.records] == [2] + [3] * (case == "ahead-step-aborted")
     else:
-        assert penalty_threads and threading.main_thread() not in penalty_threads
+        probes = sum(not any(f.startswith("aborted") for f in r.flags) for r in res.records)
+        on_main = [t for t in penalty_threads if t is threading.main_thread()]
+        assert (probes > 0 or res.aborted) and len(on_main) == probes and len(penalty_threads) > probes
     assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("blas", [None, "1", "2"], ids=["unset", "one", "two"])
 @pytest.mark.parametrize("reg_kind", ["l2", "wasserstein", "wide"])
 def test_run_seed_splits_only_at_one_blas_thread(monkeypatch, blas, reg_kind):
-    """Each pass of a seed gets its worker where it puts it to use: a
-    Wasserstein pass for its penalty, and at one BLAS thread alone (more
-    BLAS threads take the free core) every pass of a wide seed for its
+    """Each pass of a training step gets the seed's worker where it puts it to
+    use: a Wasserstein pass for its penalty, and at one BLAS thread alone
+    (more BLAS threads take the free core) every pass of a wide seed for its
     halves.  The worker takes a narrow L2 seed's probes at one BLAS thread
-    instead, and every pass then runs inline, the probe's own too; a probe
-    at the seed's last step runs inline on the seed's thread."""
+    instead, and every pass then runs inline."""
     _one_blas_thread(monkeypatch, blas)
     got = {}
-    for name in ("loss_grad", "probe_grads", "adam_step", "top_eigenvalue"):
+    for name in ("loss_grad", "adam_step"):
         real = getattr(runner_mod, name)
 
         def recording(*args, _real=real, _name=name, **kwargs):
@@ -451,14 +454,46 @@ def test_run_seed_splits_only_at_one_blas_thread(monkeypatch, blas, reg_kind):
     run_seed(cfg, seed=0)
     splits = blas == "1" and reg_kind == "wide"
     penalty = reg_kind == "wasserstein"
-    probes_ahead = blas == "1" and reg_kind == "l2"
     assert got["loss_grad"] == {(splits or penalty, True)}
     assert got["adam_step"] == {(splits, True)}
-    if probes_ahead:
-        assert got["probe_grads"] == got["top_eigenvalue"] == {(False, False), (False, True)}
+
+
+@pytest.mark.parametrize("reg_kind", ["wasserstein", "wide", "l2"])
+def test_a_probe_hands_no_work_off(monkeypatch, reg_kind):
+    """At one BLAS thread a seed's worker takes its penalty, its wide halves
+    or, in a narrow L2 seed, its probes; no probe hands work off, whether it
+    runs inline on the seed's thread or ahead on the worker."""
+    _one_blas_thread(monkeypatch)
+    inside = threading.local()
+    real_probe, real_hand_off = runner_mod._probe, nn_mod.hand_off
+    probe_threads, from_probe = [], []
+
+    def probe(*args, **kwargs):
+        probe_threads.append(threading.current_thread())
+        inside.probe = True
+        try:
+            return real_probe(*args, **kwargs)
+        finally:
+            inside.probe = False
+
+    def hand_off(worker, fn, *args):
+        from_probe.append(getattr(inside, "probe", False))
+        return real_hand_off(worker, fn, *args)
+
+    monkeypatch.setattr(runner_mod, "_probe", probe)
+    for mod in (nn_mod, runner_mod):
+        monkeypatch.setattr(mod, "hand_off", hand_off)
+    if reg_kind == "wide":
+        cfg = wide_config(mode="scheduled")
     else:
-        assert got["probe_grads"] == {(splits or penalty, True)}
-        assert got["top_eigenvalue"] == {(splits, True)}
+        act = Activation("crelu" if reg_kind == "wasserstein" else "relu")
+        model = ModelConfig(hidden_width=8, activation=act, regularizer=reg_kind, reg_lambda=1e-2)
+        cfg = tiny_config(model=model, mode="scheduled")
+    res = run_seed(cfg, seed=0)
+    assert not res.aborted and len(probe_threads) == len(res.records)
+    assert from_probe and not any(from_probe)
+    on_worker = {thread is not threading.main_thread() for thread in probe_threads}
+    assert on_worker == ({False, True} if reg_kind == "l2" else {False})
 
 
 @pytest.mark.parametrize("env, expected", [
@@ -636,13 +671,13 @@ def test_a_decision_after_a_moved_one_runs_inline(monkeypatch):
     """Moved decisions come in streaks (the warm phase), so the decision probe
     after a moved decision runs inline and the one after a held decision
     runs ahead again; the probe at the seed's last step runs inline."""
-    real, ahead = runner_mod._probe_ahead, []
+    real, ahead = runner_mod.hand_off, []
 
-    def recording(cfg, seed, at, *args):
-        ahead.append(at.step)
-        return real(cfg, seed, at, *args)
+    def recording(worker, fn, cfg, seed, step, *args):
+        ahead.append(step)
+        return real(worker, fn, cfg, seed, step, *args)
 
-    monkeypatch.setattr(runner_mod, "_probe_ahead", recording)
+    monkeypatch.setattr(runner_mod, "hand_off", recording)
     _one_blas_thread(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _LazyExecutor)
     cfg = _long_config(mode="scheduled", controller=ControllerConfig(interval_k=3, warm_phase_frac=0.5),
