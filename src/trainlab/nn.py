@@ -15,26 +15,24 @@ Materialized per-sample gradients (``per_sample_grads``: one ``loss_grad``
 pass per sample, and ``mean_params``) are kept as test oracles for it and
 are not on the run path; ``_reverse_sweep`` is the one backward pass.
 
-A worker (an executor with one thread) takes work off the training step's
-thread in two ways here, both to the inline path's bits and both through
+A worker (an executor with one thread) takes half of the training step's
+wide matmuls off its thread, to the inline path's bits, through
 ``hand_off``, which carries the caller's numpy error state; ``runner``
-hands it a seed's whole probes instead where neither way applies.  The
-Wasserstein penalty reads the parameters alone, never the batch, so
-``loss_grad`` makes it there while the caller's thread runs the sweep,
-since numpy's sort releases the GIL, then adds it as the inline path does.
-An L2 penalty, or none, is cheaper than the hand-off and stays inline, and
-then the sweep's wide matmuls are ``split``: for a layer whose weights hold
-at least ``WIDE`` = 2^16 entries, the worker makes the rows of its ``x @
-W.T`` and its ``d^T x`` from a multiple of 64 on (``optim.adam_step``
-splits the same way).  Below that width a matmul takes about as long as
-the hand-off: splitting every pass made the desk stream (width 64) 21%
-slower in one run, and ``WIDE`` = 0 under the row rules of ``split`` and
+hands it a seed's whole probes instead where no matmul is wide.  Every
+penalty is made inline after the sweep: one float sort finds the
+Wasserstein penalty's permutation (see ``wasserstein_penalty``).  A wide
+matmul is ``split``: for a layer whose weights hold at least
+``WIDE`` = 2^16 entries, the worker makes the rows of its ``x @ W.T`` and
+its ``d^T x`` from a multiple of 64 on (``optim.adam_step`` splits the
+same way).  Below that width a matmul takes about as long as the
+hand-off: splitting every pass made the desk stream (width 64) 21% slower
+in one run, and ``WIDE`` = 0 under the row rules of ``split`` and
 ``_matmul`` 3% and 8% slower in two.  Narrow layers never split, also
 because a split of the 10-wide read-out's rows (a 128-row batch at 64/64)
 changed bits.  With no free core the two parts run one after the other,
 and a split costs its hand-off on top of the whole product: pinned to one
-core, a 784-256-10 run was as fast as unsplit.  Nor does a split pay where
-BLAS runs threads of its own, which take the free core first, so
+core, a 784-256-10 run was as fast as unsplit.  Nor does a split pay
+where BLAS runs threads of its own, which take the free core first, so
 ``runner`` gives the split passes its worker only at one BLAS thread.
 ``probe_grads``, like every product of ``curvature``, takes no worker: a
 probe runs whole on whichever thread calls it.
@@ -355,19 +353,31 @@ def wasserstein_penalty(current: np.ndarray, init_sorted: np.ndarray) -> tuple[f
 
     Tie policy: entries of ``current`` that compare equal (``inf`` pairs and
     ``-0.0``/``0.0`` included) keep their index order in the permutation, as
-    a stable sort leaves them.  Without ties every sort gives that same
-    permutation, so the fast default sort is used and the stable one is run
-    only when a tie is found.
+    a stable sort leaves them.  Without ties the sorting permutation is
+    unique, so it is found by one float sort: each entry's low
+    ``(n-1).bit_length()`` mantissa bits are overwritten with its index, the
+    keys sorted as float64 (numpy's SIMD sort, faster than ``argsort``) and
+    the indices read back from the low bits.  That order is kept when it
+    sorts ``current`` strictly; a tie, a NaN, an infinity whose key became a
+    NaN, or two entries that agree in every bit above the index's fall back
+    to the default ``argsort``, and a stable one when that finds a tie.
     """
     flat = current.ravel()
     n = flat.size
     if init_sorted.size != n:
         raise ConfigError(f"size mismatch: {n} entries vs {init_sorted.size} sorted reference entries")
-    order = np.argsort(flat)
+    low = (1 << (n - 1).bit_length()) - 1
+    keys = flat.view(np.int64) & ~low
+    keys |= np.arange(n)
+    keys.view(np.float64).sort()
+    order = np.bitwise_and(keys, low, out=keys)  # the indices, in sorted order
     ranked = flat[order]
-    if not np.all(ranked[1:] > ranked[:-1]):  # a tie (or a NaN): order it by index
-        order = np.argsort(flat, kind="stable")
+    if not np.all(ranked[1:] > ranked[:-1]):  # not the order of a tie-free sort
+        order = np.argsort(flat)
         ranked = flat[order]
+        if not np.all(ranked[1:] > ranked[:-1]):  # a tie (or a NaN): order it by index
+            order = np.argsort(flat, kind="stable")
+            ranked = flat[order]
     diffs = ranked - init_sorted
     value = float(np.mean(diffs**2))
     grad_flat = np.empty_like(flat)  # every entry is written: order is a permutation
@@ -571,29 +581,10 @@ def _reverse_sweep(params: ParamSet, act: Activation, batch: Batch, worker=None)
     return Sweep(float(np.mean(losses)), logits, probs, layer_inputs, preacts, masks, out_grads, grads)
 
 
-def penalty_on_worker(reg: Regularizer) -> bool:
-    """Whether a pass given a worker makes ``reg``'s penalty there: a
-    Wasserstein penalty does; an L2 penalty costs less than the hand-off."""
-    return reg.kind == "wasserstein" and reg.lam != 0.0
-
-
-def _penalty_job(params: ParamSet, reg: Regularizer) -> tuple[float, ParamSet]:
-    """``regularizer_penalty`` into a buffer of ``-0.0``, the additive
-    identity of every float, so its weights hold the penalty gradient's own
-    bits, sign of zero included."""
-    return regularizer_penalty(params, reg, out=params.like(np.full(params.n_params, -0.0)))
-
-
-def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep, pending) -> None:
+def _add_penalty(params: ParamSet, reg: Regularizer, sw: Sweep) -> None:
     """Adds the penalty to ``sw.loss`` and its gradient to ``sw.grads`` in
-    place, made here or read from ``pending``; raises NumericError on a
-    non-finite loss."""
-    if pending is None:
-        reg_value, _ = regularizer_penalty(params, reg, out=sw.grads)
-    else:
-        reg_value, penalty = pending.result()
-        for g, p in zip(sw.grads.layers, penalty.layers):
-            g.weights += p.weights  # biases are unpenalized
+    place; raises NumericError on a non-finite loss."""
+    reg_value, _ = regularizer_penalty(params, reg, out=sw.grads)
     sw.loss += reg_value
     if not np.isfinite(sw.loss):
         layer_id = _first_nonfinite_layer(params, sw.preacts)
@@ -609,23 +600,13 @@ def loss_grad(
     """Mean cross-entropy plus regularizer penalty, with its exact gradient,
     and everything the pass made on the way (see ``Sweep``).
 
-    ``worker``, an executor with one thread, takes a Wasserstein penalty off
-    the sweep's thread, or else half of each wide matmul (see ``split``);
-    the result is the same to the bit.  A sweep beside the penalty does not
-    split, since the worker is sorting then; one that raises waits for the
-    worker first.  Raises NumericError on a non-finite loss.
+    ``worker``, an executor with one thread, takes half of each wide matmul
+    of the sweep (see ``split``); the result is the same to the bit.  The
+    penalty is made after the sweep, on the caller's thread.  Raises
+    NumericError on a non-finite loss.
     """
-    if worker is None or not penalty_on_worker(reg):
-        sw = _reverse_sweep(params, act, batch, worker)
-        _add_penalty(params, reg, sw, None)
-        return sw
-    pending = hand_off(worker, _penalty_job, params, reg)
-    try:
-        sw = _reverse_sweep(params, act, batch)
-    except BaseException:
-        pending.exception()  # the sweep's error wins, as inline where the penalty never runs
-        raise
-    _add_penalty(params, reg, sw, pending)
+    sw = _reverse_sweep(params, act, batch, worker)
+    _add_penalty(params, reg, sw)
     return sw
 
 
@@ -660,7 +641,7 @@ def probe_grads(params: ParamSet, act: Activation, batch: Batch, reg: Regularize
         mean_sq = B * float(np.einsum("bo,bo->b", d, d) @ x_sq)
         g = sw.grads.segment(lid)
         sigma_sq[lid] = 0.0 if B == 1 else max(mean_sq - float(np.vdot(g, g)), 0.0)
-    _add_penalty(params, reg, sw, None)
+    _add_penalty(params, reg, sw)
     return ProbeGrads(sigma_sq, sw)
 
 

@@ -9,15 +9,14 @@ decision is logged.  The training step is one ``nn.loss_grad`` pass, dropped
 once Adam and the accuracy have read it.
 
 Each seed owns one worker thread, which the seed closes when it ends, also
-on an abort, and gives it one of three whole jobs.  A Wasserstein run's
-training step makes its penalty there.  At one BLAS thread
-(``one_blas_thread``), a seed of at least ``nn.WIDE`` parameters makes
-half of each wide matmul of its training step and of Adam's update there
-(see ``nn.split``); with more, BLAS's own threads take the free core, and
-a step gets the worker for its penalty alone.  At one BLAS thread, any
-other seed runs its probes there, ahead: a probe reads a snapshot of its
-step (the parameters, Adam's m, v, t and rates, the task and accuracy
-sums) while the seed's thread trains on.  The probe is settled, its record
+on an abort, and gives it one of two whole jobs, and only at one BLAS
+thread (``one_blas_thread``); with more, BLAS's own threads take the free
+core, and the worker stays idle.  A seed of at least ``nn.WIDE``
+parameters makes half of each wide matmul of its training step and of
+Adam's update there (see ``nn.split``).  Any other seed, Wasserstein or
+not, runs its probes there, ahead: a probe reads a snapshot of its step
+(the parameters, Adam's m, v, t and rates, the task and accuracy sums)
+while the seed's thread trains on.  The probe is settled, its record
 appended, once it is done or the next probe is due; a training error waits
 for it first.  If its decision moved a layer's rate (a warm, a cool or a
 clamp), the seed goes back to the snapshot, which holds the decided rates,
@@ -86,7 +85,6 @@ from .nn import (
     hand_off,
     init_mlp,
     loss_grad,
-    penalty_on_worker,
     probe_grads,
 )
 from .optim import AdamState, OptimConfig, adam_step, agg_step, effective_step, init_adam
@@ -365,11 +363,10 @@ class _SeedRun:
         self.reg = build_regularizer(cfg.model, self.init)
         self.spe = steps_per_epoch(base.inputs.shape[0], cfg.stream.batch_size)
         self.total_steps = cfg.stream.tasks * cfg.stream.epochs_per_task * self.spe
-        # the worker's one job in this seed: the penalty, the wide halves, or the probes
+        # the worker's one job in this seed, at one BLAS thread: the wide halves, or else the probes
         one_thread = one_blas_thread()
         self.split_worker = worker if one_thread and self.init.n_params >= WIDE else None
-        self.pass_worker = worker if penalty_on_worker(self.reg) else self.split_worker
-        self.probe_worker = worker if one_thread and self.pass_worker is None else None
+        self.probe_worker = worker if one_thread and self.split_worker is None else None
         self.result = SeedResult(seed, self.init.layer_ids(), [], [])
         self.at = _Cursor(0, *self.fresh())
         self.batches = None  # the rest of the cursor's epoch
@@ -422,7 +419,7 @@ class _SeedRun:
             self.batches = batches(self.base.inputs, at.labels, task_i, epoch, cfg.stream)
             at.ep_sum = 0.0
         batch = next(self.batches)
-        sw = loss_grad(at.params, self.act, batch, self.reg, self.pass_worker)
+        sw = loss_grad(at.params, self.act, batch, self.reg, self.split_worker)
         adam_step(at.state, at.params, sw.grads, self.split_worker)
         acc = float(np.mean(np.argmax(sw.logits, axis=1) == batch.labels))
         del sw  # the probe makes its own pass; holding this one too adds to the peak

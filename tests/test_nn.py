@@ -293,11 +293,24 @@ def _tie_cases():
     with_inf = rng.normal(size=300)
     with_inf[[3, 50, 120]] = np.inf
     with_inf[[7, 200]] = -np.inf
+    # entries 0 and 1 differ only in the lowest mantissa bit, the larger first: their packed keys
+    # share every bit but the index's, so the packed sort orders them by index, wrongly
+    collision = rng.normal(size=(40, 50))
+    collision[0, :2] = 1.0 + 2.0**-52, 1.0
+    with_nan = rng.normal(size=(20, 30))
+    with_nan[4, 7] = np.nan
     return {
         "random_64x512": (rng.normal(size=(64, 512)), rng.normal(size=64 * 512)),
         "rounded_ties": (np.round(rng.normal(size=(40, 50)), 1), rng.normal(size=2000)),
         "signed_zeros": (signed_zeros.reshape(16, 16), rng.permutation(signed_zeros)),
         "duplicated_inf": (with_inf.reshape(10, 30), rng.normal(size=300)),
+        "one_entry": (rng.normal(size=(1, 1)), rng.normal(size=1)),
+        # the edges of the packed width: 15 index bits, then 16
+        "packed_width_32768": (rng.normal(size=(128, 256)), rng.normal(size=2**15)),
+        "packed_width_32769": (rng.normal(size=(3, 10923)), rng.normal(size=2**15 + 1)),
+        "low_bit_collision": (collision, rng.normal(size=2000)),
+        "with_nan": (with_nan, rng.normal(size=600)),
+        "random_256x784": (rng.normal(size=(256, 784)), rng.normal(size=256 * 784)),
     }
 
 
@@ -307,7 +320,7 @@ def test_wasserstein_matches_stable_sort_reference(case):
     init_sorted = np.sort(init, kind="stable")
     value, grad = wasserstein_penalty(current, init_sorted)
     want_value, want_grad = stable_wasserstein_penalty(current, init_sorted)
-    assert value == want_value
+    assert _bits(value) == _bits(want_value)  # a NaN's bits too
     np.testing.assert_array_equal(grad, want_grad)
     np.testing.assert_array_equal(np.signbit(grad), np.signbit(want_grad))
 
@@ -325,17 +338,26 @@ def _count_argsort_kinds(monkeypatch):
 
 
 def test_wasserstein_stable_sort_only_on_ties(monkeypatch):
+    """A tie-free layer's packed float sort finds its permutation and makes
+    no argsort; a tie makes one default and one stable argsort, in its layer
+    alone; two weights whose packed keys collide make one default argsort
+    and no stable one."""
     params = make_net(8, [16, 16], 4, Activation("crelu"), seed=6)
     reg = make_reg("wasserstein", params, lam=0.5, perturb_seed=7)
     kinds = _count_argsort_kinds(monkeypatch)
     regularizer_penalty(params, reg)
-    assert len(kinds) == len(params.layers)
-    assert "stable" not in kinds
-    kinds.clear()
+    for case in ("random_64x512", "packed_width_32768", "packed_width_32769", "random_256x784"):
+        current, init = _tie_cases()[case]
+        wasserstein_penalty(current, np.sort(init))
+    assert kinds == []
     w = params.layers[1].weights
     w[0, 1] = w[3, 2]  # one tie, in one layer
     regularizer_penalty(params, reg)
-    assert kinds.count("stable") == 1
+    assert kinds == [None, "stable"]
+    kinds.clear()
+    w[0, 1], w[3, 2] = 1.0 + 2.0**-52, 1.0  # the larger first, and one packed key
+    regularizer_penalty(params, reg)
+    assert kinds == [None]
 
 
 @pytest.mark.parametrize("reg_kind", ["none", "l2", "wasserstein"])
@@ -523,7 +545,7 @@ def test_probe_grads_identical_samples_clamped_at_zero():
 
 
 # ---------------------------------------------------------------------------
-# the worker thread: the Wasserstein penalty and the halves of wide passes
+# the worker thread: the halves of wide passes
 
 
 @pytest.fixture
@@ -629,20 +651,19 @@ WIDE_NETS = {"784-256-10": (784, 256), "256-256-300-256-10": (256, (256, 300, 25
 ])
 def test_wide_passes_split_to_the_inline_bits(worker, act, reg_kind, net):
     """With a worker, both passes of a wide net give the inline bytes (Adam's,
-    which reads no batch, at one size).  At 256 rows the sweep splits, and
-    Adam hands off one job a step; a sweep beside a Wasserstein penalty stays
-    whole."""
+    which reads no batch, at one size).  At 256 rows the sweep splits, with
+    every penalty as with none, and Adam hands off one job a step."""
     d, hidden = WIDE_NETS[net]
     params = make_net(d, hidden, 10, act, seed=25)
     reg = make_reg(reg_kind, params, perturb_seed=25)
-    penalty = int(reg_kind == "wasserstein")
     for B in SPLIT_BATCHES:
         batch = make_batch(d, 10, B, seed=B)
         jobs = _assert_worker_pass_is_inline(params, act, batch, reg, worker, () if B == 256 else ("adam_step",))
     # the jobs at B = 256, the last size
     assert jobs["adam_step"] == 2
-    assert jobs["loss_grad"] > 0
-    assert penalty == 0 or jobs["loss_grad"] == 1
+    unpenalized = RecordingWorker(worker)
+    loss_grad(params, act, batch, NONE, unpenalized)
+    assert jobs["loss_grad"] == len(unpenalized.futures) > 0
 
 
 def test_a_narrow_matmul_makes_no_worker_job(worker):
@@ -660,8 +681,8 @@ def test_a_narrow_matmul_makes_no_worker_job(worker):
 @pytest.mark.parametrize("case", sorted(_tie_cases()))
 def test_worker_pass_is_the_inline_pass_on_ties_and_signed_zeros(worker, case):
     """The tie cases as a first layer's weights and its snapshot; infinite
-    weights end both passes in the same NumericError.  The worker's own
-    gradient holds the penalty's bits, sign of zero included."""
+    weights, or a NaN, end both passes in the same NumericError.  The
+    256 x 784 layer's ``d^T x`` splits."""
     current, init = _tie_cases()[case]
     act = Activation("crelu")
     params = make_net(current.shape[1], current.shape[0], 3, act, seed=22)
@@ -671,17 +692,14 @@ def test_worker_pass_is_the_inline_pass_on_ties_and_signed_zeros(worker, case):
     reg = Regularizer("wasserstein", 0.5, snapshot)
     batch = make_batch(current.shape[1], 3, 8, seed=22)
     _assert_worker_pass_is_inline(params, act, batch, reg, worker)
-    _, penalty = worker.submit(nn._penalty_job, params, reg).result(timeout=10)
-    for lay, ref_sorted, got in zip(params.layers, reg._sorted_init, penalty.layers):
-        _, gw = wasserstein_penalty(lay.weights, ref_sorted)
-        assert _bits(got.weights) == _bits(reg.lam * gw)
 
 
-def test_worker_takes_the_wasserstein_penalty_alone(worker, monkeypatch):
-    """Only a Wasserstein penalty with lam > 0 goes to the worker, one job per
-    pass; it calls ``regularizer_penalty`` by the module's name, as a pass
-    without a worker does.  ``probe_grads`` takes no worker and makes every
-    penalty on the caller's thread."""
+def test_every_penalty_runs_on_the_callers_thread(worker, monkeypatch):
+    """A pass given a worker makes its penalty, of every kind, on the
+    caller's thread, calling ``regularizer_penalty`` by the module's name: a
+    narrow net's pass hands the worker no job, and a wide net's hands it
+    only its split matmuls.  ``probe_grads`` takes no worker and does the
+    same."""
     threads = []
     real = nn.regularizer_penalty
 
@@ -690,21 +708,23 @@ def test_worker_takes_the_wasserstein_penalty_alone(worker, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nn, "regularizer_penalty", recording)
-    worker_thread = worker.submit(threading.current_thread).result(timeout=10)
     act = Activation("relu")
-    params = make_net(4, 6, 3, act, seed=24)
-    batch = make_batch(4, 3, 8, seed=24)
-    for reg_kind, lam in (("none", 0.0), ("l2", 1e-2), ("wasserstein", 0.0), ("wasserstein", 1e-2)):
-        reg = Regularizer(reg_kind, lam, params.copy() if reg_kind == "wasserstein" else None)
-        threaded = reg_kind == "wasserstein" and lam > 0.0
-        threads.clear()
-        recording_worker = RecordingWorker(worker)
-        loss_grad(params, act, batch, reg, recording_worker)
-        assert len(recording_worker.futures) == threaded, (reg_kind, lam)
-        assert threads == [worker_thread if threaded else threading.main_thread()]
-        threads.clear()
-        probe_grads(params, act, batch, reg)
-        assert threads == [threading.main_thread()]
+    for d, hidden, B in ((4, 6, 8), (256, 256, 128)):
+        params = make_net(d, hidden, 3, act, seed=24)
+        batch = make_batch(d, 3, B, seed=24)
+        unpenalized = RecordingWorker(worker)
+        loss_grad(params, act, batch, NONE, unpenalized)
+        assert bool(unpenalized.futures) == (d == 256)
+        for reg_kind, lam in (("none", 0.0), ("l2", 1e-2), ("wasserstein", 0.0), ("wasserstein", 1e-2)):
+            reg = Regularizer(reg_kind, lam, params.copy() if reg_kind == "wasserstein" else None)
+            threads.clear()
+            recording_worker = RecordingWorker(worker)
+            loss_grad(params, act, batch, reg, recording_worker)
+            assert len(recording_worker.futures) == len(unpenalized.futures), (reg_kind, lam)
+            assert threads == [threading.current_thread()]
+            threads.clear()
+            probe_grads(params, act, batch, reg)
+            assert threads == [threading.current_thread()]
 
 
 def test_hand_off_runs_its_job_under_the_callers_error_state(worker):
@@ -724,22 +744,28 @@ def test_hand_off_runs_its_job_under_the_callers_error_state(worker):
 
 
 def test_worker_and_sweep_errors_reach_the_caller(worker):
-    """A worker error (a snapshot of other layers) and a sweep error (a batch
-    of the wrong width) each raise ConfigError, and the worker's job is done
-    by then, though it starts late."""
-    act = Activation("crelu")
-    params = make_net(4, 6, 3, act, seed=23)
-    other_layers = make_reg("wasserstein", make_net(4, [6, 5], 3, act, seed=23))
-    cases = [
-        (make_batch(4, 3, 8, seed=23), other_layers, "snapshot layers do not match"),
-        (make_batch(5, 3, 8, seed=23), make_reg("wasserstein", params), "expects input width 4, got 5"),
-    ]
-    for batch, reg, message in cases:
+    """A split whose worker part raises, or whose caller part raises, raises
+    in the caller, which waits for the worker's part first, though it starts
+    late; the caller's error wins.  A penalty error (a snapshot of other
+    layers) reaches the caller of a wide pass after every split is done."""
+
+    def part(lo, hi, failing):
+        if (lo > 0) in failing:
+            raise ConfigError("worker part" if lo > 0 else "caller part")
+
+    for failing, message in (({True}, "worker part"), ({False}, "caller part"), ({False, True}, "caller part")):
         recording = RecordingWorker(worker, delay_s=0.05)
         with pytest.raises(ConfigError, match=message):
-            loss_grad(params, act, batch, reg, recording)
+            nn.split(recording, nn.WIDE, 256, lambda lo, hi: part(lo, hi, failing))
         [future] = recording.futures
         assert future.done()
+    act = Activation("crelu")
+    params = make_net(256, 256, 3, act, seed=23)
+    other_layers = make_reg("wasserstein", make_net(256, [256, 5], 3, act, seed=23))
+    recording = RecordingWorker(worker, delay_s=0.05)
+    with pytest.raises(ConfigError, match="snapshot layers do not match"):
+        loss_grad(params, act, make_batch(256, 3, 128, seed=23), other_layers, recording)
+    assert recording.futures and all(f.done() for f in recording.futures)
 
 
 # ---------------------------------------------------------------------------

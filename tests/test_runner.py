@@ -362,13 +362,14 @@ def _recording_hand_offs(monkeypatch):
 @pytest.mark.parametrize("case", ["completed", "aborted", "wide-completed", "wide-aborted", "ahead-completed",
                                   "ahead-step-aborted", "ahead-probe-aborted"])
 def test_run_seed_leaves_no_thread_behind(monkeypatch, case):
-    """A Wasserstein seed's every training-step penalty runs on a thread of
-    its own, as do, at one BLAS thread, half of a wide L2 seed's training
-    passes, Adam's update among them, and a narrow L2 seed's probes; the
-    seed closes that thread when it ends, also when it aborts, and also when
-    it aborts with a probe in flight, whether the probe or the step raised.
-    A probe hands no work off, so a Wasserstein seed's probe makes its one
-    penalty on the seed's own thread."""
+    """At one BLAS thread half of a wide L2 seed's training passes, Adam's
+    update among them, run on a thread of its own, as do a narrow seed's
+    probes, Wasserstein or L2; the seed closes that thread when it ends,
+    also when it aborts, and also when it aborts with a probe in flight,
+    whether the probe or the step raised.  Every training step makes its
+    penalty on the seed's own thread, and a probe hands no work off, so a
+    Wasserstein seed's probe makes its one penalty on the thread it runs
+    on."""
     penalty_threads = []
     real = nn_mod.regularizer_penalty
 
@@ -403,6 +404,7 @@ def test_run_seed_leaves_no_thread_behind(monkeypatch, case):
         monkeypatch.setattr(runner_mod, "top_eigenvalue", held_eig)
         monkeypatch.setattr(runner_mod, "adam_step", step_3_raises)
     else:
+        _one_blas_thread(monkeypatch)
         model = ModelConfig(hidden_width=8, activation=Activation("crelu"), regularizer="wasserstein",
                             reg_lambda=1e-2)
         cfg = tiny_config(model=model, optimizer=OptimConfig(eta=eta))
@@ -418,22 +420,26 @@ def test_run_seed_leaves_no_thread_behind(monkeypatch, case):
         if case != "ahead-completed":
             assert res.abort_message == case.split("-")[1] + " blow-up"
             assert [r.step for r in res.records] == [2] + [3] * (case == "ahead-step-aborted")
-    else:
-        probes = sum(not any(f.startswith("aborted") for f in r.flags) for r in res.records)
-        on_main = [t for t in penalty_threads if t is threading.main_thread()]
-        assert (probes > 0 or res.aborted) and len(on_main) == probes and len(penalty_threads) > probes
+    else:  # the aborted seed aborts at step 2, before any probe
+        assert names == ({"_probe"} if case == "completed" else set())
+        assert threading.main_thread() not in threads
+        off_main = [t for t in penalty_threads if t is not threading.main_thread()]
+        assert off_main == [thread for _, thread in jobs]
+        assert len(penalty_threads) > len(off_main)
     assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("blas", [None, "1", "2"], ids=["unset", "one", "two"])
 @pytest.mark.parametrize("reg_kind", ["l2", "wasserstein", "wide"])
 def test_run_seed_splits_only_at_one_blas_thread(monkeypatch, blas, reg_kind):
-    """Each pass of a training step gets the seed's worker where it puts it to
-    use: a Wasserstein pass for its penalty, and at one BLAS thread alone
-    (more BLAS threads take the free core) every pass of a wide seed for its
-    halves.  The worker takes a narrow L2 seed's probes at one BLAS thread
-    instead, and every pass then runs inline."""
+    """Each pass of a training step gets the seed's worker at one BLAS thread
+    alone (more BLAS threads take the free core), and only in a wide seed,
+    for its halves; a Wasserstein seed's pass makes its penalty inline.  The
+    worker takes a narrow seed's probes at one BLAS thread instead, and
+    every pass then runs inline; at any other BLAS setting it takes
+    nothing."""
     _one_blas_thread(monkeypatch, blas)
+    jobs = _recording_hand_offs(monkeypatch)
     got = {}
     for name in ("loss_grad", "adam_step"):
         real = getattr(runner_mod, name)
@@ -453,16 +459,20 @@ def test_run_seed_splits_only_at_one_blas_thread(monkeypatch, blas, reg_kind):
         cfg = tiny_config(model=model, mode="scheduled")
     run_seed(cfg, seed=0)
     splits = blas == "1" and reg_kind == "wide"
-    penalty = reg_kind == "wasserstein"
-    assert got["loss_grad"] == {(splits or penalty, True)}
+    assert got["loss_grad"] == {(splits, True)}
     assert got["adam_step"] == {(splits, True)}
+    if blas != "1":
+        assert jobs == []
+    elif not splits:
+        assert {name for name, _ in jobs} == {"_probe"}
 
 
 @pytest.mark.parametrize("reg_kind", ["wasserstein", "wide", "l2"])
 def test_a_probe_hands_no_work_off(monkeypatch, reg_kind):
-    """At one BLAS thread a seed's worker takes its penalty, its wide halves
-    or, in a narrow L2 seed, its probes; no probe hands work off, whether it
-    runs inline on the seed's thread or ahead on the worker."""
+    """At one BLAS thread a seed's worker takes its wide halves or, in a
+    narrow seed, Wasserstein or L2, its probes and nothing else; no probe
+    hands work off, whether it runs inline on the seed's thread or ahead on
+    the worker."""
     _one_blas_thread(monkeypatch)
     inside = threading.local()
     real_probe, real_hand_off = runner_mod._probe, nn_mod.hand_off
@@ -493,7 +503,7 @@ def test_a_probe_hands_no_work_off(monkeypatch, reg_kind):
     assert not res.aborted and len(probe_threads) == len(res.records)
     assert from_probe and not any(from_probe)
     on_worker = {thread is not threading.main_thread() for thread in probe_threads}
-    assert on_worker == ({False, True} if reg_kind == "l2" else {False})
+    assert on_worker == ({False} if reg_kind == "wide" else {False, True})
 
 
 @pytest.mark.parametrize("env, expected", [
