@@ -585,25 +585,21 @@ class TaskSummary:
     task: int
     accuracy: float
     crossing_fraction: float
-    scaled_prediction: float
 
 
 @dataclass
 class Summary:
     per_task: list[TaskSummary]
     rho_hat: float
-    scale_degenerate: bool
 
 
 def summarize(records: Sequence[MetricRecord], layer_ids: Sequence[str]) -> Summary:
-    """Per-task accuracy, crossing fractions, and a range-scaled overlay.
+    """Each task's accuracy and crossing fraction, and the log's ``rho_hat``.
 
     A task's accuracy is the mean train accuracy of the records logged in its
     final epoch.  A record averages the steps since the record before it, so
     that mean spans earlier epochs when the log interval is longer than an
-    epoch (``format_accuracy`` has the exact final-epoch mean).  The crossing
-    fractions are min-max scaled onto the accuracy range for plotting (a flat
-    series is flagged degenerate and pinned to the mid-range).
+    epoch (``format_accuracy`` has the exact final-epoch mean).
     """
     by_task: dict[int, list[MetricRecord]] = {}
     for r in records:
@@ -611,32 +607,19 @@ def summarize(records: Sequence[MetricRecord], layer_ids: Sequence[str]) -> Summ
             by_task.setdefault(r.task, []).append(r)
     if not by_task:
         raise ConfigError("metric log contains no usable records")
-    tasks = sorted(by_task)
-    accs, fracs, n_crossed = [], [], 0
-    for trecs in map(by_task.get, tasks):
+    per_task, n_crossed = [], 0
+    for task, trecs in sorted(by_task.items()):
         last_epoch = max(r.epoch for r in trecs)
         final = [r.train_accuracy for r in trecs if r.epoch == last_epoch]
-        accs.append(sum(final) / len(final))
         crossed = sum(any(r.layers[lid].crossed for lid in layer_ids) for r in trecs)
-        fracs.append(crossed / len(trecs))
+        per_task.append(TaskSummary(task, sum(final) / len(final), crossed / len(trecs)))
         n_crossed += crossed
-    rho_hat = n_crossed / sum(map(len, by_task.values()))
-
-    lo_a, hi_a = min(accs), max(accs)
-    lo_f, hi_f = min(fracs), max(fracs)
-    degenerate = hi_f == lo_f or hi_a == lo_a
-    if degenerate:
-        scaled = [0.5 * (lo_a + hi_a)] * len(fracs)
-    else:
-        scaled = [lo_a + (f - lo_f) * (hi_a - lo_a) / (hi_f - lo_f) for f in fracs]
-    per_task = [TaskSummary(*cells) for cells in zip(tasks, accs, fracs, scaled)]
-    return Summary(per_task, rho_hat, degenerate)
+    return Summary(per_task, n_crossed / sum(map(len, by_task.values())))
 
 
 def format_summary(summary: Summary) -> str:
     lines = [
         f"# rho_hat={_cell(summary.rho_hat)}",
-        f"# scale_degenerate={_cell(summary.scale_degenerate)}",
         ",".join(f.name for f in fields(TaskSummary)),
     ]
     lines.extend(",".join(map(_cell, astuple(ts))) for ts in summary.per_task)

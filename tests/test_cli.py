@@ -291,9 +291,10 @@ def test_cli_run_and_summarize(tmp_path, capsys, monkeypatch):
     summary_path = tmp_path / "summary.csv"
     code = main(["summarize", "--log", str(log_path), "--out", str(summary_path)])
     assert code == EXIT_OK
-    text = summary_path.read_text()
-    assert text.startswith("# rho_hat=")
-    assert "task,accuracy,crossing_fraction,scaled_prediction" in text
+    lines = summary_path.read_text().splitlines()
+    assert lines[0].startswith("# rho_hat=")
+    assert lines[1] == "task,accuracy,crossing_fraction"
+    assert not any(line.startswith("# scale_degenerate") for line in lines)
 
 
 def test_cli_override_and_seed_flag(tmp_path):

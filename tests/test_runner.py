@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -504,6 +505,30 @@ def test_a_probe_hands_no_work_off(monkeypatch, reg_kind):
     assert from_probe and not any(from_probe)
     on_worker = {thread is not threading.main_thread() for thread in probe_threads}
     assert on_worker == ({False} if reg_kind == "wide" else {False, True})
+
+
+def test_the_training_sweep_is_freed_before_an_inline_probe(monkeypatch):
+    """A step drops its ``Sweep`` once Adam and the accuracy have read it,
+    so an inline probe's own pass is never alive beside it, which would add
+    a second sweep to the peak memory."""
+    _one_blas_thread(monkeypatch, None)  # no worker: every probe runs inline
+    real_loss_grad, real_probe = runner_mod.loss_grad, runner_mod._probe
+    sweeps, alive = [], []
+
+    def tracked_loss_grad(*args, **kwargs):
+        sw = real_loss_grad(*args, **kwargs)
+        sweeps.append(weakref.ref(sw))
+        return sw
+
+    def probe(*args, **kwargs):
+        alive.append(sweeps[-1]() is not None)
+        return real_probe(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "loss_grad", tracked_loss_grad)
+    monkeypatch.setattr(runner_mod, "_probe", probe)
+    res = run_seed(tiny_config(mode="scheduled", interval_k=2), seed=0)
+    assert not res.aborted and len(alive) == len(res.records) > 0
+    assert not any(alive)
 
 
 @pytest.mark.parametrize("env, expected", [
@@ -1147,11 +1172,6 @@ def test_summarize_hand_counts():
         0.0,
     ]
     assert s.rho_hat == pytest.approx(3 / 9)
-    assert not s.scale_degenerate
-    # min-max scaling maps the fraction range onto the accuracy range
-    scaled = [t.scaled_prediction for t in s.per_task]
-    assert min(scaled) == pytest.approx(0.3)
-    assert max(scaled) == pytest.approx(0.9)
 
 
 def test_summarize_zero_crossings():
@@ -1159,14 +1179,6 @@ def test_summarize_zero_crossings():
     s = summarize(records, ["fc1"])
     assert all(t.crossing_fraction == 0.0 for t in s.per_task)
     assert s.rho_hat == 0.0
-    assert s.scale_degenerate  # flat prediction series cannot be range-scaled
-
-
-def test_summarize_constant_accuracy_degenerate():
-    records = synthetic_records([[1, 0], [0, 1]], accs=[0.5, 0.5])
-    s = summarize(records, ["fc1"])
-    assert s.scale_degenerate
-    assert all(t.scaled_prediction == pytest.approx(0.5) for t in s.per_task)
 
 
 def test_summarize_uses_final_epoch_accuracy():
